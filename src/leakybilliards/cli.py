@@ -6,7 +6,8 @@ with the same inputs reproduces every output byte for byte regardless
 of the worker count.
 
 Exit codes: 0 ok, 2 config/geometry/hole setup errors, 3 numeric
-errors, 4 io errors.
+errors and any unexpected exception, 4 io errors.  Every failure is one
+JSON line {"error", "message"} on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -104,6 +106,14 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _hole_kind(obj: dict) -> str:
+    # never guessed from the anchor: [0, 0.5] is a valid anchor of either kind
+    kind = _require(obj, "kind")
+    if kind not in ("I", "II"):
+        raise ConfigError(f'hole kind must be "I" or "II", got {kind!r}')
+    return kind
+
+
 def _table_from_config(cfg: dict) -> _geometry.Table:
     if "table" in cfg and cfg["table"] is not None:
         return _geometry.table_from_json(cfg["table"])
@@ -125,7 +135,7 @@ def _hole_from_config(cfg: dict, table) -> _holes.HoleSpec | None:
         return _holes.hole_family(
             table, anchor, float(obj["h"]),
             offset=float(obj.get("offset", 0.0)),
-            kind=obj.get("kind"),
+            kind=_hole_kind(obj),
         )
     return _holes.hole_from_json(table, obj)
 
@@ -387,7 +397,8 @@ def _run_small_hole_sweep(cfg, seed, threads, base, meta):
         int(_require(cfg, "n_particles")), int(_require(cfg, "n_max")),
         _window_from_config(cfg), int(_require(cfg, "measure_step")),
         int(cfg.get("r_bins", 64)), int(cfg.get("phi_bins", 64)), seed,
-        kind=hole_cfg.get("kind"), offset=float(hole_cfg.get("offset", 0.0)),
+        kind=_hole_kind(hole_cfg),
+        offset=float(hole_cfg.get("offset", 0.0)),
         convention=cfg.get("convention", "arrival"), threads=threads,
     )
     body = _csv_render(
@@ -508,6 +519,14 @@ def main(argv=None) -> int:
         sys.stderr.write(json.dumps(
             {"error": "io.os_error", "message": str(exc)}, sort_keys=True) + "\n")
         return _EXIT_IO
+    except Exception as exc:  # the CLI boundary reports every failure as JSON
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+        sys.stderr.write(json.dumps(
+            {"error": "internal.unexpected",
+             "message": f"{type(exc).__name__}: {exc} (at {where})"},
+            sort_keys=True) + "\n")
+        return _EXIT_NUMERIC
     for p in paths:
         sys.stdout.write(p + "\n")
     return 0

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _stats
 
 from . import holes as _holes
 from . import measures as _measures
@@ -133,9 +132,12 @@ def fit_escape_rate(survivors, window, censored=None,
     eff = censor_corrected_counts(s, censored)
     x = np.arange(lo, hi + 1, dtype=float)
     y = np.log(eff[lo:hi + 1])
-    fit = _stats.linregress(x, y)
-    slope = float(fit.slope)
-    se_ols = float(fit.stderr)
+    # ordinary least squares, in the arithmetic of scipy.stats.linregress;
+    # a flat curve (ssym == 0) fits exactly, so r = 0 gives se_ols = 0
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0) if ssym > 0.0 else 0.0
+    slope = float(ssxym / ssxm)
+    se_ols = float(np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2)))
     theta = float(np.exp(slope))
     # Binomial counting noise.  The log-curve is a sum of per-step
     # increments log(S_m/S_{m-1}) which are independent given the past,

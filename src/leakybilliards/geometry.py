@@ -48,6 +48,17 @@ _T_EPS = 1e-12
 # a projection gap narrower than this does not count as a corridor
 _GAP_TOLERANCE = 1e-9
 
+# direction sectors per departure scatterer in the first-hit candidate
+# table; each sector's angle range is padded by _SECTOR_PAD radians and
+# each image disk inflated by _SECTOR_MARGIN, which covers the 1e-9
+# graze pre-screen and every rounding error in the ray data
+N_SECTORS = 32
+_SECTOR_PAD = 1e-9
+_SECTOR_MARGIN = 1e-6
+
+# rays per first_hit_batch call in the horizon probe
+_PROBE_CHUNK = 65536
+
 
 @dataclass(frozen=True)
 class Scatterer:
@@ -116,6 +127,7 @@ class Table:
         self.cum_perimeter = np.concatenate([[0.0], np.cumsum(self.perimeters)])
         self.certificate: HorizonCertificate | None = None
         self._candidates = {}
+        self._sectors = {}
         self._check_disjoint()
 
     def __len__(self):
@@ -174,6 +186,51 @@ class Table:
         self._candidates[key] = out
         return out
 
+    def sector_candidates(self, reach: float):
+        """Per (departure scatterer, direction sector) first-hit candidates.
+
+        Row sid*N_SECTORS + s lists every image disk, inflated by
+        _SECTOR_MARGIN, that meets the departure disk sid Minkowski-summed
+        with the pie slice of radius reach over sector s: any ray leaving
+        that disk's boundary in that sector meets nothing else within
+        reach.  The departure disk's own (0,0) image is left out.  Rows
+        are sorted by the lower bound |C - c_sid| - rho - rho_sid -
+        _SECTOR_MARGIN on the flight to the image, padded with lower
+        bound inf, and share one width K.
+
+        Returns (centers (M,2), radii (M,), ids (M,), offsets (M,2),
+        rows (S*N_SECTORS, K) image indices, row_lb (S*N_SECTORS, K+1)).
+        """
+        key = round(float(reach), 6)
+        if key in self._sectors:
+            return self._sectors[key]
+        # every reach that rounds to key is below this slice radius
+        reach = key + 1e-6
+        n = len(self.scatterers)
+        kmax = int(math.ceil(reach + 2.0 * float(self.radii.max()) + 1.0 + _SECTOR_MARGIN))
+        ks = np.arange(-kmax, kmax + 1, dtype=float)
+        kx, ky, sid = (a.ravel() for a in np.meshgrid(ks, ks, np.arange(n), indexing="ij"))
+        centers = np.stack([self.centers[sid, 0] + kx, self.centers[sid, 1] + ky], axis=1)
+        radii = self.radii[sid]
+        edges = -np.pi + 2.0 * np.pi * np.arange(N_SECTORS + 1) / N_SECTORS
+        a0 = (edges[:-1] - _SECTOR_PAD)[None, :, None]
+        a1 = (edges[1:] + _SECTOR_PAD)[None, :, None]
+
+        # axes: departure scatterer, sector, image
+        dx = (centers[:, 0] - self.centers[:, 0, None])[:, None, :]
+        dy = (centers[:, 1] - self.centers[:, 1, None])[:, None, :]
+        gap = (radii + self.radii[:, None])[:, None, :] + _SECTOR_MARGIN
+        own = (sid == np.arange(n)[:, None, None]) & (kx == 0.0) & (ky == 0.0)
+        member = (pie_slice_distance(dx, dy, a0, a1, reach) <= gap) & ~own
+        lb = np.where(member, np.hypot(dx, dy) - gap, np.inf).reshape(n * N_SECTORS, -1)
+        order = np.argsort(lb, axis=1, kind="stable")
+        rows = order[:, :max(int(member.sum(axis=2).max()), 1)]
+        row_lb = np.concatenate(
+            [np.take_along_axis(lb, rows, axis=1), np.full((len(rows), 1), np.inf)], axis=1)
+        out = (centers, radii, sid, np.stack([kx, ky], axis=1), rows, row_lb)
+        self._sectors[key] = out
+        return out
+
 
 def boundary_point(table: Table, scatterer_id: int, r: float) -> TablePoint:
     """Planar position and inward normal for arc-length coordinate r."""
@@ -215,16 +272,38 @@ def rays_from_boundary(table: Table, sid, r, phi):
     return p0, v
 
 
-def first_hit_batch(table: Table, p0, v, skip_sid=None, reach=None):
+def pie_slice_distance(x, y, a0, a1, radius):
+    """Distance from points (x, y) to a pie slice at the origin.
+
+    The slice is {t*(cos a, sin a) : 0 <= t <= radius, a0 <= a <= a1}
+    with 0 <= a1 - a0 < pi, so it is convex: a point whose polar angle
+    lies in [a0, a1] is nearest to the slice along its own ray, any
+    other point is nearest to one of the two edge segments.  Arguments
+    broadcast against each other.
+    """
+    mid = 0.5 * (a0 + a1)
+    cm, sm = np.cos(mid), np.sin(mid)
+    off = np.arctan2(cm * y - sm * x, cm * x + sm * y)
+    inside = np.abs(off) <= 0.5 * (a1 - a0)
+    dist = np.where(inside, np.maximum(np.hypot(x, y) - radius, 0.0), np.inf)
+    for a in (a0, a1):
+        ux, uy = np.cos(a), np.sin(a)
+        s = np.clip(x * ux + y * uy, 0.0, radius)
+        dist = np.minimum(dist, np.hypot(x - s * ux, y - s * uy))
+    return dist
+
+
+def first_hit_batch(table: Table, p0, v, skip_sid, reach=None):
     """First intersection of rays with the scatterer image lattice.
 
     Parameters
     ----------
     p0, v : (N,2) arrays
-        Ray origins (within the inflated unit cell) and unit directions.
-    skip_sid : (N,) int array, optional
-        Scatterer whose (0,0) image is excluded per ray; pass the id the
-        ray departs from so rounding cannot produce a zero-length hit.
+        Ray origins and unit directions.  Ray i starts on the boundary
+        of the unit-cell image of scatterer skip_sid[i].
+    skip_sid : (N,) int array
+        Scatterer each ray departs from; its (0,0) image is excluded so
+        rounding cannot produce a zero-length hit.
     reach : float, optional
         Search horizon; defaults to the table certificate's l_max.
 
@@ -235,24 +314,98 @@ def first_hit_batch(table: Table, p0, v, skip_sid=None, reach=None):
         scatterer ids (-1 for no hit), integer image offsets (N,2), and
         a flag for rays passing within GRAZE_TOLERANCE of a circle they
         did not hit, ahead of the accepted hit.
+
+    Each ray is tested only against its row of
+    Table.sector_candidates(reach), which holds every image a ray from
+    its departure disk in its direction sector can meet within reach.
+    The per-candidate arithmetic is the full scan's, so every ray with a
+    hit at t <= reach gets the same bits; the others are re-run through
+    the full scan.
     """
     p0 = np.atleast_2d(np.asarray(p0, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
-    n = p0.shape[0]
+    skip_sid = np.asarray(skip_sid, dtype=np.int64).reshape(-1)
     if reach is None:
         if table.certificate is None:
             raise InvalidArgumentError("table has no horizon certificate; pass reach")
         reach = table.certificate.l_max
+    best_t, best_sid, best_off, maybe_graze = _sector_scan(table, p0, v, skip_sid, reach)
+    miss = np.flatnonzero(~(best_t <= reach))
+    if miss.size:
+        (best_t[miss], best_sid[miss], best_off[miss],
+         maybe_graze[miss]) = _full_scan(table, p0[miss], v[miss], skip_sid[miss], reach)
+    grazed = _graze_recheck(table, p0, v, best_t, maybe_graze, reach)
+    return best_t, best_sid, best_off, grazed
+
+
+def _sector_scan(table, p0, v, skip_sid, reach):
+    """Column-by-column scan of each ray's sector candidate row.
+
+    A ray retires once its best flight is no longer than the next
+    column's distance lower bound.  Returns (t, sid, offset,
+    maybe_graze) like _full_scan.
+    """
+    img_c, img_r, img_sid, img_off, rows, row_lb = table.sector_candidates(reach)
+    n = p0.shape[0]
+    best_t = np.full(n, np.inf)
+    best_img = np.full(n, -1, dtype=np.int64)
+    maybe_graze = np.zeros(n, dtype=bool)
+
+    ang = np.arctan2(v[:, 1], v[:, 0])
+    sector = ((ang + np.pi) * (N_SECTORS / (2.0 * np.pi))).astype(np.int64)
+    key = skip_sid * N_SECTORS + np.minimum(sector, N_SECTORS - 1)
+    idx = np.arange(n)
+    px, py, vx, vy = p0[:, 0], p0[:, 1], v[:, 0], v[:, 1]
+    bt, bi, mg = best_t.copy(), best_img.copy(), maybe_graze.copy()
+    for k in range(rows.shape[1] + 1):
+        live = bt > row_lb[key, k]
+        if not live.all():
+            done = ~live
+            best_t[idx[done]] = bt[done]
+            best_img[idx[done]] = bi[done]
+            maybe_graze[idx[done]] = mg[done]
+            idx, key, px, py, vx, vy, bt, bi, mg = (
+                a[live] for a in (idx, key, px, py, vx, vy, bt, bi, mg))
+        if not idx.size:
+            break
+        c = rows[key, k]
+        rho = img_r[c]
+        fx = px - img_c[c, 0]
+        fy = py - img_c[c, 1]
+        b = 2.0 * (fx * vx + fy * vy)
+        cc = fx * fx + fy * fy - rho * rho
+        disc = b * b - 4.0 * cc
+        hit = disc > 0.0
+        tsm = 0.5 * (-b - np.sqrt(np.where(hit, disc, 0.0)))
+        ok = hit & (tsm > _T_EPS) & (tsm < bt)
+        bt = np.where(ok, tsm, bt)
+        bi = np.where(ok, c, bi)
+        # loose pre-screen; the exact grazing test reruns flagged rays
+        imp = np.sqrt(np.maximum(cc + rho * rho - 0.25 * b * b, 0.0))
+        mg |= (np.abs(imp - rho) < 1e-9) & (-0.5 * b > _T_EPS)
+
+    found = best_img >= 0
+    best_sid = np.where(found, img_sid[best_img], -1)
+    best_off = np.where(found[:, None], img_off[best_img], 0.0)
+    return best_t, best_sid, best_off, maybe_graze
+
+
+def _full_scan(table, p0, v, skip_sid, reach):
+    """Scan of every image within reach, nearest lower bound first.
+
+    Returns (t, sid, offset, maybe_graze): the first hit of each ray
+    among image_candidates(reach), possibly beyond reach, and the loose
+    graze pre-screen flag that _graze_recheck settles.
+    """
     offs, sids, lbs = table.image_candidates(reach)
     centers, radii = table.centers, table.radii
+    n = p0.shape[0]
 
     best_t = np.full(n, np.inf)
     best_sid = np.full(n, -1, dtype=np.int64)
     best_off = np.zeros((n, 2))
     maybe_graze = np.zeros(n, dtype=bool)
     active = np.arange(n)
-    if skip_sid is not None:
-        skip_sid = np.asarray(skip_sid, dtype=np.int64)
 
     chunk = 12
     i = 0
@@ -265,7 +418,7 @@ def first_hit_batch(table: Table, p0, v, skip_sid=None, reach=None):
         bs = best_sid[active]
         bo = best_off[active]
         mg = maybe_graze[active]
-        ska = skip_sid[active] if skip_sid is not None else None
+        ska = skip_sid[active]
         for c in range(i, hi):
             j = sids[c]
             ox, oy = offs[c]
@@ -278,7 +431,7 @@ def first_hit_batch(table: Table, p0, v, skip_sid=None, reach=None):
             hit = disc > 0.0
             tsm = 0.5 * (-b - np.sqrt(np.where(hit, disc, 0.0)))
             ok = hit & (tsm > _T_EPS) & (tsm < bt)
-            if ska is not None and ox == 0.0 and oy == 0.0:
+            if ox == 0.0 and oy == 0.0:
                 ok &= ska != j
             if np.any(ok):
                 bt = np.where(ok, tsm, bt)
@@ -295,15 +448,20 @@ def first_hit_batch(table: Table, p0, v, skip_sid=None, reach=None):
         if hi < m:
             active = active[bt > lbs[hi]]
         i = hi
+    return best_t, best_sid, best_off, maybe_graze
 
-    grazed = np.zeros(n, dtype=bool)
-    flagged = np.flatnonzero(maybe_graze)
-    for idx in flagged:
+
+def _graze_recheck(table, p0, v, best_t, maybe_graze, reach):
+    """Exact grazing test of the pre-screened rays over every image."""
+    offs, sids, _ = table.image_candidates(reach)
+    centers, radii = table.centers, table.radii
+    grazed = np.zeros(len(best_t), dtype=bool)
+    for idx in np.flatnonzero(maybe_graze):
         tb = best_t[idx]
         if not np.isfinite(tb):
             grazed[idx] = True
             continue
-        for c in range(m):
+        for c in range(len(sids)):
             j = sids[c]
             rho = radii[j]
             fx = p0[idx, 0] - (centers[j, 0] + offs[c, 0])
@@ -316,7 +474,7 @@ def first_hit_batch(table: Table, p0, v, skip_sid=None, reach=None):
             if abs(math.sqrt(max(imp2, 0.0)) - rho) < GRAZE_TOLERANCE:
                 grazed[idx] = True
                 break
-    return best_t, best_sid, best_off, grazed
+    return grazed
 
 
 def _corridor_witness(centers, radii, q_sweep):
@@ -390,20 +548,24 @@ def finite_horizon_probe(
     rng = stream(seed, "horizon-probe")
     u = rng.random(n_rays)
     g = rng.random(n_rays) * table.total_perimeter
-    sid = np.searchsorted(table.cum_perimeter, g, side="right") - 1
-    sid = np.clip(sid, 0, len(table) - 1)
-    r = g - table.cum_perimeter[sid]
-    phi = np.arcsin(2.0 * u - 1.0)
-    p0, v = rays_from_boundary(table, sid, r, phi)
-    t, hit_sid, _, _ = first_hit_batch(
-        table, p0, v, skip_sid=sid, reach=length_budget
-    )
-    if np.any(hit_sid < 0):
-        raise InvalidArgumentError(
-            "a probe ray exceeded length_budget although no corridor exists; "
-            "increase length_budget"
+    longest = 0.0
+    # cast in fixed chunks so the ray temporaries stay small
+    for lo in range(0, n_rays, _PROBE_CHUNK):
+        gc = g[lo:lo + _PROBE_CHUNK]
+        sid = np.searchsorted(table.cum_perimeter, gc, side="right") - 1
+        sid = np.clip(sid, 0, len(table) - 1)
+        r = gc - table.cum_perimeter[sid]
+        phi = np.arcsin(2.0 * u[lo:lo + _PROBE_CHUNK] - 1.0)
+        p0, v = rays_from_boundary(table, sid, r, phi)
+        t, hit_sid, _, _ = first_hit_batch(
+            table, p0, v, skip_sid=sid, reach=length_budget
         )
-    longest = float(t.max())
+        if np.any(hit_sid < 0):
+            raise InvalidArgumentError(
+                "a probe ray exceeded length_budget although no corridor exists; "
+                "increase length_budget"
+            )
+        longest = max(longest, float(t.max()))
     l_max = longest * 1.05 + 0.05
     return HorizonCertificate(
         l_max=l_max, q_checked=q_eff, rays_cast=int(n_rays), longest_observed=longest

@@ -270,3 +270,47 @@ def test_run_experiment_validates_inputs():
         cli.run_experiment("validate-geometry", {"seed": -4})
     with pytest.raises(ConfigError):
         cli.run_experiment("validate-geometry", {"seed": 0, "threads": 0})
+
+
+def test_unexpected_exception_is_json_exit_3(tmp_path, capsys, monkeypatch):
+    def boom(*args):
+        raise ZeroDivisionError("forced")
+
+    monkeypatch.setitem(cli._DISPATCH, "validate-geometry", boom)
+    code, _ = run(tmp_path, "validate-geometry", {"seed": 0})
+    assert code == 3
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert set(err) == {"error", "message"}
+    assert "ZeroDivisionError: forced" in err["message"]
+    assert "Traceback" not in captured.err
+
+
+def test_escape_rate_closed_system_is_flat(tmp_path):
+    # a null hole loses nothing: the fitted curve is flat up to rounding
+    # in the censor correction, and the results serialize (no NaN)
+    code, out = run(tmp_path, "escape-rate", {
+        "hole": None, "n_particles": 2000, "n_max": 10, "window": [2, 8],
+        "seed": 3,
+    })
+    assert code == 0
+    res = read_results(out)
+    assert abs(res["theta_hat"] - 1.0) < 1e-12
+    assert 0.0 <= res["stderr"] < 1e-12
+
+
+@pytest.mark.parametrize("sub,cfg", [
+    ("escape-rate", dict(ESCAPE_CFG, hole={"anchor": [0, 0.3], "h": 0.15})),
+    ("escape-rate", dict(ESCAPE_CFG, hole={"kind": None, "anchor": [0, 0.3], "h": 0.15})),
+    ("small-hole-sweep", {
+        "hole_family": {"anchor": [0, 0.3], "h_list": [0.08]},
+        "n_particles": 2000, "n_max": 30, "window": [5, 25], "measure_step": 10,
+        "seed": 7,
+    }),
+])
+def test_hole_kind_is_required(tmp_path, capsys, sub, cfg):
+    code, _ = run(tmp_path, sub, cfg)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"].startswith("config.")
+    assert "kind" in err["message"]

@@ -131,3 +131,90 @@ def test_ray_leaves_surface(r, phi):
 def test_finite_horizon_probe_rejects_tiny_ray_budget(table):
     with pytest.raises(InvalidArgumentError):
         geometry.finite_horizon_probe(table, n_rays=10)
+
+
+def test_pie_slice_distance_known_points():
+    a0, a1, radius = 0.0, math.pi / 4, 1.0
+    c8, s8 = math.cos(math.pi / 8), math.sin(math.pi / 8)
+    pts = np.array([
+        (0.5, 0.1),            # inside
+        (2.0, 0.0),            # beyond the arc, on the lower edge's line
+        (3 * c8, 3 * s8),      # beyond the arc, on the bisector
+        (0.5, -0.3),           # below the lower edge
+        (-1.0, 0.0),           # behind the apex
+        (1.5, -0.5),           # nearest to the lower edge's far end
+        (0.0, 0.0),            # the apex itself
+    ])
+    want = [0.0, 1.0, 2.0, 0.3, 1.0, math.hypot(0.5, 0.5), 0.0]
+    got = geometry.pie_slice_distance(pts[:, 0], pts[:, 1], a0, a1, radius)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+def test_pie_slice_distance_matches_dense_sampling():
+    rng = stream(11, "pie-slice")
+    a0 = rng.uniform(-math.pi, math.pi)
+    a1 = a0 + rng.uniform(0.05, 3.0)
+    radius = 1.3
+    t, a = np.meshgrid(np.linspace(0.0, radius, 201), np.linspace(a0, a1, 401))
+    sx, sy = (t * np.cos(a)).ravel(), (t * np.sin(a)).ravel()
+    px, py = rng.uniform(-3.0, 3.0, (2, 200))
+    brute = np.hypot(px[:, None] - sx, py[:, None] - sy).min(axis=1)
+    got = geometry.pie_slice_distance(px, py, a0, a1, radius)
+    # every point of the slice is within half a grid-cell diagonal,
+    # 0.5 * hypot(1.3/200, 3.0*1.3/400) < 0.006, of a sample
+    assert np.all(got <= brute + 1e-12)
+    assert np.all(brute - got < 0.006)
+
+
+def _tangent_and_random_rays(table, reach, n, seed):
+    """Boundary rays: a third aimed exactly tangent to an image disk,
+    a sixth along sector edges, the rest cosine-law."""
+    rng = stream(seed, "sector-rays")
+    sid = rng.integers(0, len(table), n)
+    r = rng.random(n) * table.perimeters[sid]
+    phi = np.arcsin(2.0 * rng.random(n) - 1.0)
+    p0, v = geometry.rays_from_boundary(table, sid, r, phi)
+
+    n_tan = n // 3
+    k = int(math.ceil(reach)) + 1
+    grid = [(dx, dy, j) for dx in range(-k, k + 1) for dy in range(-k, k + 1)
+            for j in range(len(table))]
+    pick = rng.integers(0, len(grid), n_tan)
+    dx, dy, j = (np.array([grid[i][c] for i in pick]) for c in range(3))
+    cx = table.centers[j, 0] + dx - p0[:n_tan, 0]
+    cy = table.centers[j, 1] + dy - p0[:n_tan, 1]
+    dist = np.hypot(cx, cy)
+    rho = table.radii[j]
+    side = np.where(rng.random(n_tan) < 0.5, -1.0, 1.0)
+    beta = side * np.arcsin(np.minimum(rho / dist, 1.0))
+    ang = np.arctan2(cy, cx) + beta
+    usable = (dist > rho) & ~((dx == 0) & (dy == 0) & (j == sid[:n_tan]))
+    v[:n_tan][usable] = np.stack([np.cos(ang), np.sin(ang)], axis=1)[usable]
+
+    n_edge = n // 6
+    edges = -math.pi + 2.0 * math.pi * rng.integers(0, geometry.N_SECTORS, n_edge) / geometry.N_SECTORS
+    v[n_tan:n_tan + n_edge] = np.stack([np.cos(edges), np.sin(edges)], axis=1)
+    return p0, v, sid
+
+
+@pytest.mark.parametrize("which", ["default", "four-disk"])
+def test_sector_scan_is_bit_identical_to_full_scan(table, which):
+    if which == "four-disk":
+        table = geometry.validate_table([
+            geometry.Scatterer((0.0, 0.0), 0.3),
+            geometry.Scatterer((0.5, 0.5), 0.25),
+            geometry.Scatterer((0.5, 0.0), 0.1),
+            geometry.Scatterer((0.0, 0.5), 0.1),
+        ], n_rays=100_000)
+    for reach in (table.certificate.l_max, 0.4):
+        p0, v, sid = _tangent_and_random_rays(table, reach, 100_000, 5)
+        t, hit, off, grazed = geometry.first_hit_batch(table, p0, v, sid, reach=reach)
+        ft, fhit, foff, maybe = geometry._full_scan(table, p0, v, sid, reach)
+        fgrazed = geometry._graze_recheck(table, p0, v, ft, maybe, reach)
+        for got, want in ((t, ft), (hit, fhit), (off, foff), (grazed, fgrazed)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        # both the exact graze recheck and the full-scan fallback fire
+        assert grazed.sum() > 500
+        if reach < 1.0:
+            assert np.sum(~(t <= reach)) > 1000 and np.any(hit < 0)
