@@ -5,12 +5,13 @@ horizon certification), billiard_map (the collision map and its
 derivative), holes (leak specifications and membership), open_dynamics
 (survival bookkeeping), measures (densities, histograms, distances),
 escape (rate estimators and sweeps), tower (expanding towers with Markov
-holes and their transfer operator), cli (batch entry points).
+holes and their transfer operator), cli (batch entry points).  cli is
+imported on demand (``from leakybilliards import cli``) so that
+``python -m leakybilliards.cli`` runs it once, as ``__main__``.
 """
 
 from . import (
     billiard_map,
-    cli,
     escape,
     geometry,
     holes,
@@ -23,7 +24,6 @@ from .errors import LeakyBilliardsError
 __all__ = [
     "LeakyBilliardsError",
     "billiard_map",
-    "cli",
     "escape",
     "geometry",
     "holes",

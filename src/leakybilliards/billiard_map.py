@@ -173,14 +173,6 @@ def collide_inverse_batch(table, sid, r, phi, reach=None) -> CollisionBatch:
     )
 
 
-def collide_inverse(table, y: PhasePoint):
-    """Preimage under the collision map; segment runs backward from y."""
-    check_phase_point(table, y)
-    rev = PhasePoint(y.scatterer_id, y.r, -y.phi)
-    x_rev, seg = collide(table, rev)
-    return PhasePoint(x_rev.scatterer_id, x_rev.r, -x_rev.phi), seg
-
-
 def collision_jacobian(table, x: PhasePoint) -> np.ndarray:
     """Derivative of the collision map at x in (r, phi) coordinates.
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import traceback
@@ -35,6 +36,14 @@ _EXIT_IO = 4
 
 _CONFIG_PREFIXES = ("config.", "geometry.", "holes.")
 _IO_PREFIXES = ("io.",)
+
+# numeric fields and their types, checked wherever they appear in the
+# config root, "hole" or "hole_family"; a list field holds such numbers
+_NUMBER_FIELDS = dict.fromkeys(
+    ("n_particles", "n_max", "n_steps", "r_bins", "phi_bins", "measure_step",
+     "k_steps", "min_survivors", "n_backcheck", "k_backcheck", "max_iter"), int,
+) | {"h": float, "offset": float, "tol": float}
+_LIST_FIELDS = {"window": int, "h_list": float}
 
 SUBCOMMANDS = (
     "validate-geometry",
@@ -106,6 +115,33 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _check_number(value, key: str, kind: type) -> None:
+    """Raise config.invalid unless value is a JSON integer (kind int) or
+    a finite JSON number (kind float); never coerce bools or strings."""
+    if kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+    if not ok:
+        need = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{key} must be {need}, got {value!r}")
+
+
+def _check_numbers(cfg: dict) -> None:
+    """Type-check every numeric field before any work (or table) starts."""
+    for obj in (cfg, cfg.get("hole"), cfg.get("hole_family")):
+        if not isinstance(obj, dict):
+            continue
+        for key in sorted(obj.keys() & _NUMBER_FIELDS.keys()):
+            _check_number(obj[key], key, _NUMBER_FIELDS[key])
+        for key in sorted(obj.keys() & _LIST_FIELDS.keys()):
+            if not isinstance(obj[key], (list, tuple)):
+                raise ConfigError(f"{key} must be a list of numbers")
+            for x in obj[key]:
+                _check_number(x, key, _LIST_FIELDS[key])
+
+
 def _hole_kind(obj: dict) -> str:
     # never guessed from the anchor: [0, 0.5] is a valid anchor of either kind
     kind = _require(obj, "kind")
@@ -147,10 +183,9 @@ def _density_from_config(cfg: dict) -> _measures.DensitySpec:
 
 def _window_from_config(cfg: dict) -> tuple[int, int]:
     win = _require(cfg, "window")
-    if (not isinstance(win, (list, tuple)) or len(win) != 2
-            or not all(isinstance(w, int) for w in win)):
+    if not isinstance(win, (list, tuple)) or len(win) != 2:
         raise ConfigError("window must be [lo, hi] with integer steps")
-    return int(win[0]), int(win[1])
+    return win[0], win[1]
 
 
 def _tower_from_config(cfg: dict):
@@ -240,6 +275,7 @@ def run_experiment(subcommand: str, cfg: dict) -> RunArtifact:
     threads = cfg.get("threads", _od.default_threads())
     if not isinstance(threads, int) or threads < 1:
         raise ConfigError("threads must be a positive integer")
+    _check_numbers(cfg)
     chash = config_hash(cfg)
     base = {
         "subcommand": subcommand,
@@ -286,8 +322,8 @@ def _run_simulate(cfg, seed, threads, base, meta):
     table = _table_from_config(cfg)
     hole = _hole_from_config(cfg, table)
     density = _density_from_config(cfg)
-    n = int(_require(cfg, "n_particles"))
-    n_max = int(_require(cfg, "n_max"))
+    n = _require(cfg, "n_particles")
+    n_max = _require(cfg, "n_max")
     from .streams import stream
     sid, r, phi = _measures.sample_initial(table, density, n, stream(seed, "initial"))
     res = _od.evolve_ensemble(
@@ -306,24 +342,29 @@ def _run_simulate(cfg, seed, threads, base, meta):
 
 
 def _run_escape_rate(cfg, seed, threads, base, meta):
+    estimator = cfg.get("estimator", "direct")
+    convention = cfg.get("convention", "arrival")
+    if estimator == "fleming-viot" and convention != "arrival":
+        raise ConfigError(
+            "the fleming-viot estimator counts escapes on arrival only; "
+            f'convention must be "arrival", got {convention!r}'
+        )
     table = _table_from_config(cfg)
     hole = _hole_from_config(cfg, table)
     density = _density_from_config(cfg)
-    n = int(_require(cfg, "n_particles"))
-    n_max = int(_require(cfg, "n_max"))
+    n = _require(cfg, "n_particles")
+    n_max = _require(cfg, "n_max")
     window = _window_from_config(cfg)
-    estimator = cfg.get("estimator", "direct")
     if estimator == "direct":
         est, res = _escape.estimate_escape_rate(
             table, hole, density, n, n_max, window, seed,
-            convention=cfg.get("convention", "arrival"), threads=threads,
+            convention=convention, threads=threads,
         )
         counts = _counts_csv(res, meta)
         censored_final = int(res.censored[-1])
     elif estimator == "fleming-viot":
         fv = _escape.fleming_viot_evolve(
-            table, hole, density, n, n_max, window, seed,
-            convention=cfg.get("convention", "arrival"), threads=threads,
+            table, hole, density, n, n_max, window, seed, threads=threads,
         )
         est = fv.estimate
         rows = [(k, fv.eff_counts[k], fv.ratios[k])
@@ -346,14 +387,14 @@ def _run_survivor_measure(cfg, seed, threads, base, meta):
     table = _table_from_config(cfg)
     hole = _hole_from_config(cfg, table)
     density = _density_from_config(cfg)
-    n = int(_require(cfg, "n_particles"))
-    n_steps = int(_require(cfg, "n_steps"))
-    r_bins = int(cfg.get("r_bins", 64))
-    phi_bins = int(cfg.get("phi_bins", 64))
+    n = _require(cfg, "n_particles")
+    n_steps = _require(cfg, "n_steps")
+    r_bins = cfg.get("r_bins", 64)
+    phi_bins = cfg.get("phi_bins", 64)
     m, res = _escape.survivor_distribution(
         table, hole, density, n, n_steps, r_bins, phi_bins, seed,
         convention=cfg.get("convention", "arrival"), threads=threads,
-        min_survivors=int(cfg.get("min_survivors", 1000)),
+        min_survivors=cfg.get("min_survivors", 1000),
     )
     ref = _measures.nu_measure(table, r_bins, phi_bins)
     dist = _measures.measure_distance(m, ref)
@@ -394,9 +435,9 @@ def _run_small_hole_sweep(cfg, seed, threads, base, meta):
     h_list = [float(h) for h in _require(hole_cfg, "h_list")]
     rows = _escape.small_hole_sweep(
         table, tuple(anchor), h_list, density,
-        int(_require(cfg, "n_particles")), int(_require(cfg, "n_max")),
-        _window_from_config(cfg), int(_require(cfg, "measure_step")),
-        int(cfg.get("r_bins", 64)), int(cfg.get("phi_bins", 64)), seed,
+        _require(cfg, "n_particles"), _require(cfg, "n_max"),
+        _window_from_config(cfg), _require(cfg, "measure_step"),
+        cfg.get("r_bins", 64), cfg.get("phi_bins", 64), seed,
         kind=_hole_kind(hole_cfg),
         offset=float(hole_cfg.get("offset", 0.0)),
         convention=cfg.get("convention", "arrival"), threads=threads,
@@ -421,11 +462,11 @@ def _run_singularity_diag(cfg, seed, threads, base, meta):
     if hole is None:
         raise ConfigError("singularity-diag requires a hole")
     diag = _escape.singularity_diagnostic(
-        table, hole, int(_require(cfg, "k_steps")),
-        int(_require(cfg, "n_particles")), seed,
+        table, hole, _require(cfg, "k_steps"),
+        _require(cfg, "n_particles"), seed,
         convention=cfg.get("convention", "arrival"), threads=threads,
-        n_backcheck=int(cfg.get("n_backcheck", 2000)),
-        k_backcheck=int(cfg.get("k_backcheck", 10)),
+        n_backcheck=cfg.get("n_backcheck", 2000),
+        k_backcheck=cfg.get("k_backcheck", 10),
     )
     base.update(diag)
     return RunArtifact(base)
@@ -435,7 +476,7 @@ def _run_tower_eig(cfg, seed, threads, base, meta):
     tw, markov_map, hole_cells = _tower_from_config(cfg)
     theta, h, rep = _tower.leading_eigenpair(
         tw, tol=float(cfg.get("tol", 1e-13)),
-        max_iter=int(cfg.get("max_iter", 100000)),
+        max_iter=cfg.get("max_iter", 100000),
     )
     d_h = _tower.d_functional(tw, h, theta)
     base.update({

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import billiard_map as _bmap
 from . import holes as _holes
 from . import measures as _measures
 from . import open_dynamics as _od
@@ -228,8 +229,8 @@ class FVResult:
 
 
 def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
-                 window, master_seed: int, convention: str = "arrival",
-                 threads: int = 1, capture=()) -> FVResult:
+                        window, master_seed: int, threads: int = 1,
+                        capture=()) -> FVResult:
     """Constant-population estimator: clone a uniform survivor per kill.
 
     The per-step survival ratios exclude censored particles from both
@@ -242,9 +243,10 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
     collapse onto ever fewer distinct orbits; hyperbolicity amplifies
     the jitter to independence within ~10 steps while displacing the
     sampled measure by far less than any histogram bin.
+
+    Escapes are counted under the arrival convention only: ratios[0] is
+    the index-0 loss of initial states already in the hole.
     """
-    if convention not in ("arrival", "departure"):
-        raise InvalidArgumentError(f"unknown escape convention {convention!r}")
     if n_steps <= 0:
         raise InvalidArgumentError("n_steps must be positive")
     capture = set(int(c) for c in capture)
@@ -255,9 +257,7 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
     r = r.copy()
     phi = phi.copy()
     rng = stream(master_seed, "fleming-viot")
-    offsets = None
-    if hole is not None and hole.kind == "II":
-        offsets = _holes.hole_image_offsets(table, hole)
+    offsets = _holes.escape_offsets(table, hole)
 
     eff = np.empty(n_steps + 1)
     ratios = np.empty(n_steps + 1)
@@ -287,7 +287,7 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
         )
         n_cloned += m
 
-    if convention == "arrival" and hole is not None:
+    if hole is not None:
         mask, cens = _holes.state_in_hole_batch(table, hole, sid, r, phi, offsets)
         dead = mask | cens
         n_cens = int(cens.sum())
@@ -303,12 +303,8 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
         captures[0] = (sid.copy(), r.copy(), phi.copy())
 
     for k in range(1, n_steps + 1):
-        batch = _od.collide_batch_threaded(table, sid, r, phi, threads)
-        esc = (
-            _holes.arrival_escape_mask(table, hole, batch, offsets)
-            if hole is not None
-            else np.zeros(n_particles, dtype=bool)
-        )
+        batch, esc = _od.open_step_batch(table, hole, offsets, sid, r, phi,
+                                         threads)
         dead = batch.censored | esc
         alive = ~dead
         n_cens = int(batch.censored.sum())
@@ -420,55 +416,29 @@ def backward_hole_visits(table, hole, sid, r, phi, k_steps: int):
     whose backward orbit hit the tangency guard, checked only up to the
     censoring step.
     """
-    from . import billiard_map as _bmap
-
     sid = np.asarray(sid, dtype=np.int64).copy()
     r = np.asarray(r, dtype=float).copy()
     phi = np.asarray(phi, dtype=float).copy()
     n = len(sid)
     visits = np.zeros(n, dtype=np.int64)
     cens = np.zeros(n, dtype=bool)
-    offsets = None
-    if hole.kind == "II":
-        offsets = _holes.hole_image_offsets(table, hole)
+    offsets = _holes.escape_offsets(table, hole)
     for k in range(k_steps + 1):
-        live = ~cens
-        if hole.kind == "I":
-            visits[live] += _holes.arc_contains(
-                hole, table, sid[live], r[live]
-            ).astype(np.int64)
-            if k == k_steps:
-                break
-            back = _bmap.collide_inverse_batch(
-                table, sid[live], r[live], phi[live]
-            )
-            newly = np.flatnonzero(live)[back.censored]
-            cens[newly] = True
-            ok = ~back.censored
-            tgt = np.flatnonzero(live)[ok]
-            sid[tgt] = back.scatterer_id[ok]
-            r[tgt] = back.r[ok]
-            phi[tgt] = back.phi[ok]
-        else:
-            # membership of the current state is read off the flight that
-            # produced it, which is the segment of one inverse step
-            back = _bmap.collide_inverse_batch(
-                table, sid[live], r[live], phi[live]
-            )
-            hit = _holes.segment_crosses_disk(
-                back.start, back.direction, back.flight_length,
-                hole.center, hole.radius, offsets,
-            ) & ~back.censored
-            idx = np.flatnonzero(live)
-            visits[idx[hit]] += 1
-            cens[idx[back.censored]] = True
-            if k == k_steps:
-                break
-            ok = ~back.censored
-            tgt = idx[ok]
-            sid[tgt] = back.scatterer_id[ok]
-            r[tgt] = back.r[ok]
-            phi[tgt] = back.phi[ok]
+        idx = np.flatnonzero(~cens)
+        back = _bmap.collide_inverse_batch(table, sid[idx], r[idx], phi[idx])
+        inside, undecided = _holes.in_hole_given_flight(
+            table, hole, sid[idx], r[idx], back, offsets
+        )
+        visits[idx[inside]] += 1
+        cens[idx[undecided]] = True
+        if k == k_steps:
+            break
+        cens[idx[back.censored]] = True
+        ok = ~back.censored
+        tgt = idx[ok]
+        sid[tgt] = back.scatterer_id[ok]
+        r[tgt] = back.r[ok]
+        phi[tgt] = back.phi[ok]
     return visits, cens
 
 
@@ -529,13 +499,3 @@ def singularity_diagnostic(table, hole, k_steps: int, n_particles: int,
         "k_backcheck": int(min(k_backcheck, k_steps)),
     }
 
-
-def nu_mass_of_hole_images(table, hole, k_steps: int, n_particles: int,
-                           master_seed: int = 0, convention: str = "arrival",
-                           threads: int = 1) -> float:
-    """Stationary mass of the union of the first K forward hole images."""
-    diag = singularity_diagnostic(
-        table, hole, k_steps, n_particles, master_seed,
-        convention=convention, threads=threads, n_backcheck=0,
-    )
-    return diag["fraction_entered"]

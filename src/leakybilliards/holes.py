@@ -29,6 +29,7 @@ from .errors import (
     HoleTooLargeError,
     HoleTouchesScattererError,
     InvalidArgumentError,
+    NearTangencyError,
     ROutOfRangeError,
 )
 
@@ -184,6 +185,13 @@ def hole_image_offsets(table, hole: HoleSpec, reach: float | None = None):
     return np.array(offs)
 
 
+def escape_offsets(table, hole: HoleSpec | None):
+    """hole_image_offsets for a Type II hole, None for any other hole."""
+    if hole is None or hole.kind != "II":
+        return None
+    return hole_image_offsets(table, hole)
+
+
 def segment_crosses_disk(start, direction, length, center, radius, offsets):
     """Whether unfolded segments pass strictly inside a disk image.
 
@@ -210,40 +218,42 @@ def arrival_escape_mask(table, hole: HoleSpec, batch: _bmap.CollisionBatch,
                         offsets=None):
     """Escape mask for one collision batch under the arrival convention.
 
-    Censored entries are never marked escaped; the caller accounts for
-    them separately.
+    A flight escapes when the state it arrives at is in the hole, read
+    off that same flight.  Censored entries are never marked escaped;
+    the caller accounts for them separately.
+    """
+    inside, _ = in_hole_given_flight(table, hole, batch.scatterer_id, batch.r,
+                                     batch, offsets)
+    return inside & ~batch.censored
+
+
+def in_hole_given_flight(table, hole: HoleSpec, sid, r, flight, offsets=None):
+    """Phase-space membership of states given the flights that produced them.
+
+    flight is a CollisionBatch holding, per state, the free flight that
+    ended there, run either way: the forward batch that arrived at the
+    states, or their collide_inverse_batch.  Type I reads only sid and
+    r, so flight may be None there.  Returns (inside, undecided): a
+    Type II state is in the hole exactly when its flight crossed the
+    disk, and undecided when that flight was censored.
     """
     if hole.kind == "I":
-        mask = arc_contains(hole, table, batch.scatterer_id, batch.r)
-    else:
-        if offsets is None:
-            offsets = hole_image_offsets(table, hole)
-        mask = segment_crosses_disk(
-            batch.start, batch.direction, batch.flight_length,
-            hole.center, hole.radius, offsets,
-        )
-    return mask & ~batch.censored
-
-
-def state_in_hole_batch(table, hole: HoleSpec, sid, r, phi, offsets=None):
-    """Vectorized phase-space membership; returns (in_hole, censored).
-
-    Type II membership looks one flight backward: the state is in the
-    hole exactly when the flight that produced it crossed the disk.
-    """
-    sid = np.asarray(sid, dtype=np.int64)
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if hole.kind == "I":
-        return arc_contains(hole, table, sid, r), np.zeros(sid.shape, dtype=bool)
-    back = _bmap.collide_inverse_batch(table, sid, r, phi)
+        return arc_contains(hole, table, sid, r), np.zeros(np.shape(sid), dtype=bool)
     if offsets is None:
         offsets = hole_image_offsets(table, hole)
     mask = segment_crosses_disk(
-        back.start, back.direction, back.flight_length,
+        flight.start, flight.direction, flight.flight_length,
         hole.center, hole.radius, offsets,
     )
-    return mask & ~back.censored, back.censored
+    return mask & ~flight.censored, flight.censored
+
+
+def state_in_hole_batch(table, hole: HoleSpec, sid, r, phi, offsets=None):
+    """Vectorized phase-space membership; returns (in_hole, censored)."""
+    sid = np.asarray(sid, dtype=np.int64)
+    r = np.asarray(r, dtype=float)
+    back = _bmap.collide_inverse_batch(table, sid, r, phi) if hole.kind == "II" else None
+    return in_hole_given_flight(table, hole, sid, r, back, offsets)
 
 
 def in_hole(table, hole: HoleSpec, x: _bmap.PhasePoint) -> bool:
@@ -253,8 +263,6 @@ def in_hole(table, hole: HoleSpec, x: _bmap.PhasePoint) -> bool:
         table, hole, [x.scatterer_id], [x.r], [x.phi]
     )
     if cens[0]:
-        from .errors import NearTangencyError
-
         raise NearTangencyError("membership undecidable: backward flight censored")
     return bool(mask[0])
 
@@ -262,16 +270,10 @@ def in_hole(table, hole: HoleSpec, x: _bmap.PhasePoint) -> bool:
 def in_B_sigma(table, hole: HoleSpec, x: _bmap.PhasePoint) -> bool:
     """Whether the next flight from x enters the hole (pre-escape set)."""
     _bmap.check_phase_point(table, x)
-    y, seg = _bmap.collide(table, x)  # raises NearTangencyError if censored
-    if hole.kind == "I":
-        return bool(arc_contains(hole, table, [y.scatterer_id], [y.r])[0])
-    offsets = hole_image_offsets(table, hole)
-    return bool(
-        segment_crosses_disk(
-            np.array([seg.start]), np.array([seg.direction]),
-            np.array([seg.length]), hole.center, hole.radius, offsets,
-        )[0]
-    )
+    batch = _bmap.collide_batch(table, [x.scatterer_id], [x.r], [x.phi])
+    if batch.censored[0]:
+        raise NearTangencyError("pre-escape membership undecidable: flight censored")
+    return bool(arrival_escape_mask(table, hole, batch)[0])
 
 
 def hole_to_json(hole: HoleSpec) -> dict:

@@ -18,19 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import billiard_map as _bmap
-from . import holes as _holes
+from . import open_dynamics as _od
 from .errors import (
     ConfigError,
     EmptySurvivorSetError,
     GridMismatchError,
     InvalidArgumentError,
 )
-
-
-def nu_density(table, phi):
-    """Stationary density in (r, phi) coordinates."""
-    return np.cos(phi) / (2.0 * table.total_perimeter)
 
 
 @dataclass(frozen=True)
@@ -226,13 +220,8 @@ def pushforward_residual(table, hole, sid, r, phi, r_bins: int, phi_bins: int,
     sid = np.asarray(sid, dtype=np.int64)
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if hole is not None and hole.kind == "II" and offsets is None:
-        offsets = _holes.hole_image_offsets(table, hole)
-    batch = _bmap.collide_batch(table, sid, r, phi)
-    alive = ~batch.censored
-    if hole is not None:
-        esc = _holes.arrival_escape_mask(table, hole, batch, offsets)
-        alive &= ~esc
+    batch, esc = _od.open_step_batch(table, hole, offsets, sid, r, phi)
+    alive = ~(batch.censored | esc)
     n_cens = int(batch.censored.sum())
     n_risk = len(sid) - n_cens
     if n_risk <= 0 or not np.any(alive):

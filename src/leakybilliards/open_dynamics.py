@@ -14,8 +14,8 @@ censored particle leaves the at-risk population at the step where the
 guard fired and is excluded from both numerator and denominator of
 every survival ratio downstream.
 
-Threading never changes results: particle arrays are processed in
-fixed-size chunks written to disjoint slices, so outputs are identical
+Every forward step goes through open_step_batch, which always works in
+fixed-size chunks and element by element, so outputs are identical
 byte-for-byte for any worker count.
 """
 
@@ -44,34 +44,40 @@ def default_threads() -> int:
         return 1
 
 
-def collide_batch_threaded(table, sid, r, phi, threads: int = 1):
-    """collide_batch over fixed chunks; bitwise equal for any thread count."""
-    n = len(sid)
-    if threads <= 1 or n <= CHUNK:
-        return _bmap.collide_batch(table, sid, r, phi)
-    out_sid = np.empty(n, dtype=np.int64)
-    out_r = np.empty(n)
-    out_phi = np.empty(n)
-    out_len = np.empty(n)
-    out_start = np.empty((n, 2))
-    out_dir = np.empty((n, 2))
-    out_cens = np.empty(n, dtype=bool)
+def open_step_batch(table, hole, offsets, sid, r, phi, threads: int = 1):
+    """One step of the open collision map; returns (CollisionBatch, escaped).
 
-    def work(lo):
-        hi = min(lo + CHUNK, n)
-        b = _bmap.collide_batch(table, sid[lo:hi], r[lo:hi], phi[lo:hi])
-        out_sid[lo:hi] = b.scatterer_id
-        out_r[lo:hi] = b.r
-        out_phi[lo:hi] = b.phi
-        out_len[lo:hi] = b.flight_length
-        out_start[lo:hi] = b.start
-        out_dir[lo:hi] = b.direction
-        out_cens[lo:hi] = b.censored
+    The states are cut into CHUNK-sized slices; each slice is collided
+    and masked on its own, and threads only decides which worker runs
+    which slice.  Both steps work element by element, so the result is
+    the same for any chunking and any thread count.  escaped never marks
+    a censored entry.  hole None means a closed step; offsets are the
+    holes.escape_offsets of the hole, computed here when None.
+    """
+    sid = np.asarray(sid, dtype=np.int64)
+    r = np.asarray(r, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    if offsets is None:
+        offsets = _holes.escape_offsets(table, hole)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(work, range(0, n, CHUNK)))
-    return _bmap.CollisionBatch(out_sid, out_r, out_phi, out_len,
-                                out_start, out_dir, out_cens)
+    def step(lo):
+        batch = _bmap.collide_batch(table, sid[lo:lo + CHUNK], r[lo:lo + CHUNK],
+                                    phi[lo:lo + CHUNK])
+        if hole is None:
+            return batch, np.zeros(len(batch.censored), dtype=bool)
+        return batch, _holes.arrival_escape_mask(table, hole, batch, offsets)
+
+    starts = range(0, max(len(sid), 1), CHUNK)
+    if threads <= 1 or len(starts) == 1:
+        parts = [step(lo) for lo in starts]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(step, starts))
+    if len(parts) == 1:
+        return parts[0]
+    batches, masks = zip(*parts)
+    return (_bmap.CollisionBatch(*map(np.concatenate, zip(*batches))),
+            np.concatenate(masks))
 
 
 @dataclass
@@ -122,9 +128,7 @@ def evolve_ensemble(table, hole, sid, r, phi, n_steps: int,
     capture = set(int(c) for c in capture)
     captures: dict = {}
 
-    offsets = None
-    if hole is not None and hole.kind == "II":
-        offsets = _holes.hole_image_offsets(table, hole)
+    offsets = _holes.escape_offsets(table, hole)
 
     survivors = np.zeros(n_steps + 1, dtype=np.int64)
     escaped = np.zeros(n_steps + 1, dtype=np.int64)
@@ -147,22 +151,16 @@ def evolve_ensemble(table, hole, sid, r, phi, n_steps: int,
             captures[k] = (sid[live].copy(), r[live].copy(), phi[live].copy())
 
     record(0)
-    if convention == "arrival":
-        # iteration k computes the collision arriving at index k
-        for k in range(1, n_steps + 1):
-            live = np.flatnonzero(status == ALIVE)
-            if len(live) == 0:
-                record(k)
-                continue
-            batch = collide_batch_threaded(
-                table, sid[live], r[live], phi[live], threads
+    # arrival: iteration k computes the collision arriving at index k;
+    # departure: iteration k tests the flight departing at index k, so
+    # filling survivors[0..n_steps] takes n_steps+1 collision passes
+    for k in range(1 if convention == "arrival" else 0, n_steps + 1):
+        live = np.flatnonzero(status == ALIVE)
+        if len(live):
+            batch, esc = open_step_batch(
+                table, hole, offsets, sid[live], r[live], phi[live], threads
             )
             status[live[batch.censored]] = CENSORED
-            esc = (
-                _holes.arrival_escape_mask(table, hole, batch, offsets)
-                if hole is not None
-                else np.zeros(len(live), dtype=bool)
-            )
             status[live[esc]] = ESCAPED
             escape_step[live[esc]] = k
             ok = ~(batch.censored | esc)
@@ -170,32 +168,7 @@ def evolve_ensemble(table, hole, sid, r, phi, n_steps: int,
             sid[tgt] = batch.scatterer_id[ok]
             r[tgt] = batch.r[ok]
             phi[tgt] = batch.phi[ok]
-            record(k)
-    else:
-        # iteration k tests the flight departing at index k, so filling
-        # survivors[0..n_steps] takes n_steps+1 collision passes
-        for k in range(0, n_steps + 1):
-            live = np.flatnonzero(status == ALIVE)
-            if len(live) == 0:
-                record(k)
-                continue
-            batch = collide_batch_threaded(
-                table, sid[live], r[live], phi[live], threads
-            )
-            status[live[batch.censored]] = CENSORED
-            esc = (
-                _holes.arrival_escape_mask(table, hole, batch, offsets)
-                if hole is not None
-                else np.zeros(len(live), dtype=bool)
-            )
-            status[live[esc]] = ESCAPED
-            escape_step[live[esc]] = k
-            ok = ~(batch.censored | esc)
-            tgt = live[ok]
-            sid[tgt] = batch.scatterer_id[ok]
-            r[tgt] = batch.r[ok]
-            phi[tgt] = batch.phi[ok]
-            record(k)
+        record(k)
 
     live = status == ALIVE
     return EnsembleResult(
@@ -212,48 +185,3 @@ def evolve_ensemble(table, hole, sid, r, phi, n_steps: int,
         escape_step=escape_step,
         captures=captures,
     )
-
-
-@dataclass(frozen=True)
-class SurvivalRecord:
-    status: str  # "escaped", "alive", or "censored"
-    steps: int   # escape index, or last index reached
-
-
-def open_step(table, hole, x, convention: str = "arrival"):
-    """One open-map step on a single state.
-
-    Returns (outcome, next_state): outcome is "alive", "escaped", or
-    "censored"; next_state is None unless alive.  Under the arrival
-    convention an input already in the hole escapes immediately.
-    """
-    if convention not in ("arrival", "departure"):
-        raise InvalidArgumentError(f"unknown escape convention {convention!r}")
-    if convention == "arrival" and hole is not None and _holes.in_hole(table, hole, x):
-        return "escaped", None
-    batch = _bmap.collide_batch(table, [x.scatterer_id], [x.r], [x.phi])
-    if batch.censored[0]:
-        return "censored", None
-    if hole is not None and bool(
-        _holes.arrival_escape_mask(table, hole, batch)[0]
-    ):
-        return "escaped", None
-    return "alive", _bmap.PhasePoint(
-        int(batch.scatterer_id[0]), float(batch.r[0]), float(batch.phi[0])
-    )
-
-
-def survival_time(table, hole, x, n_max: int,
-                  convention: str = "arrival") -> SurvivalRecord:
-    """First escape index of one trajectory, scanned up to n_max."""
-    res = evolve_ensemble(
-        table, hole, [x.scatterer_id], [x.r], [x.phi], n_max,
-        convention=convention,
-    )
-    if res.escape_step[0] >= 0:
-        return SurvivalRecord("escaped", int(res.escape_step[0]))
-    if res.censored[-1] > 0:
-        return SurvivalRecord(
-            "censored", int(np.flatnonzero(res.censored > 0)[0])
-        )
-    return SurvivalRecord("alive", n_max)

@@ -314,3 +314,109 @@ def test_hole_kind_is_required(tmp_path, capsys, sub, cfg):
     err = json.loads(capsys.readouterr().err)
     assert err["error"].startswith("config.")
     assert "kind" in err["message"]
+
+
+def test_fleming_viot_rejects_departure(tmp_path, capsys):
+    # Fleming-Viot ratios are arrival-indexed; any other convention would
+    # silently mix the two conventions
+    cfg = dict(ESCAPE_CFG, estimator="fleming-viot", convention="departure")
+    code, _ = run(tmp_path, "escape-rate", cfg)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config.invalid"
+    assert "arrival" in err["message"]
+
+
+# the default table spelled out, so the table is built (and probed) afresh
+# instead of coming from the per-process cache
+TABLE = {"scatterers": [{"center": [0.0, 0.0], "radius": 0.4},
+                        {"center": [0.5, 0.5], "radius": 0.2}]}
+HOLE = {"kind": "I", "anchor": [0, 0.3], "h": 0.1}
+BASE_CFGS = {
+    "simulate": {"hole": HOLE, "n_particles": 100, "n_max": 2},
+    "escape-rate": {"hole": HOLE, "n_particles": 100, "n_max": 8,
+                    "window": [2, 6]},
+    "survivor-measure": {"hole": HOLE, "n_particles": 100, "n_steps": 2},
+    "small-hole-sweep": {"hole_family": {"kind": "I", "anchor": [0, 0.3],
+                                         "h_list": [0.1]},
+                         "n_particles": 100, "n_max": 8, "window": [2, 6],
+                         "measure_step": 2},
+    "singularity-diag": {"hole": HOLE, "k_steps": 2, "n_particles": 100},
+    "tower-eig": {"tower": {"builtin": "golden"}},
+}
+
+
+@pytest.mark.parametrize("sub,path,value", [
+    ("simulate", "n_particles", "abc"),
+    ("simulate", "n_max", 2.5),
+    ("escape-rate", "n_particles", True),
+    ("escape-rate", "n_max", None),
+    ("escape-rate", "window", [2, 6.0]),
+    ("survivor-measure", "n_steps", "2"),
+    ("survivor-measure", "r_bins", 2.5),
+    ("survivor-measure", "phi_bins", False),
+    ("survivor-measure", "min_survivors", 1e3),
+    ("small-hole-sweep", "measure_step", 1.5),
+    ("small-hole-sweep", "hole_family.h_list", [0.1, "x"]),
+    ("small-hole-sweep", "hole_family.h_list", 0.1),
+    ("small-hole-sweep", "hole_family.offset", True),
+    ("singularity-diag", "k_steps", [2]),
+    ("singularity-diag", "n_backcheck", 10.5),
+    ("singularity-diag", "k_backcheck", True),
+    ("simulate", "hole.h", "0.1"),
+    ("escape-rate", "hole.offset", None),
+    ("tower-eig", "tol", "1e-9"),
+    ("tower-eig", "max_iter", 10.5),
+])
+def test_config_numbers_are_checked(tmp_path, capsys, monkeypatch, sub, path,
+                                    value):
+    from leakybilliards import geometry
+
+    probes = []
+
+    def probe(*args, **kwargs):
+        probes.append(1)
+        raise RuntimeError("horizon probe reached")
+
+    monkeypatch.setattr(geometry, "finite_horizon_probe", probe)
+    cfg = json.loads(json.dumps(BASE_CFGS[sub]))
+    if sub != "tower-eig":
+        cfg["table"] = TABLE
+    # the unmodified config does reach the probe
+    code, _ = run(tmp_path, sub, cfg, outdir="ok")
+    assert probes == ([] if sub == "tower-eig" else [1])
+    assert code == (0 if sub == "tower-eig" else 3)
+    capsys.readouterr()
+
+    probes.clear()
+    *parents, key = path.split(".")
+    obj = cfg
+    for name in parents:
+        obj = obj[name]
+    obj[key] = value
+    code, _ = run(tmp_path, sub, cfg, outdir="bad")
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config.invalid"
+    assert key in err["message"]
+    assert probes == []
+
+
+def test_module_entry_point_stderr_is_one_json_line(tmp_path):
+    import subprocess
+    import sys
+
+    cfg = write_cfg(tmp_path, "bad.json", {"n_particles": "abc", "n_max": 2})
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "leakybilliards.cli", "simulate",
+         "--config", cfg, "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert json.loads(lines[0])["error"] == "config.invalid"

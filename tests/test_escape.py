@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from leakybilliards import escape, holes, measures
+from leakybilliards import escape, holes, measures, open_dynamics
 from leakybilliards.errors import (
     AllEscapedError,
     InvalidArgumentError,
     StarvedSampleError,
 )
+from leakybilliards.streams import stream
 
 NU = measures.DensitySpec()
 
@@ -115,6 +116,25 @@ def test_fleming_viot_matches_direct(table):
     assert fv.n_cloned > 0
 
 
+def test_fleming_viot_thread_counts_agree_exactly(table, monkeypatch):
+    # 1024-state chunks send every step through the worker pool
+    monkeypatch.setattr(open_dynamics, "CHUNK", 1024)
+    hole = holes.type_ii_hole(table, (0.5, 0.0), 0.05)
+    runs = [
+        escape.fleming_viot_evolve(
+            table, hole, NU, n_particles=5000, n_steps=12, window=(3, 12),
+            master_seed=21, threads=t, capture=(6,),
+        )
+        for t in (1, 2)
+    ]
+    a, b = runs
+    for field in ("eff_counts", "ratios", "final_sid", "final_r", "final_phi"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    for x, y in zip(a.captures[6], b.captures[6]):
+        assert np.array_equal(x, y)
+    assert (a.n_cloned, a.n_censored) == (b.n_cloned, b.n_censored)
+
+
 def test_survivor_distribution_runs(table):
     hole = holes.type_i_hole(table, 0, 0.25, 0.35)
     m, res = escape.survivor_distribution(
@@ -152,9 +172,25 @@ def test_sweep_structure_and_determinism(table):
 
 def test_hole_image_mass_grows_with_horizon(table):
     hole = holes.type_i_hole(table, 0, 0.2, 0.5)
-    m5 = escape.nu_mass_of_hole_images(table, hole, 5, 20_000, master_seed=7)
-    m20 = escape.nu_mass_of_hole_images(table, hole, 20, 20_000, master_seed=7)
+    m5, m20 = (
+        escape.singularity_diagnostic(table, hole, k, 20_000, master_seed=7,
+                                      n_backcheck=0)["fraction_entered"]
+        for k in (5, 20)
+    )
     assert 0.0 < m5 < m20 < 1.0
+
+
+@pytest.mark.parametrize("kind", ["I", "II"])
+def test_backward_visits_start_with_membership(table, kind):
+    # with no backward step the visit count is the state's own membership
+    hole = (holes.type_i_hole(table, 0, 0.2, 0.5) if kind == "I"
+            else holes.type_ii_hole(table, (0.5, 0.0), 0.05))
+    sid, r, phi = measures.sample_nu(table, 4000, stream(5, "visits"))
+    member, undecided = holes.state_in_hole_batch(table, hole, sid, r, phi)
+    visits, cens = escape.backward_hole_visits(table, hole, sid, r, phi, 0)
+    assert member.sum() > 50
+    assert np.array_equal(visits, member.astype(np.int64))
+    assert np.array_equal(cens, undecided)
 
 
 def test_singularity_diagnostic_zero_survivor_mass(table):

@@ -10,6 +10,7 @@ from leakybilliards.errors import (
     HoleTooLargeError,
     HoleTouchesScattererError,
     InvalidArgumentError,
+    NearTangencyError,
     ROutOfRangeError,
 )
 from leakybilliards.streams import stream
@@ -91,6 +92,9 @@ def test_pre_escape_set_is_hole_pullback(table, nu_states):
                 continue
             assert pre == post
             checked += 1
+        # a tangential departure has no decidable next flight
+        with pytest.raises(NearTangencyError):
+            holes.in_B_sigma(table, hole, bmap.PhasePoint(0, 0.1, math.pi / 2))
 
 
 def test_hole_family_boundary_anchor(table):

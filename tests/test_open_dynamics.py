@@ -125,21 +125,13 @@ def test_thread_counts_agree_exactly(table):
 
 
 def test_single_trajectory_helpers(table):
+    # one open step of a single state lands where the collision map says
     hole = holes.type_i_hole(table, 0, 0.2, 0.5)
-    x = bmap.PhasePoint(0, 0.3, 0.0)
-    outcome, nxt = open_dynamics.open_step(table, hole, x)
-    assert outcome == "escaped" and nxt is None
-    rec = open_dynamics.survival_time(table, hole, x, 50)
-    assert rec.status == "escaped" and rec.steps == 0
-
-    y = bmap.PhasePoint(1, 0.0, 0.0)
-    outcome, nxt = open_dynamics.open_step(table, hole, y)
-    assert outcome == "alive"
-    assert nxt.scatterer_id == 1
-    rec = open_dynamics.survival_time(table, hole, y, 50)
-    assert rec.status in ("escaped", "alive", "censored")
-    if rec.status == "escaped":
-        assert 0 <= rec.steps <= 50
+    res = open_dynamics.evolve_ensemble(table, hole, [1], [0.0], [0.0], 1)
+    assert res.survivors.tolist() == [1, 1]
+    y, _ = bmap.collide(table, bmap.PhasePoint(1, 0.0, 0.0))
+    assert (res.final_sid[0], res.final_r[0], res.final_phi[0]) == \
+        (y.scatterer_id, y.r, y.phi)
 
 
 def test_bad_arguments_rejected(table):
@@ -152,15 +144,49 @@ def test_bad_arguments_rejected(table):
         )
 
 
-def test_escape_counts_track_hole_size(table):
-    # one open step from stationarity: escaped fraction matches the nu
-    # mass of a Type I hole
+@pytest.mark.parametrize("kind", ["I", "II"])
+def test_escape_counts_track_hole_size(table, kind):
+    # one open step from stationarity: the escaped fraction matches the
+    # analytic nu mass of the hole, |arc|/|dQ| for an arc and
+    # 2*pi*rho/|dQ| for a disk (Cauchy-Crofton)
     n = 100_000
     sid, r, phi = _sample(table, n, "mass")
-    hole = holes.type_i_hole(table, 0, 0.25, 0.35)
+    if kind == "I":
+        hole = holes.type_i_hole(table, 0, 0.25, 0.35)
+        expect = 0.1 / table.total_perimeter
+    else:
+        hole = holes.type_ii_hole(table, (0.5, 0.0), 0.05)
+        expect = 2.0 * np.pi * 0.05 / table.total_perimeter
     res = open_dynamics.evolve_ensemble(
         table, hole, sid, r, phi, 1, convention="departure"
     )
     frac = res.escaped[0] / n
-    expect = 0.1 / table.total_perimeter
     assert abs(frac - expect) < 4.0 * np.sqrt(expect / n)
+
+
+def test_chunked_kernel_is_bit_identical(table, monkeypatch):
+    # 1024-state chunks put 9 slices through the pool: every thread count
+    # must reproduce one unchunked collide + mask pass bit for bit
+    hole = holes.type_ii_hole(table, (0.5, 0.0), 0.05)
+    sid, r, phi = _sample(table, 9000, "chunks")
+    ref = bmap.collide_batch(table, sid, r, phi)
+    ref_esc = holes.arrival_escape_mask(table, hole, ref)
+    assert ref_esc.sum() > 100 and ref.censored.sum() < len(sid)
+    monkeypatch.setattr(open_dynamics, "CHUNK", 1024)
+    offsets = holes.escape_offsets(table, hole)
+    for t in (1, 2, 4):
+        batch, esc = open_dynamics.open_step_batch(
+            table, hole, offsets, sid, r, phi, threads=t
+        )
+        assert np.array_equal(esc, ref_esc)
+        for got, want in zip(batch, ref):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+    runs = [
+        open_dynamics.evolve_ensemble(table, hole, sid, r, phi, 8, threads=t)
+        for t in (1, 2, 4)
+    ]
+    for other in runs[1:]:
+        assert np.array_equal(runs[0].escape_step, other.escape_step)
+        assert np.array_equal(runs[0].final_r, other.final_r)
+        assert np.array_equal(runs[0].final_phi, other.final_phi)
