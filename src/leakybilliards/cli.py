@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import traceback
@@ -28,7 +27,8 @@ from . import holes as _holes
 from . import measures as _measures
 from . import open_dynamics as _od
 from . import tower as _tower
-from .errors import ArtifactIOError, ConfigError, LeakyBilliardsError
+from .errors import (ArtifactIOError, ConfigError, LeakyBilliardsError,
+                     check_number)
 
 _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
@@ -38,12 +38,15 @@ _CONFIG_PREFIXES = ("config.", "geometry.", "holes.")
 _IO_PREFIXES = ("io.",)
 
 # numeric fields and their types, checked wherever they appear in the
-# config root, "hole" or "hole_family"; a list field holds such numbers
+# config root, "hole", "hole_family" or "markov_map"; a list field holds
+# such numbers (tower specs are checked by tower.tower_spec_from_json)
 _NUMBER_FIELDS = dict.fromkeys(
     ("n_particles", "n_max", "n_steps", "r_bins", "phi_bins", "measure_step",
      "k_steps", "min_survivors", "n_backcheck", "k_backcheck", "max_iter"), int,
 ) | {"h": float, "offset": float, "tol": float}
-_LIST_FIELDS = {"window": int, "h_list": float}
+_LIST_FIELDS = dict.fromkeys(
+    ("h_list", "breakpoints", "image_lo", "image_hi"), float,
+) | {"window": int, "hole_cells": int}
 
 SUBCOMMANDS = (
     "validate-geometry",
@@ -115,31 +118,19 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _check_number(value, key: str, kind: type) -> None:
-    """Raise config.invalid unless value is a JSON integer (kind int) or
-    a finite JSON number (kind float); never coerce bools or strings."""
-    if kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and math.isfinite(value))
-    if not ok:
-        need = "an integer" if kind is int else "a finite number"
-        raise ConfigError(f"{key} must be {need}, got {value!r}")
-
-
 def _check_numbers(cfg: dict) -> None:
     """Type-check every numeric field before any work (or table) starts."""
-    for obj in (cfg, cfg.get("hole"), cfg.get("hole_family")):
+    for obj in (cfg, cfg.get("hole"), cfg.get("hole_family"),
+                cfg.get("markov_map")):
         if not isinstance(obj, dict):
             continue
         for key in sorted(obj.keys() & _NUMBER_FIELDS.keys()):
-            _check_number(obj[key], key, _NUMBER_FIELDS[key])
+            check_number(obj[key], key, _NUMBER_FIELDS[key])
         for key in sorted(obj.keys() & _LIST_FIELDS.keys()):
             if not isinstance(obj[key], (list, tuple)):
                 raise ConfigError(f"{key} must be a list of numbers")
             for x in obj[key]:
-                _check_number(x, key, _LIST_FIELDS[key])
+                check_number(x, key, _LIST_FIELDS[key])
 
 
 def _hole_kind(obj: dict) -> str:
@@ -208,7 +199,9 @@ def _tower_from_config(cfg: dict):
             image_hi=tuple(float(x) for x in _require(mm, "image_hi")),
         )
         hole_cells = set(int(c) for c in mm.get("hole_cells", ()))
-    enforce = bool(cfg.get("enforce_hole_condition", True))
+    enforce = cfg.get("enforce_hole_condition", True)
+    if not isinstance(enforce, bool):
+        raise ConfigError(f"enforce_hole_condition must be a bool, got {enforce!r}")
     tw = _tower.build_tower(spec, enforce_hole_condition=enforce)
     return tw, markov_map, hole_cells
 

@@ -7,6 +7,8 @@ maps code prefixes to exit codes.
 
 from __future__ import annotations
 
+import math
+
 
 class LeakyBilliardsError(Exception):
     """Base class for all package errors."""
@@ -20,6 +22,20 @@ class InvalidArgumentError(LeakyBilliardsError):
 
 class ConfigError(LeakyBilliardsError):
     code = "config.invalid"
+
+
+def check_number(value, key: str, kind: type):
+    """value as kind if it is a JSON integer (kind int) or a finite JSON
+    number (kind float), else config.invalid; never coerces bools or strings."""
+    if kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+    if not ok:
+        need = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{key} must be {need}, got {value!r}")
+    return kind(value)
 
 
 # geometry

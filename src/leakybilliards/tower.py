@@ -21,9 +21,10 @@ linear algebra, never an approximation.
 
 from __future__ import annotations
 
-import json
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +39,14 @@ from .errors import (
     NotMixingError,
     NotStabilizedError,
     ReducibleSurvivingGraphError,
+    check_number,
 )
 
 _TAIL_TOL = 1e-12
 _BALANCE_RTOL = 1e-9
+# ordinary towers reach the ratio stop with residuals under 40 tol, so
+# this gate moves no iteration count there; see leading_eigenpair
+_RESIDUAL_FACTOR = 1e3
 
 
 @dataclass(frozen=True)
@@ -173,16 +178,10 @@ class Tower:
             out[l] = out.get(l, 0.0) + float(self.masses[j])
         return out
 
-    def level_mass(self, l: int) -> float:
-        return float(self.masses[self.returns > l].sum())
-
-    def surviving_cells(self) -> list[tuple[int, int]]:
-        return [c for c in self.cells if c not in self.holes]
-
     def _surviving_edges(self):
         """Adjacency of the one-step dynamics restricted to non-hole cells."""
         edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for l, j in self.surviving_cells():
+        for l, j in (c for c in self.cells if c not in self.holes):
             if l + 1 < self.returns[j]:
                 nxt = [(l + 1, j)]
             else:
@@ -214,7 +213,6 @@ class Tower:
         period = _component_period(edges, core)
         if period != 1:
             raise NotMixingError(f"surviving dynamics has period {period}")
-        self.core_cells = frozenset(core)
 
     def cell_survives_to_base(self, l: int, j: int) -> bool:
         """Whether part of the cell returns to a non-hole base cell.
@@ -222,71 +220,94 @@ class Tower:
         True when the climb from level l to the top of column j avoids
         hole cells and some target base cell is not a hole.
         """
-        if (l, j) in self.holes:
+        if any((lv, j) in self.holes for lv in range(l, int(self.returns[j]))):
             return False
-        for lv in range(l, int(self.returns[j])):
-            if (lv, j) in self.holes:
-                return False
         return any((0, i) not in self.holes for i in self.targets[j])
 
     # -- cylinder tables ----------------------------------------------------
 
     def depth_tables(self, depth: int) -> dict:
-        """Per-column path counts, offsets, masses, truncation gathers."""
+        """Per-column path counts, offsets, masses, truncation gathers.
+
+        Row d of column c: counts[d, c] depth-d paths, offsets[d][c] the
+        start of each target's block, mass_frac[d][c] each path's mass
+        fraction, trunc[d][c] the index of its depth-(d-1) prefix.
+        """
         if depth < 0:
             raise InvalidArgumentError("depth must be nonnegative")
         if depth in self._depth_cache:
             return self._depth_cache[depth]
         ncols = self.n_cols
-        counts = np.empty((depth + 1, ncols), dtype=np.int64)
-        counts[0] = 1
-        for d in range(1, depth + 1):
-            for c in range(ncols):
-                counts[d, c] = sum(counts[d - 1, i] for i in self.targets[c])
-        # child block offsets of P_d(c), aligned with targets[c]
+        counts = np.ones((depth + 1, ncols), dtype=np.int64)
         offsets: list[list[np.ndarray]] = [[np.zeros(0, np.int64)] * ncols]
-        for d in range(1, depth + 1):
-            row = []
-            for c in range(ncols):
-                sizes = [counts[d - 1, i] for i in self.targets[c]]
-                row.append(np.concatenate(([0], np.cumsum(sizes)[:-1]))
-                           .astype(np.int64))
-            offsets.append(row)
-        mass_frac: list[list[np.ndarray]] = [
-            [np.ones(1) for _ in range(ncols)]
-        ]
-        for d in range(1, depth + 1):
-            row = []
-            for c in range(ncols):
-                parts = [
-                    (self.masses[i] / self.target_mass[c]) * mass_frac[d - 1][i]
-                    for i in self.targets[c]
-                ]
-                row.append(np.concatenate(parts))
-            mass_frac.append(row)
-        # trunc[d][c]: index of the depth-(d-1) prefix of each depth-d path
+        mass_frac: list[list[np.ndarray]] = [[np.ones(1)] * ncols]
         trunc: list[list[np.ndarray] | None] = [None]
-        if depth >= 1:
-            trunc.append([
-                np.zeros(counts[1, c], dtype=np.int64) for c in range(ncols)
-            ])
-        for d in range(2, depth + 1):
-            row = []
-            for c in range(ncols):
-                parts = [
+        for d in range(1, depth + 1):
+            offsets.append([])
+            mass_frac.append([])
+            trunc.append([])
+            for c, tgt in enumerate(self.targets):
+                sizes = counts[d - 1, list(tgt)]
+                counts[d, c] = sizes.sum()
+                offsets[d].append(np.concatenate(([0], np.cumsum(sizes)[:-1]))
+                                  .astype(np.int64))
+                mass_frac[d].append(np.concatenate([
+                    (self.masses[i] / self.target_mass[c]) * mass_frac[d - 1][i]
+                    for i in tgt
+                ]))
+                trunc[d].append(np.concatenate([
                     offsets[d - 1][c][ti] + trunc[d - 1][i]
-                    for ti, i in enumerate(self.targets[c])
-                ]
-                row.append(np.concatenate(parts))
-            trunc.append(row)
+                    for ti, i in enumerate(tgt)
+                ]) if d > 1 else np.zeros(counts[d, c], dtype=np.int64))
         tables = {
             "counts": counts,
             "offsets": offsets,
             "mass_frac": mass_frac,
             "trunc": trunc,
         }
+        tables["layout"] = _Layout(self, depth, tables)
         self._depth_cache[depth] = tables
         return tables
+
+
+class _Layout:
+    """Where the cylinder values of each cell sit in a function's vector.
+
+    Cells follow tower.cells, each a contiguous slice of counts[depth, j]
+    values, so a column is a (return_time, count) row-major block.  A
+    tower keeps its layouts for life, so nothing here is per cylinder.
+    """
+
+    def __init__(self, tower: Tower, depth: int, tables: dict):
+        counts = [int(n) for n in tables["counts"][depth]]
+        ends = list(itertools.accumulate(counts[j] for _, j in tower.cells))
+        self.size = ends[-1]
+        self.cells = [(slice(e - counts[j], e), l, j)
+                      for e, (l, j) in zip(ends, tower.cells)]
+        self.starts = np.array([sl.start for sl, _, _ in self.cells])
+        self.level_weight = np.array([tower.beta ** l for _, l, _ in self.cells])
+        where = {(l, j): sl for sl, l, j in self.cells}
+        self.columns = [(where[(0, j)].start, counts[j], int(rt))
+                        for j, rt in enumerate(tower.returns)]
+        self.holes = [where[c] for c in sorted(tower.holes)]
+        # transfer output that must vanish: the hole and the cells whose
+        # climb starts on it
+        self.killed = self.holes + [
+            where[(l + 1, j)] for l, j in sorted(tower.holes)
+            if l + 1 < tower.returns[j]
+        ]
+        # (base slice, start of the source block, prefix index, jacobian)
+        # by base cell, source columns ascending: that order fixes the
+        # float sums
+        self.gathers = []
+        for i in range(tower.n_cols):
+            index = tables["trunc"][depth][i] if depth else np.zeros(1, np.int64)
+            for j, tgt in enumerate(tower.targets):
+                top = (int(tower.returns[j]) - 1, j)
+                if i in tgt and top not in tower.holes:
+                    off = tables["offsets"][depth][j][tgt.index(i)] if depth else 0
+                    self.gathers.append((where[(0, i)], where[top].start + int(off),
+                                         index, tower.jacobians[j]))
 
 
 def build_tower(spec: TowerSpec, enforce_hole_condition: bool = True) -> Tower:
@@ -364,51 +385,58 @@ def _component_period(edges, comp: set) -> int:
 # -- functions on the tower --------------------------------------------------
 
 
-@dataclass
 class TowerFunction:
     """Piecewise-constant function on depth-k itinerary cylinders.
 
-    values maps each cell (level, column) to the array of cylinder
-    values in tree-lexicographic order; hole cells are pinned to zero
-    (the function space is the subspace vanishing on the hole).
+    vec holds every cylinder value in one float vector laid out by the
+    tower's depth-k layout: cell by cell in tower.cells order, each in
+    tree-lexicographic order.  values maps each cell (level, column) to
+    a writable view of its slice.  Hole cells are pinned to zero when a
+    function is built (the function space is the subspace vanishing on
+    the hole).
     """
 
-    tower: Tower
-    depth: int
-    values: dict = field(default_factory=dict)
+    def __init__(self, tower: Tower, depth: int, values=None):
+        self._adopt(tower, depth,
+                    np.zeros(tower.depth_tables(depth)["layout"].size))
+        for cell, view in self.values.items():
+            if values is None or cell not in values:
+                continue
+            arr = np.asarray(values[cell], dtype=float)
+            if arr.shape != view.shape:
+                raise InvalidArgumentError(
+                    f"cell {cell}: expected {len(view)} cylinder values, "
+                    f"got {arr.shape}"
+                )
+            if cell not in tower.holes:
+                view[:] = arr
 
-    def __post_init__(self):
-        tables = self.tower.depth_tables(self.depth)
-        counts = tables["counts"][self.depth]
-        for cell in self.tower.cells:
-            l, j = cell
-            want = counts[j]
-            if cell not in self.values:
-                self.values[cell] = np.zeros(want)
-            else:
-                arr = np.asarray(self.values[cell], dtype=float)
-                if arr.shape != (want,):
-                    raise InvalidArgumentError(
-                        f"cell {cell}: expected {want} cylinder values, "
-                        f"got {arr.shape}"
-                    )
-                self.values[cell] = arr.copy()
-        for cell in self.tower.holes:
-            self.values[cell] = np.zeros(counts[cell[1]])
-        self.values = {cell: self.values[cell] for cell in self.tower.cells}
+    def _adopt(self, tower: Tower, depth: int, vec: np.ndarray):
+        """Take ownership of a laid-out vector, pinning the hole to zero."""
+        self.tower = tower
+        self.depth = depth
+        self.layout = tower.depth_tables(depth)["layout"]
+        self.vec = vec
+        for sl in self.layout.holes:
+            vec[sl] = 0.0
+        return self
 
-    # arithmetic (cellwise, same tower and depth)
+    @functools.cached_property
+    def values(self) -> dict:
+        """Each cell's writable view into vec."""
+        return {(l, j): self.vec[sl] for sl, l, j in self.layout.cells}
+
+    # arithmetic (elementwise, same tower and depth)
 
     def _binary(self, other, op):
         if isinstance(other, TowerFunction):
-            if other.tower is not self.tower or other.depth != self.depth:
-                a, b = _common_depth(self, other)
-                return a._binary(b, op)
-            vals = {c: op(self.values[c], other.values[c])
-                    for c in self.tower.cells}
-        else:
-            vals = {c: op(self.values[c], other) for c in self.tower.cells}
-        return TowerFunction(self.tower, self.depth, vals)
+            if other.tower is not self.tower:
+                raise InvalidArgumentError("functions live on different towers")
+            if other.depth != self.depth:
+                d = max(self.depth, other.depth)
+                return self.refined(d)._binary(other.refined(d), op)
+            other = other.vec
+        return _function(self.tower, self.depth, op(self.vec, other))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -421,19 +449,18 @@ class TowerFunction:
 
     __rmul__ = __mul__
 
-    def copy(self) -> "TowerFunction":
-        return TowerFunction(
-            self.tower, self.depth,
-            {c: v.copy() for c, v in self.values.items()},
-        )
+    def cell_masses(self) -> list[float]:
+        """Integral over each cell, in tower.cells order."""
+        frac = self.tower.depth_tables(self.depth)["mass_frac"][self.depth]
+        masses = self.tower.masses
+        return [masses[j] * float(self.vec[sl] @ frac[j])
+                for sl, _, j in self.layout.cells]
 
     def integrate(self) -> float:
         """Integral against the tower measure (cell mass times fraction)."""
-        tables = self.tower.depth_tables(self.depth)
-        frac = tables["mass_frac"][self.depth]
         total = 0.0
-        for (l, j), v in self.values.items():
-            total += self.tower.masses[j] * float(v @ frac[j])
+        for m in self.cell_masses():
+            total += m
         return total
 
     def refined(self, depth: int) -> "TowerFunction":
@@ -443,13 +470,12 @@ class TowerFunction:
         out = self
         while out.depth < depth:
             d = out.depth + 1
-            tables = self.tower.depth_tables(d)
-            trunc = tables["trunc"][d]
-            vals = {
-                (l, j): out.values[(l, j)][trunc[j]]
-                for (l, j) in self.tower.cells
-            }
-            out = TowerFunction(self.tower, d, vals)
+            trunc = self.tower.depth_tables(d)["trunc"][d]
+            vec = np.concatenate([
+                out.vec[start:start + rt * n].reshape(rt, n)[:, trunc[j]].ravel()
+                for j, (start, n, rt) in enumerate(out.layout.columns)
+            ])
+            out = _function(self.tower, d, vec)
         return out
 
     def coarsened(self, depth: int, rtol: float = 1e-12) -> "TowerFunction":
@@ -480,12 +506,9 @@ class TowerFunction:
 
     def sup_norm(self) -> float:
         """Level-weighted sup norm: max over levels of beta^l * sup |rho|."""
-        beta = self.tower.beta
-        best = 0.0
-        for (l, j), v in self.values.items():
-            if len(v):
-                best = max(best, beta ** l * float(np.abs(v).max()))
-        return best
+        lay = self.layout
+        cell_max = np.maximum.reduceat(np.abs(self.vec), lay.starts)
+        return float((lay.level_weight * cell_max).max())
 
     def lip_norm(self) -> float:
         """Level-weighted Lipschitz seminorm in the symbolic metric.
@@ -538,22 +561,16 @@ class TowerFunction:
         return self.sup_norm() + self.lip_norm()
 
 
-def _common_depth(a: TowerFunction, b: TowerFunction):
-    if a.tower is not b.tower:
-        raise InvalidArgumentError("functions live on different towers")
-    d = max(a.depth, b.depth)
-    return a.refined(d), b.refined(d)
+def _function(tower: Tower, depth: int, vec: np.ndarray) -> TowerFunction:
+    """The function whose laid-out vector is vec (taken, not copied)."""
+    return TowerFunction.__new__(TowerFunction)._adopt(tower, depth, vec)
 
 
 def tower_constant(tower: Tower, value: float = 1.0,
                    depth: int = 0) -> TowerFunction:
     """Constant function (zero on the hole), at the requested depth."""
-    tables = tower.depth_tables(depth)
-    counts = tables["counts"][depth]
-    vals = {
-        (l, j): np.full(counts[j], float(value)) for (l, j) in tower.cells
-    }
-    return TowerFunction(tower, depth, vals)
+    size = tower.depth_tables(depth)["layout"].size
+    return _function(tower, depth, np.full(size, float(value)))
 
 
 def tower_cell_indicator(tower: Tower, cell: tuple[int, int],
@@ -562,22 +579,20 @@ def tower_cell_indicator(tower: Tower, cell: tuple[int, int],
     if tuple(cell) not in set(tower.cells):
         raise InvalidArgumentError(f"no cell {cell}")
     f = tower_constant(tower, 0.0, depth)
-    f.values[tuple(cell)][:] = 1.0
-    if tuple(cell) in tower.holes:
-        f.values[tuple(cell)][:] = 0.0
+    if tuple(cell) not in tower.holes:
+        f.values[tuple(cell)][:] = 1.0
     return f
 
 
 def tower_random(tower: Tower, depth: int, rng,
                  low: float = 0.5, high: float = 1.5) -> TowerFunction:
-    """Random positive piecewise-constant function at the given depth."""
-    tables = tower.depth_tables(depth)
-    counts = tables["counts"][depth]
-    vals = {
-        (l, j): low + (high - low) * rng.random(int(counts[j]))
-        for (l, j) in tower.cells
-    }
-    return TowerFunction(tower, depth, vals)
+    """Random positive piecewise-constant function at the given depth.
+
+    Draws one value per cylinder in layout order, hole cells included
+    (then zeroed), so the draws do not depend on where the hole is.
+    """
+    size = tower.depth_tables(depth)["layout"].size
+    return _function(tower, depth, low + (high - low) * rng.random(size))
 
 
 # -- transfer operator --------------------------------------------------------
@@ -591,46 +606,24 @@ def transfer_apply(tower: Tower, rho: TowerFunction) -> TowerFunction:
     output vanishes on the hole, so iterating stays in the subspace.
     The integral of the output equals the integral of the input over
     the set surviving one step, exactly.
+
+    On the flat vector that is one shifted copy per column (the climbs,
+    unit Jacobian), one gather per (base cell, source column) block
+    (the returns), and zeroing the killed slices.
     """
     if rho.tower is not tower:
         raise InvalidArgumentError("function lives on a different tower")
-    depth = rho.depth
-    tables = tower.depth_tables(depth)
-    counts = tables["counts"]
-    offsets = tables["offsets"]
-    trunc = tables["trunc"]
-    out = {cell: None for cell in tower.cells}
-    # climbing moves: exact copies with unit Jacobian
-    for (l, j) in tower.cells:
-        if l == 0:
-            continue
-        src = (l - 1, j)
-        out[(l, j)] = (
-            np.zeros(counts[depth, j]) if src in tower.holes
-            else rho.values[src].copy()
-        )
-    # returns: base cell i collects tops of columns whose target covers i
-    for i in range(tower.n_cols):
-        acc = np.zeros(counts[depth, i])
-        for j in range(tower.n_cols):
-            if i not in tower.targets[j]:
-                continue
-            top = (int(tower.returns[j]) - 1, j)
-            if top in tower.holes:
-                continue
-            ti = tower.targets[j].index(i)
-            if depth == 0:
-                contrib = rho.values[top][0] * np.ones(1)
-            else:
-                gather = offsets[depth][j][ti] + (
-                    trunc[depth][i] if depth >= 1 else 0
-                )
-                contrib = rho.values[top][gather]
-            acc = acc + contrib / tower.jacobians[j]
-        out[(0, i)] = acc
-    for cell in tower.holes:
-        out[cell] = np.zeros(counts[depth, cell[1]])
-    return TowerFunction(tower, depth, out)
+    lay = rho.layout
+    x = rho.vec
+    out = np.empty_like(x)
+    for start, n, rt in lay.columns:
+        out[start:start + n] = 0.0
+        out[start + n:start + rt * n] = x[start:start + (rt - 1) * n]
+    for base, src, index, jac in lay.gathers:
+        out[base] += x[src:][index] / jac
+    for sl in lay.killed:
+        out[sl] = 0.0
+    return _function(tower, rho.depth, out)
 
 
 # -- spectral data -------------------------------------------------------------
@@ -649,7 +642,10 @@ def leading_eigenpair(tower: Tower, tol: float = 1e-13,
     """Dominant eigenvalue and eigenfunction of the open transfer operator.
 
     Power iteration with mass normalization; the eigenvalue estimate is
-    the per-step mass ratio.  Converged h is normalized to integral 1.
+    the per-step mass ratio.  It stops once the ratio has held to tol
+    for three steps and |L rho - ratio rho| <= _RESIDUAL_FACTOR * tol *
+    |L rho| (sup norm), since the ratio can settle before the function
+    does.  Converged h is normalized to integral 1.
     Returns (theta, h, EigenReport).  The dominant eigenvalue of a
     mixing tower with an admissible hole exceeds beta; a smaller result
     means the iteration left the quasi-compact regime and is rejected.
@@ -670,16 +666,19 @@ def leading_eigenpair(tower: Tower, tol: float = 1e-13,
             )
         ratio = nmass / mass
         trace.append(ratio)
-        rho = nxt * (1.0 / nmass)
-        mass = 1.0
         if theta is not None and abs(ratio - theta) < tol * max(ratio, 1e-300):
             stable += 1
-            if stable >= 3:
-                theta = ratio
-                break
         else:
             stable = 0
+        converged = stable >= 3 and (
+            (nxt - rho * ratio).sup_norm()
+            <= _RESIDUAL_FACTOR * tol * nxt.sup_norm()
+        )
+        rho = nxt * (1.0 / nmass)
+        mass = 1.0
         theta = ratio
+        if converged:
+            break
     else:
         raise NoConvergenceError(
             f"eigenvalue ratio did not stabilize in {max_iter} iterations"
@@ -749,14 +748,6 @@ class DFunctionalReport:
     max_deviation: float
     positive_expected: bool
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "n_terms": int(len(self.terms)),
-            "max_deviation": self.max_deviation,
-            "positive_expected": self.positive_expected,
-        }
-
 
 def d_functional(tower: Tower, rho: TowerFunction,
                  theta_star: float | None = None, n_terms: int = 60,
@@ -775,13 +766,13 @@ def d_functional(tower: Tower, rho: TowerFunction,
         raise InvalidArgumentError("n_terms must be at least 8")
     if theta_star is None:
         theta_star, _, _ = leading_eigenpair(tower)
-    nonneg = all(np.all(v >= 0) for v in rho.values.values())
+    nonneg = bool(np.all(rho.vec >= 0))
     positive_expected = nonneg and any(
         tower.cell_survives_to_base(l, j) and np.all(rho.values[(l, j)] > 0)
         for (l, j) in tower.cells if (l, j) not in tower.holes
     )
     terms = np.empty(n_terms + 1)
-    cur = rho.copy()
+    cur = rho
     terms[0] = cur.integrate()
     scale = 1.0
     for n in range(1, n_terms + 1):
@@ -874,21 +865,12 @@ def markov_matrix_oracle(markov_map: MarkovIntervalMap,
     if lo.shape != (m,) or hi.shape != (m,):
         raise NotMarkovError("one image interval per cell required")
     lengths = np.diff(bp)
-
-    def cell_index(x, name):
-        i = int(np.argmin(np.abs(bp - x)))
-        if abs(bp[i] - x) > 1e-12:
-            raise NotMarkovError(
-                f"{name} endpoint {x} is not a partition breakpoint"
-            )
-        return i
-
     holes = frozenset(int(c) for c in hole_cells)
     for c in holes:
         if not 0 <= c < m:
             raise NotMarkovError(f"hole cell {c} does not exist")
-    span_lo = np.array([cell_index(x, "image lo") for x in lo])
-    span_hi = np.array([cell_index(x, "image hi") for x in hi])
+    span_lo = np.array([_breakpoint_index(bp, x) for x in lo])
+    span_hi = np.array([_breakpoint_index(bp, x) for x in hi])
     if np.any(span_hi <= span_lo):
         raise NotMarkovError("image intervals must be nondegenerate")
     slopes = (hi - lo) / lengths
@@ -951,24 +933,24 @@ def markov_matrix_oracle(markov_map: MarkovIntervalMap,
     )
 
 
+def _breakpoint_index(bp: np.ndarray, x: float) -> int:
+    """Index of the partition breakpoint an image endpoint must equal."""
+    i = int(np.argmin(np.abs(bp - x)))
+    if abs(bp[i] - x) > 1e-12:
+        raise NotMarkovError(f"image endpoint {x} is not a partition breakpoint")
+    return i
+
+
 def flat_tower_from_markov_map(markov_map: MarkovIntervalMap, hole_cells,
                                beta: float = 0.8,
                                theta0: float = 0.5) -> TowerSpec:
     """Flat tower (all returns 1) matching an interval-map oracle input."""
     bp = np.asarray(markov_map.breakpoints, dtype=float)
     lengths = np.diff(bp)
-    m = markov_map.n_cells
-
-    def cell_index(x):
-        i = int(np.argmin(np.abs(bp - x)))
-        if abs(bp[i] - x) > 1e-12:
-            raise NotMarkovError(f"image endpoint {x} off the partition")
-        return i
-
     cols = []
-    for j in range(m):
-        a = cell_index(markov_map.image_lo[j])
-        b = cell_index(markov_map.image_hi[j])
+    for j in range(markov_map.n_cells):
+        a = _breakpoint_index(bp, markov_map.image_lo[j])
+        b = _breakpoint_index(bp, markov_map.image_hi[j])
         cols.append(TowerColumn(
             mass=float(lengths[j]),
             return_time=1,
@@ -1014,12 +996,9 @@ def tail_mass_check(tower: Tower, h: TowerFunction | None = None,
     """
     if h is None:
         theta_star, h, _ = leading_eigenpair(tower)
-    frac = tower.depth_tables(h.depth)["mass_frac"][h.depth]
     level_mass = {}
-    for (l, j), v in h.values.items():
-        level_mass[l] = (
-            level_mass.get(l, 0.0) + float(v @ frac[j]) * tower.masses[j]
-        )
+    for (_, l, _), m in zip(h.layout.cells, h.cell_masses()):
+        level_mass[l] = level_mass.get(l, 0.0) + m
     lmax = max(level_mass)
     rows = []
     for big_l in range(0, lmax + 1):
@@ -1075,25 +1054,29 @@ def tower_spec_from_json(obj) -> TowerSpec:
                 "tower JSON carries exactly one levels entry (the base); "
                 f"got {len(levels)}"
             )
+        num = check_number
         cols = []
         for c in levels[0]["cells"]:
             cols.append(TowerColumn(
-                mass=float(c["mass"]),
-                return_time=int(c["return"]),
-                target=(tuple(int(j) for j in c["target"])
+                mass=num(c["mass"], "mass", float),
+                return_time=num(c["return"], "return", int),
+                target=(tuple(num(j, "target", int) for j in c["target"])
                         if "target" in c else None),
-                jacobian=(float(c["jacobian"]) if "jacobian" in c else None),
+                jacobian=(num(c["jacobian"], "jacobian", float)
+                          if "jacobian" in c else None),
             ))
         return TowerSpec(
             columns=tuple(cols),
-            beta=float(obj["beta"]),
-            c0=float(obj["C0"]),
-            theta0=float(obj["theta0"]),
+            beta=num(obj["beta"], "beta", float),
+            c0=num(obj["C0"], "C0", float),
+            theta0=num(obj["theta0"], "theta0", float),
             holes=frozenset(
-                (int(l), int(j)) for l, j in obj.get("hole", [])
+                (num(l, "hole", int), num(j, "hole", int))
+                for l, j in obj.get("hole", [])
             ),
-            c1=float(obj.get("C1", 0.0)),
-            l_trunc=(int(obj["L_trunc"]) if "L_trunc" in obj else None),
+            c1=num(obj.get("C1", 0.0), "C1", float),
+            l_trunc=(num(obj["L_trunc"], "L_trunc", int)
+                     if "L_trunc" in obj else None),
         )
     except ConfigError:
         raise

@@ -342,7 +342,20 @@ BASE_CFGS = {
                          "n_particles": 100, "n_max": 8, "window": [2, 6],
                          "measure_step": 2},
     "singularity-diag": {"hole": HOLE, "k_steps": 2, "n_particles": 100},
-    "tower-eig": {"tower": {"builtin": "golden"}},
+    "tower-eig": {
+        "tower": {"levels": [{"cells": [
+            {"mass": 0.25, "return": 1, "target": [0, 1]},
+            {"mass": 0.25, "return": 1, "target": [2, 3]},
+            {"mass": 0.25, "return": 1, "target": [0, 1]},
+            {"mass": 0.25, "return": 1, "target": [2, 3]},
+        ]}], "hole": [[0, 0]], "beta": 0.8, "C0": 1.0, "theta0": 0.5,
+            "C1": 0.0, "L_trunc": 1},
+        "markov_map": {"breakpoints": [0.0, 0.25, 0.5, 0.75, 1.0],
+                       "image_lo": [0.0, 0.5, 0.0, 0.5],
+                       "image_hi": [0.5, 1.0, 0.5, 1.0],
+                       "hole_cells": [0]},
+        "enforce_hole_condition": True,
+    },
 }
 
 
@@ -367,6 +380,21 @@ BASE_CFGS = {
     ("escape-rate", "hole.offset", None),
     ("tower-eig", "tol", "1e-9"),
     ("tower-eig", "max_iter", 10.5),
+    ("tower-eig", "markov_map.breakpoints", ["abc", 0.25, 0.5, 0.75, 1.0]),
+    ("tower-eig", "markov_map.image_lo", [0.0, 0.5, 0.0, None]),
+    ("tower-eig", "markov_map.image_hi", [0.5, 1.0, 0.5, "1"]),
+    ("tower-eig", "markov_map.hole_cells", [0.5]),
+    ("tower-eig", "enforce_hole_condition", "no"),
+    ("tower-eig", "tower.levels.0.cells.0.return", 2.9),
+    ("tower-eig", "tower.levels.0.cells.1.mass", "0.25"),
+    ("tower-eig", "tower.levels.0.cells.2.target", [0, True]),
+    ("tower-eig", "tower.levels.0.cells.3.jacobian", "2"),
+    ("tower-eig", "tower.beta", "0.8"),
+    ("tower-eig", "tower.C0", None),
+    ("tower-eig", "tower.theta0", [0.5]),
+    ("tower-eig", "tower.C1", False),
+    ("tower-eig", "tower.L_trunc", 1.5),
+    ("tower-eig", "tower.hole", [[0, 0.0]]),
 ])
 def test_config_numbers_are_checked(tmp_path, capsys, monkeypatch, sub, path,
                                     value):
@@ -392,7 +420,7 @@ def test_config_numbers_are_checked(tmp_path, capsys, monkeypatch, sub, path,
     *parents, key = path.split(".")
     obj = cfg
     for name in parents:
-        obj = obj[name]
+        obj = obj[int(name) if isinstance(obj, list) else name]
     obj[key] = value
     code, _ = run(tmp_path, sub, cfg, outdir="bad")
     assert code == 2

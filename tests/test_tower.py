@@ -177,6 +177,52 @@ def test_norm_decay_rate_is_spectral_gap(gold):
     assert abs(rate - DECAY_GOLD) < 1e-6
 
 
+def test_transfer_matrix_matches_interval_map_oracle(gold):
+    # the operator applied to the four base-cell indicators gives the
+    # columns of the oracle's transfer matrix on the surviving cells
+    cells = [(0, j) for j in range(4)]
+    mat = np.array([
+        [tower.transfer_apply(
+            gold, tower.tower_cell_indicator(gold, c)).values[r][0]
+         for c in cells]
+        for r in cells
+    ])
+    oracle = tower.markov_matrix_oracle(tower.golden_interval_map(), {0})
+    keep = np.ix_(oracle.surviving, oracle.surviving)
+    assert np.array_equal(mat[keep], oracle.matrix[keep])
+    assert np.all(mat[0] == 0.0)
+    mods = np.sort(np.abs(np.linalg.eigvals(mat)))[::-1]
+    assert abs(mods[1] / mods[0] - (3.0 - math.sqrt(5.0)) / 2.0) < 1e-12
+
+
+def test_ratio_stop_waits_for_the_function():
+    # the mass ratio is exactly 1 from the start, long before the
+    # iterate settles; h is the exact eigenfunction of the closed part
+    spec = tower.TowerSpec(
+        columns=(
+            tower.TowerColumn(mass=0.2, return_time=1, target=(3,)),
+            tower.TowerColumn(mass=0.2, return_time=2, target=(0, 1, 2)),
+            tower.TowerColumn(mass=0.2, return_time=1, target=(3,)),
+            tower.TowerColumn(mass=0.2, return_time=2, target=(1,)),
+            tower.TowerColumn(mass=0.2, return_time=1, target=(4,)),
+        ),
+        beta=0.95,
+        c0=2.0,
+        theta0=0.9,
+        holes=frozenset({(0, 4)}),
+    )
+    t = tower.build_tower(spec)
+    theta, h, report = tower.leading_eigenpair(t)
+    assert theta == pytest.approx(1.0, abs=1e-12)
+    want = np.array([5 / 12, 5 / 4, 5 / 4, 5 / 12, 5 / 6, 5 / 6, 0.0])
+    got = np.array([h.values[c][0] for c in t.cells])
+    assert np.max(np.abs(got - want)) < 1e-9
+    assert report.function_residual < 1e-9
+    _, _, gold_report = tower.leading_eigenpair(
+        tower.build_tower(tower.golden_tower_spec()))
+    assert gold_report.iterations == 32
+
+
 def test_eigen_depth_invariance(gold):
     theta0, _, _ = tower.leading_eigenpair(gold, depth=0)
     theta2, _, _ = tower.leading_eigenpair(gold, depth=2)
