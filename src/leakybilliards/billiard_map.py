@@ -78,14 +78,14 @@ def check_phase_point(table, x: PhasePoint) -> None:
         raise InvalidArgumentError(f"phi={x.phi} outside [-pi/2, pi/2]")
 
 
-def collide_batch(table, sid, r, phi, reach=None) -> CollisionBatch:
+def collide_batch(table, sid, r, phi) -> CollisionBatch:
     """Vectorized collision map; censored entries keep placeholder states."""
     sid = np.asarray(sid, dtype=np.int64)
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
     p0, v = _geo.rays_from_boundary(table, sid, r, phi)
     cens = np.abs(phi) > (math.pi / 2 - TANGENCY_GUARD)
-    t, hit, off, grazed = _geo.first_hit_batch(table, p0, v, skip_sid=sid, reach=reach)
+    t, hit, off, grazed = _geo.first_hit_batch(table, p0, v, skip_sid=sid)
     nohit = hit < 0
     bad = nohit & ~cens
     if np.any(bad):
@@ -158,7 +158,7 @@ def collide(table, x: PhasePoint):
     return y, seg
 
 
-def collide_inverse_batch(table, sid, r, phi, reach=None) -> CollisionBatch:
+def collide_inverse_batch(table, sid, r, phi) -> CollisionBatch:
     """Vectorized inverse map via the time-reversal conjugacy.
 
     With I(r, phi) = (r, -phi) the inverse collision map is I o f o I;
@@ -166,7 +166,7 @@ def collide_inverse_batch(table, sid, r, phi, reach=None) -> CollisionBatch:
     its preimage.
     """
     out = collide_batch(table, sid, np.asarray(r, dtype=float),
-                        -np.asarray(phi, dtype=float), reach=reach)
+                        -np.asarray(phi, dtype=float))
     return CollisionBatch(
         out.scatterer_id, out.r, -out.phi, out.flight_length,
         out.start, out.direction, out.censored,

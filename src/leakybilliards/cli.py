@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import traceback
+from functools import partial
 
 import numpy as np
 
@@ -27,8 +28,8 @@ from . import holes as _holes
 from . import measures as _measures
 from . import open_dynamics as _od
 from . import tower as _tower
-from .errors import (ArtifactIOError, ConfigError, LeakyBilliardsError,
-                     check_number)
+from .errors import (ArtifactIOError, ConfigError, ConfigReader,
+                     LeakyBilliardsError)
 
 _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
@@ -36,17 +37,6 @@ _EXIT_IO = 4
 
 _CONFIG_PREFIXES = ("config.", "geometry.", "holes.")
 _IO_PREFIXES = ("io.",)
-
-# numeric fields and their types, checked wherever they appear in the
-# config root, "hole", "hole_family" or "markov_map"; a list field holds
-# such numbers (tower specs are checked by tower.tower_spec_from_json)
-_NUMBER_FIELDS = dict.fromkeys(
-    ("n_particles", "n_max", "n_steps", "r_bins", "phi_bins", "measure_step",
-     "k_steps", "min_survivors", "n_backcheck", "k_backcheck", "max_iter"), int,
-) | {"h": float, "offset": float, "tol": float}
-_LIST_FIELDS = dict.fromkeys(
-    ("h_list", "breakpoints", "image_lo", "image_hi"), float,
-) | {"window": int, "hole_cells": int}
 
 SUBCOMMANDS = (
     "validate-geometry",
@@ -112,98 +102,65 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config is missing required field {key!r}")
-    return cfg[key]
+_KINDS = ("I", "II")
+_CONVENTIONS = ("arrival", "departure")
 
 
-def _check_numbers(cfg: dict) -> None:
-    """Type-check every numeric field before any work (or table) starts."""
-    for obj in (cfg, cfg.get("hole"), cfg.get("hole_family"),
-                cfg.get("markov_map")):
-        if not isinstance(obj, dict):
-            continue
-        for key in sorted(obj.keys() & _NUMBER_FIELDS.keys()):
-            check_number(obj[key], key, _NUMBER_FIELDS[key])
-        for key in sorted(obj.keys() & _LIST_FIELDS.keys()):
-            if not isinstance(obj[key], (list, tuple)):
-                raise ConfigError(f"{key} must be a list of numbers")
-            for x in obj[key]:
-                check_number(x, key, _LIST_FIELDS[key])
+def _read_table(cfg: ConfigReader):
+    """The run's table, to build once every field is read (a table
+    config is read before its horizon probe runs)."""
+    obj = cfg.object("table", None)
+    if obj is None:
+        return _geometry.default_table
+    return partial(_geometry.table_from_json, obj)
 
 
-def _hole_kind(obj: dict) -> str:
-    # never guessed from the anchor: [0, 0.5] is a valid anchor of either kind
-    kind = _require(obj, "kind")
-    if kind not in ("I", "II"):
-        raise ConfigError(f'hole kind must be "I" or "II", got {kind!r}')
-    return kind
+def _read_anchor(f: ConfigReader):
+    # the kind is never guessed: [0, 0.5] is a valid anchor of either kind
+    kind = f.choice("kind", _KINDS)
+    return kind, f.numbers("anchor", (int, float) if kind == "I" else (float, float))
 
 
-def _table_from_config(cfg: dict) -> _geometry.Table:
-    if "table" in cfg and cfg["table"] is not None:
-        return _geometry.table_from_json(cfg["table"])
-    return _geometry.default_table()
+def _read_hole(cfg: ConfigReader):
+    """The hole as a function of the table, or None for a closed system.
 
-
-def _hole_from_config(cfg: dict, table) -> _holes.HoleSpec | None:
-    obj = cfg.get("hole")
+    A family hole is {kind, anchor, h[, offset]}; an explicit one is
+    {type: I, scatterer, arc} or {type: II, center, radius}.
+    """
+    obj = cfg.object("hole", None)
     if obj is None:
         return None
-    if not isinstance(obj, dict):
-        raise ConfigError("hole must be a JSON object or null")
-    if "h" in obj:
-        anchor = _require(obj, "anchor")
-        if isinstance(anchor, (list, tuple)) and len(anchor) == 2:
-            anchor = tuple(anchor)
+    f = ConfigReader(obj, "hole")
+    if "type" in obj and "kind" not in obj:
+        if f.choice("type", _KINDS) == "I":
+            a, b = f.numbers("arc", (float, float))
+            make = partial(_holes.type_i_hole, scatterer_id=f.integer("scatterer"),
+                           a=a, b=b)
         else:
-            raise ConfigError("hole anchor must be a pair")
-        return _holes.hole_family(
-            table, anchor, float(obj["h"]),
-            offset=float(obj.get("offset", 0.0)),
-            kind=_hole_kind(obj),
-        )
-    return _holes.hole_from_json(table, obj)
-
-
-def _density_from_config(cfg: dict) -> _measures.DensitySpec:
-    obj = cfg.get("density", {"kind": "nu"})
-    return _measures.density_from_json(obj)
-
-
-def _window_from_config(cfg: dict) -> tuple[int, int]:
-    win = _require(cfg, "window")
-    if not isinstance(win, (list, tuple)) or len(win) != 2:
-        raise ConfigError("window must be [lo, hi] with integer steps")
-    return win[0], win[1]
-
-
-def _tower_from_config(cfg: dict):
-    obj = _require(cfg, "tower")
-    markov_map = None
-    if isinstance(obj, dict) and obj.get("builtin") == "golden":
-        spec = _tower.golden_tower_spec()
-        markov_map = _tower.golden_interval_map()
-        hole_cells = {0}
-    elif isinstance(obj, dict):
-        spec = _tower.tower_spec_from_json(obj)
-        hole_cells = None
+            make = partial(_holes.type_ii_hole, center=f.numbers("center", (float, float)),
+                           radius=f.number("radius"))
     else:
-        raise ConfigError("tower must be a JSON object")
-    if "markov_map" in cfg:
-        mm = cfg["markov_map"]
-        markov_map = _tower.MarkovIntervalMap(
-            breakpoints=tuple(float(x) for x in _require(mm, "breakpoints")),
-            image_lo=tuple(float(x) for x in _require(mm, "image_lo")),
-            image_hi=tuple(float(x) for x in _require(mm, "image_hi")),
-        )
-        hole_cells = set(int(c) for c in mm.get("hole_cells", ()))
-    enforce = cfg.get("enforce_hole_condition", True)
-    if not isinstance(enforce, bool):
-        raise ConfigError(f"enforce_hole_condition must be a bool, got {enforce!r}")
-    tw = _tower.build_tower(spec, enforce_hole_condition=enforce)
-    return tw, markov_map, hole_cells
+        kind, anchor = _read_anchor(f)
+        make = partial(_holes.hole_family, q0=anchor, h=f.number("h"),
+                       offset=f.number("offset", 0.0), kind=kind)
+    f.close()
+    return make
+
+
+def _read_tower(cfg: ConfigReader):
+    """(spec, enforce_hole_condition, oracle); oracle is the builtin
+    golden tower's (interval map, hole cells), else None."""
+    obj = cfg.object("tower")
+    oracle = None
+    if isinstance(obj, dict) and "builtin" in obj:
+        f = ConfigReader(obj, "tower")
+        f.choice("builtin", ("golden",))
+        f.close()
+        spec = _tower.golden_tower_spec()
+        oracle = _tower.golden_interval_map(), {0}
+    else:
+        spec = _tower.tower_spec_from_json(obj)
+    return spec, cfg.flag("enforce_hole_condition", True), oracle
 
 
 # -- artifacts -----------------------------------------------------------------
@@ -259,16 +216,21 @@ def write_results(artifact: RunArtifact, out_dir: str) -> list[str]:
 
 
 def run_experiment(subcommand: str, cfg: dict) -> RunArtifact:
-    """Execute one subcommand on a validated effective config."""
+    """Execute one subcommand on an effective config.
+
+    Each _run_* reads every field it uses through one ConfigReader and
+    closes it before building a table or tower, so every config error
+    is raised before any work starts.
+    """
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
-    seed = cfg.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    f = ConfigReader(cfg, "config")
+    seed = f.integer("seed", 0)
+    if seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
-    threads = cfg.get("threads", _od.default_threads())
-    if not isinstance(threads, int) or threads < 1:
+    threads = f.integer("threads", _od.default_threads())
+    if threads < 1:
         raise ConfigError("threads must be a positive integer")
-    _check_numbers(cfg)
     chash = config_hash(cfg)
     base = {
         "subcommand": subcommand,
@@ -278,7 +240,7 @@ def run_experiment(subcommand: str, cfg: dict) -> RunArtifact:
     }
     meta = {"config_hash": chash, "master_seed": seed}
     fn = _DISPATCH[subcommand]
-    return fn(cfg, seed, threads, base, meta)
+    return fn(f, seed, threads, base, meta)
 
 
 def _counts_csv(res, meta) -> str:
@@ -295,7 +257,9 @@ def _counts_csv(res, meta) -> str:
 
 
 def _run_validate_geometry(cfg, seed, threads, base, meta):
-    table = _table_from_config(cfg)
+    make_table = _read_table(cfg)
+    cfg.close()
+    table = make_table()
     cert = table.certificate
     base.update({
         "status": "ok",
@@ -312,16 +276,19 @@ def _run_validate_geometry(cfg, seed, threads, base, meta):
 
 
 def _run_simulate(cfg, seed, threads, base, meta):
-    table = _table_from_config(cfg)
-    hole = _hole_from_config(cfg, table)
-    density = _density_from_config(cfg)
-    n = _require(cfg, "n_particles")
-    n_max = _require(cfg, "n_max")
+    make_table, make_hole = _read_table(cfg), _read_hole(cfg)
+    density = _measures.density_from_json(cfg.object("density", {}))
+    convention = cfg.choice("convention", _CONVENTIONS, "arrival")
+    n = cfg.integer("n_particles")
+    n_max = cfg.integer("n_max")
+    cfg.close()
+    table = make_table()
+    hole = make_hole(table) if make_hole else None
     from .streams import stream
     sid, r, phi = _measures.sample_initial(table, density, n, stream(seed, "initial"))
     res = _od.evolve_ensemble(
         table, hole, sid, r, phi, n_max,
-        convention=cfg.get("convention", "arrival"), threads=threads,
+        convention=convention, threads=threads,
     )
     base.update({
         "n_particles": n,
@@ -335,19 +302,18 @@ def _run_simulate(cfg, seed, threads, base, meta):
 
 
 def _run_escape_rate(cfg, seed, threads, base, meta):
-    estimator = cfg.get("estimator", "direct")
-    convention = cfg.get("convention", "arrival")
-    if estimator == "fleming-viot" and convention != "arrival":
-        raise ConfigError(
-            "the fleming-viot estimator counts escapes on arrival only; "
-            f'convention must be "arrival", got {convention!r}'
-        )
-    table = _table_from_config(cfg)
-    hole = _hole_from_config(cfg, table)
-    density = _density_from_config(cfg)
-    n = _require(cfg, "n_particles")
-    n_max = _require(cfg, "n_max")
-    window = _window_from_config(cfg)
+    estimator = cfg.choice("estimator", ("direct", "fleming-viot"), "direct")
+    # the fleming-viot estimator counts escapes on arrival only
+    convention = cfg.choice("convention", _CONVENTIONS if estimator == "direct"
+                            else ("arrival",), "arrival")
+    make_table, make_hole = _read_table(cfg), _read_hole(cfg)
+    density = _measures.density_from_json(cfg.object("density", {}))
+    n = cfg.integer("n_particles")
+    n_max = cfg.integer("n_max")
+    window = cfg.numbers("window", (int, int))
+    cfg.close()
+    table = make_table()
+    hole = make_hole(table) if make_hole else None
     if estimator == "direct":
         est, res = _escape.estimate_escape_rate(
             table, hole, density, n, n_max, window, seed,
@@ -355,7 +321,7 @@ def _run_escape_rate(cfg, seed, threads, base, meta):
         )
         counts = _counts_csv(res, meta)
         censored_final = int(res.censored[-1])
-    elif estimator == "fleming-viot":
+    else:
         fv = _escape.fleming_viot_evolve(
             table, hole, density, n, n_max, window, seed, threads=threads,
         )
@@ -364,8 +330,6 @@ def _run_escape_rate(cfg, seed, threads, base, meta):
                 for k in range(len(fv.eff_counts))]
         counts = _csv_render(["step", "eff_survivors", "ratio"], rows, meta)
         censored_final = fv.n_censored
-    else:
-        raise ConfigError(f"unknown estimator {estimator!r}")
     base.update(est.to_json())
     base.update({
         "estimator": estimator,
@@ -377,17 +341,20 @@ def _run_escape_rate(cfg, seed, threads, base, meta):
 
 
 def _run_survivor_measure(cfg, seed, threads, base, meta):
-    table = _table_from_config(cfg)
-    hole = _hole_from_config(cfg, table)
-    density = _density_from_config(cfg)
-    n = _require(cfg, "n_particles")
-    n_steps = _require(cfg, "n_steps")
-    r_bins = cfg.get("r_bins", 64)
-    phi_bins = cfg.get("phi_bins", 64)
+    make_table, make_hole = _read_table(cfg), _read_hole(cfg)
+    density = _measures.density_from_json(cfg.object("density", {}))
+    convention = cfg.choice("convention", _CONVENTIONS, "arrival")
+    n = cfg.integer("n_particles")
+    n_steps = cfg.integer("n_steps")
+    r_bins = cfg.integer("r_bins", 64)
+    phi_bins = cfg.integer("phi_bins", 64)
+    min_survivors = cfg.integer("min_survivors", 1000)
+    cfg.close()
+    table = make_table()
+    hole = make_hole(table) if make_hole else None
     m, res = _escape.survivor_distribution(
         table, hole, density, n, n_steps, r_bins, phi_bins, seed,
-        convention=cfg.get("convention", "arrival"), threads=threads,
-        min_survivors=cfg.get("min_survivors", 1000),
+        convention=convention, threads=threads, min_survivors=min_survivors,
     )
     ref = _measures.nu_measure(table, r_bins, phi_bins)
     dist = _measures.measure_distance(m, ref)
@@ -419,21 +386,25 @@ def _run_survivor_measure(cfg, seed, threads, base, meta):
 
 
 def _run_small_hole_sweep(cfg, seed, threads, base, meta):
-    table = _table_from_config(cfg)
-    density = _density_from_config(cfg)
-    hole_cfg = _require(cfg, "hole_family")
-    anchor = _require(hole_cfg, "anchor")
-    if not isinstance(anchor, (list, tuple)) or len(anchor) != 2:
-        raise ConfigError("hole_family.anchor must be a pair")
-    h_list = [float(h) for h in _require(hole_cfg, "h_list")]
+    make_table = _read_table(cfg)
+    density = _measures.density_from_json(cfg.object("density", {}))
+    family = ConfigReader(cfg.object("hole_family"), "hole_family")
+    kind, anchor = _read_anchor(family)
+    h_list = family.numbers("h_list", float)
+    offset = family.number("offset", 0.0)
+    family.close()
+    n = cfg.integer("n_particles")
+    n_max = cfg.integer("n_max")
+    window = cfg.numbers("window", (int, int))
+    measure_step = cfg.integer("measure_step")
+    r_bins = cfg.integer("r_bins", 64)
+    phi_bins = cfg.integer("phi_bins", 64)
+    convention = cfg.choice("convention", _CONVENTIONS, "arrival")
+    cfg.close()
     rows = _escape.small_hole_sweep(
-        table, tuple(anchor), h_list, density,
-        _require(cfg, "n_particles"), _require(cfg, "n_max"),
-        _window_from_config(cfg), _require(cfg, "measure_step"),
-        cfg.get("r_bins", 64), cfg.get("phi_bins", 64), seed,
-        kind=_hole_kind(hole_cfg),
-        offset=float(hole_cfg.get("offset", 0.0)),
-        convention=cfg.get("convention", "arrival"), threads=threads,
+        make_table(), anchor, h_list, density, n, n_max, window, measure_step,
+        r_bins, phi_bins, seed, kind=kind, offset=offset,
+        convention=convention, threads=threads,
     )
     body = _csv_render(
         ["h", "theta_hat", "stderr", "distance_to_nu", "noise_floor",
@@ -450,27 +421,41 @@ def _run_small_hole_sweep(cfg, seed, threads, base, meta):
 
 
 def _run_singularity_diag(cfg, seed, threads, base, meta):
-    table = _table_from_config(cfg)
-    hole = _hole_from_config(cfg, table)
-    if hole is None:
+    make_table, make_hole = _read_table(cfg), _read_hole(cfg)
+    if make_hole is None:
         raise ConfigError("singularity-diag requires a hole")
+    k_steps = cfg.integer("k_steps")
+    n = cfg.integer("n_particles")
+    convention = cfg.choice("convention", _CONVENTIONS, "arrival")
+    n_backcheck = cfg.integer("n_backcheck", 2000)
+    k_backcheck = cfg.integer("k_backcheck", 10)
+    cfg.close()
+    table = make_table()
     diag = _escape.singularity_diagnostic(
-        table, hole, _require(cfg, "k_steps"),
-        _require(cfg, "n_particles"), seed,
-        convention=cfg.get("convention", "arrival"), threads=threads,
-        n_backcheck=cfg.get("n_backcheck", 2000),
-        k_backcheck=cfg.get("k_backcheck", 10),
+        table, make_hole(table), k_steps, n, seed,
+        convention=convention, threads=threads,
+        n_backcheck=n_backcheck, k_backcheck=k_backcheck,
     )
     base.update(diag)
     return RunArtifact(base)
 
 
 def _run_tower_eig(cfg, seed, threads, base, meta):
-    tw, markov_map, hole_cells = _tower_from_config(cfg)
-    theta, h, rep = _tower.leading_eigenpair(
-        tw, tol=float(cfg.get("tol", 1e-13)),
-        max_iter=cfg.get("max_iter", 100000),
-    )
+    spec, enforce, oracle = _read_tower(cfg)
+    mm = cfg.object("markov_map", None)
+    if mm is not None:
+        f = ConfigReader(mm, "markov_map")
+        oracle = _tower.MarkovIntervalMap(
+            breakpoints=f.numbers("breakpoints", float),
+            image_lo=f.numbers("image_lo", float),
+            image_hi=f.numbers("image_hi", float),
+        ), set(f.numbers("hole_cells", int, ()))
+        f.close()
+    tol = cfg.number("tol", 1e-13)
+    max_iter = cfg.integer("max_iter", 100000)
+    cfg.close()
+    tw = _tower.build_tower(spec, enforce_hole_condition=enforce)
+    theta, h, rep = _tower.leading_eigenpair(tw, tol=tol, max_iter=max_iter)
     d_h = _tower.d_functional(tw, h, theta)
     base.update({
         "theta_star": theta,
@@ -481,8 +466,8 @@ def _run_tower_eig(cfg, seed, threads, base, meta):
             f"{l},{j}": float(v[0]) for (l, j), v in sorted(h.values.items())
         },
     })
-    if markov_map is not None and hole_cells is not None:
-        orc = _tower.markov_matrix_oracle(markov_map, hole_cells)
+    if oracle is not None:
+        orc = _tower.markov_matrix_oracle(*oracle)
         base.update({
             "oracle_theta": orc.theta,
             "oracle_abs_diff": abs(orc.theta - theta),
@@ -491,7 +476,9 @@ def _run_tower_eig(cfg, seed, threads, base, meta):
 
 
 def _run_tower_bound(cfg, seed, threads, base, meta):
-    tw, _, _ = _tower_from_config(cfg)
+    spec, enforce, _ = _read_tower(cfg)
+    cfg.close()
+    tw = _tower.build_tower(spec, enforce_hole_condition=enforce)
     theta, h, _ = _tower.leading_eigenpair(tw)
     lb = _tower.theta_lower_bound(tw, theta_star=theta)
     tails = _tower.tail_mass_check(tw, h, theta)

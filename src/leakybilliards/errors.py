@@ -38,6 +38,96 @@ def check_number(value, key: str, kind: type):
     return kind(value)
 
 
+def check_numbers(value, key: str, kinds) -> tuple:
+    """value as a tuple of check_number results; kinds is one kind for a
+    list of any length, or one kind per entry of a list of fixed length."""
+    fixed = not isinstance(kinds, type)
+    if isinstance(value, list) and not fixed:
+        kinds = (kinds,) * len(value)
+    if not isinstance(value, list) or len(value) != len(kinds):
+        size = f" of length {len(kinds)}" if fixed else ""
+        raise ConfigError(f"{key} must be a list{size} of numbers, got {value!r}")
+    return tuple(check_number(x, key, k) for x, k in zip(value, kinds))
+
+
+def _check_type(value, key: str, kind: type):
+    if not isinstance(value, kind):
+        need = {dict: "an object", list: "a list", bool: "true or false"}[kind]
+        raise ConfigError(f"{key} must be {need}, got {value!r}")
+    return value
+
+
+def _check_choice(value, key: str, choices):
+    if value not in choices:
+        raise ConfigError(f"{key} must be one of {list(choices)}, got {value!r}")
+    return value
+
+
+_REQUIRED = object()
+
+
+class ConfigReader:
+    """One JSON config object, read field by field.
+
+    Each read names a field and its JSON type and returns its value, or
+    the default when the field is absent; a read without a default makes
+    the field required.  Nothing is coerced: integer() takes a JSON
+    integer (never a bool), number() a finite number (returned as a
+    float), numbers() a list of them, choice() one of the given strings,
+    object() any value, for the reader of that object.  close() rejects
+    every key that no read asked for, so a misspelt field is an error,
+    never a default.
+    """
+
+    def __init__(self, obj, where: str):
+        self._obj = _check_type(obj, where, dict)
+        self._where = where
+        self._seen = set()
+
+    def _get(self, key: str, default, check, arg):
+        self._seen.add(key)
+        if key in self._obj:
+            return check(self._obj[key], f"{self._where}.{key}", arg)
+        if default is _REQUIRED:
+            raise ConfigError(f"{self._where} is missing required field {key!r}")
+        return default
+
+    def integer(self, key: str, default=_REQUIRED):
+        return self._get(key, default, check_number, int)
+
+    def number(self, key: str, default=_REQUIRED):
+        return self._get(key, default, check_number, float)
+
+    def numbers(self, key: str, kinds, default=_REQUIRED):
+        return self._get(key, default, check_numbers, kinds)
+
+    def choice(self, key: str, choices, default=_REQUIRED):
+        return self._get(key, default, _check_choice, choices)
+
+    def flag(self, key: str, default=_REQUIRED):
+        return self._get(key, default, _check_type, bool)
+
+    def items(self, key: str, default=_REQUIRED):
+        return self._get(key, default, _check_type, list)
+
+    def object(self, key: str, default=_REQUIRED):
+        return self._get(key, default, lambda value, key, arg: value, None)
+
+    def objects(self, key: str):
+        """A reader for each object of a list field, closed once the
+        caller moves past it."""
+        for i, item in enumerate(self.items(key)):
+            reader = ConfigReader(item, f"{self._where}.{key}[{i}]")
+            yield reader
+            reader.close()
+
+    def close(self) -> None:
+        unknown = sorted(self._obj.keys() - self._seen)
+        if unknown:
+            raise ConfigError(f"{self._where} has unknown field(s) {unknown}; "
+                              f"it reads only {sorted(self._seen)}")
+
+
 # geometry
 
 class OverlappingScatterersError(LeakyBilliardsError):
@@ -69,7 +159,9 @@ class NearTangencyError(LeakyBilliardsError):
 
 
 class NoCollisionError(LeakyBilliardsError):
-    """A ray exceeded the search reach without hitting a scatterer."""
+    """A ray met no scatterer image that the search scans (see
+    geometry.first_hit_batch); a flight merely longer than the reach
+    does not raise."""
 
     code = "billiard.no_collision"
 

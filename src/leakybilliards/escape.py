@@ -361,7 +361,7 @@ class SweepRow:
 
 def small_hole_sweep(table, anchor, h_list, density, n_particles: int,
                      n_max: int, window, measure_step: int, r_bins: int,
-                     phi_bins: int, master_seed: int, kind: str | None = None,
+                     phi_bins: int, master_seed: int, kind: str,
                      offset: float = 0.0, convention: str = "arrival",
                      threads: int = 1, min_tail: int = 100):
     """Escape rate and survivor-measure drift across a shrinking family.

@@ -14,8 +14,9 @@ images projects densely onto the normal line.  A direction (p, q) with
 sqrt(p^2+q^2) >= 1/(2*r_max) is blocked by the widest scatterer alone,
 so sweeping the finitely many rational directions below that cutoff
 decides horizon finiteness.  The flight bound L_max is then estimated
-by dense ray casting and padded, and every collision the package ever
-computes is checked against it.
+by dense ray casting and padded.  It is an estimate, not a proof: it is
+the reach of the first-hit search, and first_hit_batch says what
+happens to a flight longer than it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import (
     BadScattererIdError,
-    ConfigError,
+    ConfigReader,
     InfiniteHorizonError,
     InvalidArgumentError,
     OverlappingScatterersError,
@@ -310,17 +311,22 @@ def first_hit_batch(table: Table, p0, v, skip_sid, reach=None):
     Returns
     -------
     t, sid, offset, grazed
-        Flight lengths (inf where nothing was hit within reach),
-        scatterer ids (-1 for no hit), integer image offsets (N,2), and
-        a flag for rays passing within GRAZE_TOLERANCE of a circle they
-        did not hit, ahead of the accepted hit.
+        Flight lengths (inf for no hit, see below), scatterer ids (-1
+        for no hit), integer image offsets (N,2), and a flag for rays
+        passing within GRAZE_TOLERANCE of a circle they did not hit,
+        ahead of the accepted hit.
 
     Each ray is tested only against its row of
     Table.sector_candidates(reach), which holds every image a ray from
     its departure disk in its direction sector can meet within reach.
     The per-candidate arithmetic is the full scan's, so every ray with a
-    hit at t <= reach gets the same bits; the others are re-run through
-    the full scan.
+    hit at t <= reach gets the same bits.  A ray with no hit within
+    reach is re-run through _full_scan, which returns its first hit
+    among image_candidates(reach) even when that hit lies past reach,
+    and collide_batch accepts it.  Past reach that hit need not be the
+    nearest, since images whose distance lower bound exceeds reach are
+    never scanned.  Only a ray that meets none of those images gets
+    t = inf and sid = -1.
     """
     p0 = np.atleast_2d(np.asarray(p0, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
@@ -572,39 +578,20 @@ def finite_horizon_probe(
     )
 
 
-def validate_table(
-    scatterers,
-    q_max: int = 8,
-    n_rays: int = 1_000_000,
-    length_budget: float = 8.0,
-    seed: int = 20260817,
-) -> Table:
+def validate_table(scatterers, n_rays: int = 1_000_000) -> Table:
     """Build a Table, check disjointness, and attach a horizon certificate."""
     table = Table(scatterers)
-    table.certificate = finite_horizon_probe(
-        table, q_max=q_max, n_rays=n_rays, length_budget=length_budget, seed=seed
-    )
+    table.certificate = finite_horizon_probe(table, n_rays=n_rays)
     return table
 
 
-def table_to_json(table: Table) -> dict:
-    return {
-        "scatterers": [
-            {"center": [s.center[0], s.center[1]], "radius": s.radius}
-            for s in table.scatterers
-        ]
-    }
-
-
-def table_from_json(obj, **validate_kwargs) -> Table:
-    try:
-        scatterers = [
-            Scatterer((float(s["center"][0]), float(s["center"][1])), float(s["radius"]))
-            for s in obj["scatterers"]
-        ]
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ConfigError(f"malformed table spec: {exc}") from exc
-    return validate_table(scatterers, **validate_kwargs)
+def table_from_json(obj) -> Table:
+    """Read a table's scatterers, then validate and certify the table."""
+    f = ConfigReader(obj, "table")
+    scatterers = [Scatterer(s.numbers("center", (float, float)), s.number("radius"))
+                  for s in f.objects("scatterers")]
+    f.close()
+    return validate_table(scatterers)
 
 
 @lru_cache(maxsize=1)

@@ -25,7 +25,6 @@ from . import billiard_map as _bmap
 from . import geometry as _geo
 from .errors import (
     BadScattererIdError,
-    ConfigError,
     HoleTooLargeError,
     HoleTouchesScattererError,
     InvalidArgumentError,
@@ -110,24 +109,22 @@ def _require_clearance(table, center, radius):
                 )
 
 
-def hole_family(table, q0, h: float, offset: float = 0.0,
-                kind: str | None = None) -> HoleSpec:
+def hole_family(table, q0, h: float, offset: float = 0.0, *,
+                kind: str) -> HoleSpec:
     """Concrete hole inside the h-neighborhood of the anchor q0.
 
-    q0 = (scatterer_id, r) generates a Type I arc centered at r+offset
-    with half-width h-|offset|; q0 = (x, y) generates a Type II disk at
-    (x+offset, y) with radius h-|offset|.  Either way the hole nests
-    inside the h-neighborhood of the anchor, so letting h shrink gives
-    the shrinking families the estimators sweep over.  kind ("I"/"II")
-    overrides the inference from the anchor's first slot.
+    kind "I" reads q0 = (scatterer_id, r) and generates an arc centered
+    at r+offset with half-width h-|offset|; kind "II" reads q0 = (x, y)
+    and generates a disk at (x+offset, y) with radius h-|offset|.  Either
+    way the hole nests inside the h-neighborhood of the anchor, so
+    letting h shrink gives the shrinking families the estimators sweep
+    over.  kind is never inferred: (0, 0.5) is an anchor of either kind.
     """
     if not h > 0:
         raise InvalidArgumentError("h must be positive")
     if abs(offset) >= h:
         raise HoleTooLargeError(f"|offset|={abs(offset)} leaves no room inside h={h}")
     half = h - abs(offset)
-    if kind is None:
-        kind = "I" if _is_boundary_anchor(q0) else "II"
     if kind not in ("I", "II"):
         raise InvalidArgumentError(f"unknown hole kind {kind!r}")
     if kind == "I":
@@ -151,11 +148,6 @@ def hole_family(table, q0, h: float, offset: float = 0.0,
     return hole
 
 
-def _is_boundary_anchor(q0) -> bool:
-    # boundary anchors are (scatterer_id, r) with an integral first slot
-    return float(q0[0]) == int(q0[0]) and isinstance(q0[0], (int, np.integer))
-
-
 def arc_contains(hole: HoleSpec, table, sid, r):
     """Vectorized open-arc membership for arrival coordinates."""
     a, b = hole.arc
@@ -167,12 +159,12 @@ def arc_contains(hole: HoleSpec, table, sid, r):
     return on & ((r > a) | (r < b))
 
 
-def hole_image_offsets(table, hole: HoleSpec, reach: float | None = None):
-    """Integer translates of a Type II hole reachable by one flight."""
-    if reach is None:
-        if table.certificate is None:
-            raise InvalidArgumentError("table has no horizon certificate; pass reach")
-        reach = table.certificate.l_max
+def hole_image_offsets(table, hole: HoleSpec):
+    """Integer translates of a Type II hole that a flight of length at most
+    the certificate's l_max can cross."""
+    if table.certificate is None:
+        raise InvalidArgumentError("table has no horizon certificate")
+    reach = table.certificate.l_max
     d0 = math.sqrt(0.5) + float(table.radii.max())
     kmax = int(math.ceil(reach + hole.radius + d0 + 1.0))
     cx, cy = hole.center
@@ -274,30 +266,3 @@ def in_B_sigma(table, hole: HoleSpec, x: _bmap.PhasePoint) -> bool:
     if batch.censored[0]:
         raise NearTangencyError("pre-escape membership undecidable: flight censored")
     return bool(arrival_escape_mask(table, hole, batch)[0])
-
-
-def hole_to_json(hole: HoleSpec) -> dict:
-    if hole.kind == "I":
-        return {
-            "type": "I",
-            "scatterer": int(hole.scatterer_id),
-            "arc": [float(hole.arc[0]), float(hole.arc[1])],
-        }
-    return {"type": "II", "center": [float(hole.center[0]), float(hole.center[1])],
-            "radius": float(hole.radius)}
-
-
-def hole_from_json(table, obj) -> HoleSpec:
-    try:
-        kind = obj["type"]
-        if kind == "I":
-            return type_i_hole(table, int(obj["scatterer"]),
-                               float(obj["arc"][0]), float(obj["arc"][1]))
-        if kind == "II":
-            return type_ii_hole(
-                table, (float(obj["center"][0]), float(obj["center"][1])),
-                float(obj["radius"]),
-            )
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise ConfigError(f"malformed hole spec: {exc}") from exc
-    raise ConfigError(f"unknown hole type {obj.get('type')!r}")

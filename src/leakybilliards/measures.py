@@ -20,11 +20,13 @@ import numpy as np
 
 from . import open_dynamics as _od
 from .errors import (
-    ConfigError,
+    ConfigReader,
     EmptySurvivorSetError,
     GridMismatchError,
     InvalidArgumentError,
 )
+
+DENSITY_KINDS = ("nu", "arc_cosine", "angle_ramp")
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,7 @@ class DensitySpec:
     phase: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("nu", "arc_cosine", "angle_ramp"):
+        if self.kind not in DENSITY_KINDS:
             raise InvalidArgumentError(f"unknown density kind {self.kind!r}")
         if self.kind != "nu" and not abs(self.amp) < 1.0:
             raise InvalidArgumentError("need |amp| < 1 for a positive density")
@@ -64,18 +66,11 @@ class DensitySpec:
 
 
 def density_from_json(obj) -> DensitySpec:
-    try:
-        return DensitySpec(
-            kind=obj.get("kind", "nu"),
-            amp=float(obj.get("amp", 0.0)),
-            phase=float(obj.get("phase", 0.0)),
-        )
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise ConfigError(f"malformed density spec: {exc}") from exc
-
-
-def density_to_json(spec: DensitySpec) -> dict:
-    return {"kind": spec.kind, "amp": float(spec.amp), "phase": float(spec.phase)}
+    f = ConfigReader(obj, "density")
+    spec = DensitySpec(kind=f.choice("kind", DENSITY_KINDS, "nu"),
+                       amp=f.number("amp", 0.0), phase=f.number("phase", 0.0))
+    f.close()
+    return spec
 
 
 def sample_nu(table, n: int, rng):

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     BadTailError,
     ConfigError,
+    ConfigReader,
     DepthExhaustedError,
     HoleTooBigError,
     InvalidArgumentError,
@@ -39,7 +40,7 @@ from .errors import (
     NotMixingError,
     NotStabilizedError,
     ReducibleSurvivingGraphError,
-    check_number,
+    check_numbers,
 )
 
 _TAIL_TOL = 1e-12
@@ -1024,64 +1025,33 @@ def tail_mass_check(tower: Tower, h: TowerFunction | None = None,
 # -- serialization -------------------------------------------------------------
 
 
-def tower_spec_to_json(spec: TowerSpec) -> dict:
-    cells = []
-    for c in spec.columns:
-        entry = {"mass": float(c.mass), "return": int(c.return_time)}
-        if c.target is not None:
-            entry["target"] = [int(j) for j in c.target]
-        if c.jacobian is not None:
-            entry["jacobian"] = float(c.jacobian)
-        cells.append(entry)
-    out = {
-        "levels": [{"cells": cells}],
-        "hole": sorted([int(l), int(j)] for l, j in spec.holes),
-        "beta": float(spec.beta),
-        "C0": float(spec.c0),
-        "theta0": float(spec.theta0),
-        "C1": float(spec.c1),
-    }
-    if spec.l_trunc is not None:
-        out["L_trunc"] = int(spec.l_trunc)
-    return out
-
-
 def tower_spec_from_json(obj) -> TowerSpec:
-    try:
-        levels = obj["levels"]
-        if len(levels) != 1:
-            raise ConfigError(
-                "tower JSON carries exactly one levels entry (the base); "
-                f"got {len(levels)}"
-            )
-        num = check_number
-        cols = []
-        for c in levels[0]["cells"]:
-            cols.append(TowerColumn(
-                mass=num(c["mass"], "mass", float),
-                return_time=num(c["return"], "return", int),
-                target=(tuple(num(j, "target", int) for j in c["target"])
-                        if "target" in c else None),
-                jacobian=(num(c["jacobian"], "jacobian", float)
-                          if "jacobian" in c else None),
-            ))
-        return TowerSpec(
-            columns=tuple(cols),
-            beta=num(obj["beta"], "beta", float),
-            c0=num(obj["C0"], "C0", float),
-            theta0=num(obj["theta0"], "theta0", float),
-            holes=frozenset(
-                (num(l, "hole", int), num(j, "hole", int))
-                for l, j in obj.get("hole", [])
-            ),
-            c1=num(obj.get("C1", 0.0), "C1", float),
-            l_trunc=(num(obj["L_trunc"], "L_trunc", int)
-                     if "L_trunc" in obj else None),
+    """Read a tower spec: one base level of cells plus the tower constants."""
+    f = ConfigReader(obj, "tower")
+    levels = f.items("levels")
+    if len(levels) != 1:
+        raise ConfigError(
+            "tower JSON carries exactly one levels entry (the base); "
+            f"got {len(levels)}"
         )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"malformed tower spec: {exc}") from exc
+    level = ConfigReader(levels[0], "tower.levels[0]")
+    cols = tuple(TowerColumn(mass=c.number("mass"), return_time=c.integer("return"),
+                             target=c.numbers("target", int, None),
+                             jacobian=c.number("jacobian", None))
+                 for c in level.objects("cells"))
+    level.close()
+    spec = TowerSpec(
+        columns=cols,
+        beta=f.number("beta"),
+        c0=f.number("C0"),
+        theta0=f.number("theta0"),
+        holes=frozenset(check_numbers(cell, "tower.hole", (int, int))
+                        for cell in f.items("hole", [])),
+        c1=f.number("C1", 0.0),
+        l_trunc=f.integer("L_trunc", None),
+    )
+    f.close()
+    return spec
 
 
 def golden_tower_spec() -> TowerSpec:

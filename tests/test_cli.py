@@ -448,3 +448,109 @@ def test_module_entry_point_stderr_is_one_json_line(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert json.loads(lines[0])["error"] == "config.invalid"
+
+
+def test_explicit_hole_reader(table):
+    from leakybilliards import holes
+    from leakybilliards.errors import ConfigReader
+
+    def read(obj):
+        cfg = ConfigReader({"hole": obj}, "config")
+        make = cli._read_hole(cfg)
+        cfg.close()
+        return make
+
+    assert read({"type": "I", "scatterer": 1, "arc": [0.9, 0.1]})(table) \
+        == holes.type_i_hole(table, 1, 0.9, 0.1)
+    assert read({"type": "II", "center": [0.5, 0.0], "radius": 0.05})(table) \
+        == holes.type_ii_hole(table, (0.5, 0.0), 0.05)
+    assert read(None) is None
+    for obj in ({"type": "III"}, {"type": "I", "scatterer": 0},
+                {"type": "II", "center": [0.5], "radius": 0.05}, [0, 0.3]):
+        with pytest.raises(ConfigError):
+            read(obj)
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Stops every table build at its horizon probe, and counts the stops;
+    the default table is built afresh, not taken from the process cache."""
+    from leakybilliards import geometry
+
+    calls = []
+
+    def probe(*args, **kwargs):
+        calls.append(1)
+        raise RuntimeError("horizon probe reached")
+
+    monkeypatch.setattr(geometry, "finite_horizon_probe", probe)
+    monkeypatch.setattr(geometry, "_default_table_cached",
+                        geometry._default_table_cached.__wrapped__)
+    return calls
+
+
+# configs that ran to exit 0 computing something other than what they
+# name, when each field was read by a bare float()/int() or not at all
+MISREAD_HOLES = {
+    "scatterer": {"type": "I", "scatterer": 0.9, "arc": [0.2, 0.3]},
+    "radius": {"type": "II", "center": [0.5, 0.0], "radius": "0.05"},
+    "anchor": {"kind": "I", "anchor": [0.7, 0.3], "h": 0.1},
+    "type": {"kind": "I", "anchor": [0, 0.3], "h": 0.1, "type": "II"},
+}
+
+
+@pytest.mark.parametrize("sub,path,value,named", [
+    ("escape-rate", "density", {"kind": "arc_cosine", "amp": "0.5"}, "amp"),
+    ("escape-rate", "density", {"kind": "arc_cosine", "amplitude": 0.5},
+     "amplitude"),
+    ("escape-rate", "hole", MISREAD_HOLES["scatterer"], "scatterer"),
+    ("escape-rate", "hole", MISREAD_HOLES["radius"], "radius"),
+    ("escape-rate", "hole", MISREAD_HOLES["anchor"], "anchor"),
+    ("escape-rate", "hole.anchor", [0, "0.3"], "anchor"),
+    ("escape-rate", "hole", MISREAD_HOLES["type"], "type"),
+    ("escape-rate", "table.scatterers.0.center", ["0.0", 0.0], "center"),
+    ("escape-rate", "table.scatterers.1.radius", "0.2", "radius"),
+    ("escape-rate", "estimater", "fleming-viot", "estimater"),
+    ("escape-rate", "seed", True, "seed"),
+    ("escape-rate", "threads", True, "threads"),
+    ("tower-eig", "tower.c1", 5.0, "c1"),
+])
+def test_config_misreads_are_rejected(tmp_path, capsys, probes, sub, path,
+                                      value, named):
+    cfg = BASE_CFGS[sub] if sub == "tower-eig" else dict(BASE_CFGS[sub], table=TABLE)
+    cfg = json.loads(json.dumps(cfg))
+    *parents, key = path.split(".")
+    obj = cfg
+    for name in parents:
+        obj = obj[int(name) if isinstance(obj, list) else name]
+    obj[key] = value
+    code, _ = run(tmp_path, sub, cfg)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config.invalid"
+    assert named in err["message"]
+    assert probes == []
+
+
+@pytest.mark.parametrize("name,sub", [
+    ("escape_default", "escape-rate"),
+    ("sweep_type1", "small-hole-sweep"),
+    ("tower_golden", "tower-eig"),
+    ("tower_golden", "tower-bound"),
+])
+def test_shipped_configs_load(tmp_path, capsys, probes, name, sub):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        f"{name}.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    code = cli.main([sub, "--config", path, "--out", str(out)])
+    if sub.startswith("tower-"):
+        # no table: the whole run is cheap
+        assert code == 0
+        assert (out / "results.json").exists()
+    else:
+        # every field was read and accepted; the run stopped at the probe
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert "horizon probe reached" in err["message"]
+        assert probes == [1]

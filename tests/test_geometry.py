@@ -85,11 +85,22 @@ def test_overlap_across_torus_edge():
 
 
 def test_table_json_roundtrip(table):
-    obj = geometry.table_to_json(table)
+    obj = {"scatterers": [{"center": list(s.center), "radius": s.radius}
+                          for s in table.scatterers]}
     clone = geometry.table_from_json(json.loads(json.dumps(obj)))
     assert len(clone) == len(table)
     for a, b in zip(clone.scatterers, table.scatterers):
         assert a.center == b.center and a.radius == b.radius
+    # a string, a bool or a misspelt key is an error, never coerced or ignored
+    for bad in (
+        {"scatterers": [{"center": ["0.0", 0.0], "radius": 0.4}]},
+        {"scatterers": [{"center": [0.0, 0.0], "radius": True}]},
+        {"scatterers": [{"center": [0.0, 0.0], "radius": 0.4, "radus": 0.2}]},
+        {"scatterers": [{"center": [0.0, 0.0], "radius": 0.4}], "scale": 2},
+        {"scatterers": {"center": [0.0, 0.0], "radius": 0.4}},
+    ):
+        with pytest.raises(ConfigError):
+            geometry.table_from_json(bad)
 
 
 def test_table_json_malformed():

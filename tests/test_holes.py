@@ -6,7 +6,6 @@ import pytest
 from leakybilliards import billiard_map as bmap
 from leakybilliards import holes, measures
 from leakybilliards.errors import (
-    ConfigError,
     HoleTooLargeError,
     HoleTouchesScattererError,
     InvalidArgumentError,
@@ -98,31 +97,31 @@ def test_pre_escape_set_is_hole_pullback(table, nu_states):
 
 
 def test_hole_family_boundary_anchor(table):
-    hole = holes.hole_family(table, (0, 0.3), 0.05)
+    hole = holes.hole_family(table, (0, 0.3), 0.05, kind="I")
     assert hole.kind == "I"
     assert math.isclose(hole.arc_length(table), 0.1, rel_tol=1e-12)
     a, b = hole.arc
     assert math.isclose(a, 0.25, abs_tol=1e-12)
     assert math.isclose(b, 0.35, abs_tol=1e-12)
 
-    shifted = holes.hole_family(table, (0, 0.3), 0.05, offset=0.02)
+    shifted = holes.hole_family(table, (0, 0.3), 0.05, offset=0.02, kind="I")
     assert math.isclose(shifted.arc_length(table), 0.06, rel_tol=1e-12)
     assert math.isclose(shifted.arc[0], 0.29, abs_tol=1e-12)
 
 
 def test_hole_family_point_anchor(table):
-    hole = holes.hole_family(table, (0.5, 0.0), 0.05)
+    hole = holes.hole_family(table, (0.5, 0.0), 0.05, kind="II")
     assert hole.kind == "II"
     assert hole.center == (0.5, 0.0)
     assert hole.radius == 0.05
-    shifted = holes.hole_family(table, (0.5, 0.0), 0.05, offset=-0.01)
+    shifted = holes.hole_family(table, (0.5, 0.0), 0.05, offset=-0.01, kind="II")
     assert hole.radius > shifted.radius
 
 
 def test_hole_family_nests(table):
     # smaller h gives an arc strictly inside the bigger one
-    big = holes.hole_family(table, (0, 0.3), 0.08)
-    small = holes.hole_family(table, (0, 0.3), 0.02)
+    big = holes.hole_family(table, (0, 0.3), 0.08, kind="I")
+    small = holes.hole_family(table, (0, 0.3), 0.02, kind="I")
     rs = np.linspace(small.arc[0] + 1e-9, small.arc[1] - 1e-9, 50)
     assert holes.arc_contains(small, table, np.zeros(50, int), rs).all()
     assert holes.arc_contains(big, table, np.zeros(50, int), rs).all()
@@ -130,14 +129,14 @@ def test_hole_family_nests(table):
 
 def test_hole_family_rejects_bad_inputs(table):
     with pytest.raises(HoleTooLargeError):
-        holes.hole_family(table, (0, 0.3), 0.05, offset=0.05)
+        holes.hole_family(table, (0, 0.3), 0.05, offset=0.05, kind="I")
     with pytest.raises(InvalidArgumentError):
-        holes.hole_family(table, (0, 0.3), -0.1)
+        holes.hole_family(table, (0, 0.3), -0.1, kind="I")
     with pytest.raises(ROutOfRangeError):
-        holes.hole_family(table, (0, 99.0), 0.05)
+        holes.hole_family(table, (0, 99.0), 0.05, kind="I")
     with pytest.raises(HoleTooLargeError):
         # arc length 1.4 exceeds the small scatterer's perimeter
-        holes.hole_family(table, (1, 0.3), 0.7)
+        holes.hole_family(table, (1, 0.3), 0.7, kind="I")
     with pytest.raises(InvalidArgumentError):
         # endpoints that wrap onto each other leave a degenerate arc
         holes.type_i_hole(table, 0, 0.0, 2 * math.pi * 0.4)
@@ -151,19 +150,6 @@ def test_type_ii_clearance(table):
     # clearance must also respect periodic images
     with pytest.raises(HoleTouchesScattererError):
         holes.type_ii_hole(table, (0.99, 0.0), 0.1)
-
-
-def test_hole_json_roundtrip(table):
-    for hole in (
-        holes.type_i_hole(table, 1, 0.9, 0.1),
-        holes.type_ii_hole(table, (0.5, 0.0), 0.05),
-    ):
-        back = holes.hole_from_json(table, holes.hole_to_json(hole))
-        assert back == hole
-    with pytest.raises(ConfigError):
-        holes.hole_from_json(table, {"type": "III"})
-    with pytest.raises(ConfigError):
-        holes.hole_from_json(table, {"type": "I", "scatterer": 0})
 
 
 def test_image_offsets_cover_observed_escapes(table, nu_states):

@@ -55,9 +55,19 @@ def test_density_json_roundtrip():
         measures.DensitySpec(kind="arc_cosine", amp=0.4, phase=0.2),
         measures.DensitySpec(kind="angle_ramp", amp=-0.2),
     ):
-        assert measures.density_from_json(measures.density_to_json(spec)) == spec
-    with pytest.raises(ConfigError):
-        measures.density_from_json({"kind": "nu", "amp": "lots"})
+        obj = {"kind": spec.kind, "amp": spec.amp, "phase": spec.phase}
+        assert measures.density_from_json(obj) == spec
+    assert measures.density_from_json({}) == measures.DensitySpec()
+    for bad in (
+        {"kind": "nu", "amp": "lots"},
+        {"kind": "arc_cosine", "amp": "0.5"},
+        {"kind": "arc_cosine", "amplitude": 0.5},
+        {"kind": "angle_ramp", "amp": 0.2, "phase": True},
+        {"kind": 1},
+        ["nu"],
+    ):
+        with pytest.raises(ConfigError):
+            measures.density_from_json(bad)
 
 
 def test_nu_measure_grid(table):

@@ -66,8 +66,8 @@ def test_nested_holes_couple_monotonically(table):
     # same randomness, nested holes: the smaller hole's survivor set
     # contains the bigger hole's at every step
     sid, r, phi = _sample(table, 4000, "nest")
-    big = holes.hole_family(table, (0, 0.3), 0.08)
-    small = holes.hole_family(table, (0, 0.3), 0.02)
+    big = holes.hole_family(table, (0, 0.3), 0.08, kind="I")
+    small = holes.hole_family(table, (0, 0.3), 0.02, kind="I")
     res_b = open_dynamics.evolve_ensemble(table, big, sid, r, phi, 30)
     res_s = open_dynamics.evolve_ensemble(table, small, sid, r, phi, 30)
     assert np.all(res_s.survivors >= res_b.survivors)

@@ -606,13 +606,38 @@ def test_markov_oracle_guards():
 
 
 def test_tower_json_roundtrip():
+    def to_json(spec):
+        cells = []
+        for c in spec.columns:
+            cell = {"mass": float(c.mass), "return": int(c.return_time)}
+            if c.target is not None:
+                cell["target"] = [int(j) for j in c.target]
+            if c.jacobian is not None:
+                cell["jacobian"] = float(c.jacobian)
+            cells.append(cell)
+        obj = {"levels": [{"cells": cells}],
+               "hole": sorted([int(l), int(j)] for l, j in spec.holes),
+               "beta": float(spec.beta), "C0": float(spec.c0),
+               "theta0": float(spec.theta0), "C1": float(spec.c1)}
+        if spec.l_trunc is not None:
+            obj["L_trunc"] = int(spec.l_trunc)
+        return obj
+
     for spec in (
         tower.golden_tower_spec(),
         geometric_tail_spec(),
         tower.random_tower_spec(np.random.default_rng(41)),
     ):
-        back = tower.tower_spec_from_json(tower.tower_spec_to_json(spec))
+        back = tower.tower_spec_from_json(to_json(spec))
         assert back == spec
+    golden = to_json(tower.golden_tower_spec())
+    # a misspelt key is an error, not its default (C1 = 0 here)
+    for where, key in ((golden, "c1"), (golden["levels"][0], "depth"),
+                       (golden["levels"][0]["cells"][0], "retrun")):
+        where[key] = 5.0
+        with pytest.raises(ConfigError, match=key):
+            tower.tower_spec_from_json(golden)
+        del where[key]
     with pytest.raises(ConfigError):
         tower.tower_spec_from_json({"beta": 0.8})
     with pytest.raises(ConfigError):
