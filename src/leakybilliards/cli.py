@@ -228,7 +228,9 @@ def run_experiment(subcommand: str, cfg: dict) -> RunArtifact:
     seed = f.integer("seed", 0)
     if seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
-    threads = f.integer("threads", _od.default_threads())
+    threads = f.integer("threads", None)
+    if threads is None:
+        threads = _od.default_threads()
     if threads < 1:
         raise ConfigError("threads must be a positive integer")
     chash = config_hash(cfg)
@@ -270,7 +272,7 @@ def _run_validate_geometry(cfg, seed, threads, base, meta):
         base.update({
             "l_max": cert.l_max,
             "q_checked": cert.q_checked,
-            "rays_cast": cert.rays_cast,
+            "intervals_tested": cert.intervals_tested,
         })
     return RunArtifact(base)
 

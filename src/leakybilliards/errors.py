@@ -161,7 +161,8 @@ class NearTangencyError(LeakyBilliardsError):
 class NoCollisionError(LeakyBilliardsError):
     """A ray met no scatterer image that the search scans (see
     geometry.first_hit_batch); a flight merely longer than the reach
-    does not raise."""
+    does not raise.  On a table with a horizon certificate only a
+    grazing ray can fly past l_max, so this marks a broken invariant."""
 
     code = "billiard.no_collision"
 

@@ -13,10 +13,11 @@ direction, because for irrational directions the lattice of scatterer
 images projects densely onto the normal line.  A direction (p, q) with
 sqrt(p^2+q^2) >= 1/(2*r_max) is blocked by the widest scatterer alone,
 so sweeping the finitely many rational directions below that cutoff
-decides horizon finiteness.  The flight bound L_max is then estimated
-by dense ray casting and padded.  It is an estimate, not a proof: it is
-the reach of the first-hit search, and first_hit_batch says what
-happens to a flight longer than it.
+decides horizon finiteness.  The flight bound L_max is then proven by
+branch and bound over direction intervals (finite_horizon_probe): every
+ray leaving a scatterer hits an image within L_max unless it grazes one.
+L_max is the reach of the first-hit search; first_hit_batch says what
+happens to a grazing ray that flies past it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .errors import (
     OverlappingScatterersError,
     ROutOfRangeError,
 )
-from .streams import stream
 
 # impact parameters within this band of a scatterer radius mark the ray
 # as grazing; the collision search refuses to resolve which side of the
@@ -57,8 +57,18 @@ N_SECTORS = 32
 _SECTOR_PAD = 1e-9
 _SECTOR_MARGIN = 1e-6
 
-# rays per first_hit_batch call in the horizon probe
-_PROBE_CHUNK = 65536
+# flagged rays per block of the exact graze recheck
+_GRAZE_BLOCK = 4096
+
+# the flight-bound certificate: initial direction intervals per
+# scatterer, bisection depth before the bound is raised, the bound's
+# margin over the longest flight at the interval centers, bisection
+# steps for the cover interval ends, and their rounding margin
+_N_DIRECTIONS = 64
+_MAX_DEPTH = 10
+_BOUND_MARGIN = 0.002
+_BISECT_STEPS = 40
+_COVER_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -86,16 +96,16 @@ class TablePoint:
 class HorizonCertificate:
     """Outcome of a successful finite-horizon probe.
 
-    l_max bounds every free flight in the table (padded estimate from
-    ray casting); q_checked is the direction sweep range actually used,
-    always large enough to make the corridor test a complete decision
-    procedure.
+    l_max is a proven bound on every free flight in the table that does
+    not graze a scatterer; q_checked is the direction sweep range
+    actually used, always large enough to make the corridor test a
+    complete decision procedure; intervals_tested counts the direction
+    intervals the proof of l_max tested.
     """
 
     l_max: float
     q_checked: int
-    rays_cast: int
-    longest_observed: float
+    intervals_tested: int
 
 
 class Table:
@@ -326,7 +336,9 @@ def first_hit_batch(table: Table, p0, v, skip_sid, reach=None):
     and collide_batch accepts it.  Past reach that hit need not be the
     nearest, since images whose distance lower bound exceeds reach are
     never scanned.  Only a ray that meets none of those images gets
-    t = inf and sid = -1.
+    t = inf and sid = -1.  At the certificate's l_max, a ray leaving its
+    disk gets no hit within reach only if it grazes an image; any other
+    such ray (one aimed into its own disk, say) is outside the proof.
     """
     p0 = np.atleast_2d(np.asarray(p0, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
@@ -458,28 +470,30 @@ def _full_scan(table, p0, v, skip_sid, reach):
 
 
 def _graze_recheck(table, p0, v, best_t, maybe_graze, reach):
-    """Exact grazing test of the pre-screened rays over every image."""
+    """Exact grazing test of the pre-screened rays over every image.
+
+    A flagged ray grazes if it has no hit, or if it passes within
+    GRAZE_TOLERANCE of an image's circle at a closest approach strictly
+    between _T_EPS and its hit (the hit's own chord midpoint lies beyond
+    it).  Flagged rays are tested against all images at once, in blocks
+    of _GRAZE_BLOCK rays.
+    """
     offs, sids, _ = table.image_candidates(reach)
-    centers, radii = table.centers, table.radii
+    cx = table.centers[sids, 0] + offs[:, 0]
+    cy = table.centers[sids, 1] + offs[:, 1]
+    rho = table.radii[sids]
     grazed = np.zeros(len(best_t), dtype=bool)
-    for idx in np.flatnonzero(maybe_graze):
-        tb = best_t[idx]
-        if not np.isfinite(tb):
-            grazed[idx] = True
-            continue
-        for c in range(len(sids)):
-            j = sids[c]
-            rho = radii[j]
-            fx = p0[idx, 0] - (centers[j, 0] + offs[c, 0])
-            fy = p0[idx, 1] - (centers[j, 1] + offs[c, 1])
-            bq = 2.0 * (fx * v[idx, 0] + fy * v[idx, 1])
-            t_close = -0.5 * bq
-            if not (_T_EPS < t_close < tb):
-                continue  # the accepted hit's own chord midpoint lies beyond tb
-            imp2 = fx * fx + fy * fy - t_close * t_close
-            if abs(math.sqrt(max(imp2, 0.0)) - rho) < GRAZE_TOLERANCE:
-                grazed[idx] = True
-                break
+    flagged = np.flatnonzero(maybe_graze)
+    for lo in range(0, flagged.size, _GRAZE_BLOCK):
+        idx = flagged[lo:lo + _GRAZE_BLOCK]
+        tb = best_t[idx, None]
+        fx = p0[idx, 0, None] - cx
+        fy = p0[idx, 1, None] - cy
+        t_close = -0.5 * (2.0 * (fx * v[idx, 0, None] + fy * v[idx, 1, None]))
+        imp2 = fx * fx + fy * fy - t_close * t_close
+        near = np.abs(np.sqrt(np.maximum(imp2, 0.0)) - rho) < GRAZE_TOLERANCE
+        ahead = (_T_EPS < t_close) & (t_close < tb)
+        grazed[idx] = ~np.isfinite(tb[:, 0]) | np.any(near & ahead, axis=1)
     return grazed
 
 
@@ -522,27 +536,164 @@ def _corridor_witness(centers, radii, q_sweep):
     return None
 
 
-def finite_horizon_probe(
-    table: Table,
-    q_max: int = 8,
-    n_rays: int = 1_000_000,
-    length_budget: float = 8.0,
-    seed: int = 20260817,
-) -> HorizonCertificate:
-    """Certify finite horizon and bound the free flight length.
+def _lines_ahead(table, sid, theta, radius):
+    """Departure disk and the images ahead of it, per direction row.
+
+    Row k looks along u = (cos theta[k], sin theta[k]) from the unit-cell
+    disk sid[k] (center c, radius rho).  A line in direction u is named
+    by its offset x from c across u, so it meets the departure disk iff
+    |x| <= rho.  Image j (center C, radius r) enters as ahead = (C - c).u
+    and off = (C - c).n, where n is u turned by +90 degrees; kept are the
+    images ahead (ahead > 0) whose shadow |x - off| < r meets the
+    departure disk's and whose disk comes within radius of it.  The own
+    (0,0) image is left out.  Columns are packed into one width K;
+    valid marks the real ones.  Returns (rho (N,1), ahead, off, r,
+    valid), each (N,K) but rho.
+    """
+    offs, ids, _ = table.image_candidates(radius)
+    cx = table.centers[ids, 0] + offs[:, 0]
+    cy = table.centers[ids, 1] + offs[:, 1]
+    rho = table.radii[sid][:, None]
+    ux, uy = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    dx = cx - table.centers[sid, 0][:, None]
+    dy = cy - table.centers[sid, 1][:, None]
+    ahead = dx * ux + dy * uy
+    off = dy * ux - dx * uy
+    r = table.radii[ids]
+    own = (ids == sid[:, None]) & (offs[:, 0] == 0.0) & (offs[:, 1] == 0.0)
+    keep = ((ahead > 0.0) & (np.abs(off) < rho + r) & ~own
+            & (np.hypot(dx, dy) - rho - r <= radius))
+    cols = np.argsort(~keep, axis=1, kind="stable")[:, :max(int(keep.sum(axis=1).max()), 1)]
+    ahead, off, valid = (np.take_along_axis(a, cols, axis=1) for a in (ahead, off, keep))
+    return rho, ahead, off, r[cols], valid
+
+
+def _flight(rho, ahead, off, r, x):
+    """Length of the line x from its exit off the departure disk to its
+    entry into the image: a convex function of x where both are met."""
+    return (ahead - np.sqrt(np.maximum(r * r - (x - off) ** 2, 0.0))
+            - np.sqrt(np.maximum(rho * rho - x * x, 0.0)))
+
+
+def _longest_flight(rho, ahead, off, r, valid):
+    """Longest flight over the lines of each row, inf if a line meets no
+    listed image.
+
+    Disjoint disks are never entered at the same point, so along x the
+    first hit switches images only where a shadow starts or ends; between
+    such breakpoints it follows one convex _flight.  The longest flight
+    is therefore the largest one-sided limit at a breakpoint, which
+    includes the limit of flights just short of grazing an image.
+    """
+    lo, hi = np.where(valid, off - r, np.nan), np.where(valid, off + r, np.nan)
+    b = np.concatenate([-rho, rho, lo, hi], axis=1)[:, :, None]
+    g = _flight(rho[:, :, None], *(a[:, None, :] for a in (ahead, off, r)), b)
+    lo, hi = lo[:, None, :], hi[:, None, :]
+    left = np.where((lo < b) & (b <= hi), g, np.inf).min(axis=2)
+    right = np.where((lo <= b) & (b < hi), g, np.inf).min(axis=2)
+    b = b[:, :, 0]
+    longest = np.maximum(np.where((-rho < b) & (b <= rho), left, -np.inf),
+                         np.where((-rho <= b) & (b < rho), right, -np.inf))
+    return longest.max(axis=1)
+
+
+def _covered(rho, ahead, off, r, valid, delta, bound):
+    """The cover test of the flight-bound lemma, per direction row.
+
+    Row k stands for the directions I = [theta - delta, theta + delta]
+    around its center direction u.  Every image disk is shrunk by
+    bound*delta, and each gives the interval of lines x whose flight to
+    the shrunk disk is at most L = bound - 2*rho*delta (an interval, as
+    _flight is convex).  If these intervals cover |x| <= rho, every ray
+    leaving the departure disk in a direction of I hits an image within
+    bound, unless it grazes:
+
+    - A departure point p that is outgoing for u is the exit point of
+      its line, so p + tau*u with tau <= L lies in a shrunk disk.
+    - A point that is outgoing for some direction of I but not for u is
+      the entry point of its line, and the chord to the exit point is at
+      most 2*rho*delta long.  This is what the 2*rho*delta slack is for:
+      the point is still at most bound from the shrunk disk along u.
+    - Turning u to any direction of I moves the point at distance
+      t <= bound by at most t*delta, which the shrink absorbs, so the
+      turned ray enters the full disk by then.
+
+    The interval ends are bisected toward the inside, and a margin
+    _COVER_EPS covers rounding in _flight.
+    """
+    r = r - bound * delta[:, None] - _COVER_EPS
+    limit = bound - 2.0 * rho * delta[:, None] - _COVER_EPS
+    lo = np.maximum(off - r, -rho)
+    hi = np.minimum(off + r, rho)
+    # the closest approach of the two disks along u
+    best = np.clip(off * rho / (rho + np.maximum(r, 0.0)), lo, hi)
+    args = (rho, ahead, off, r)
+    ok = valid & (r > 0.0) & (lo <= hi) & (_flight(*args, best) <= limit)
+    outer = np.stack([lo, hi])
+    inner = np.where(_flight(*args, outer) <= limit, outer, best)
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (outer + inner)
+        inside = _flight(*args, mid) <= limit
+        inner = np.where(inside, mid, inner)
+        outer = np.where(inside, outer, mid)
+    left = np.where(ok, inner[0], np.inf)
+    right = np.where(ok, inner[1], -np.inf)
+    order = np.argsort(left, axis=1)
+    left = np.take_along_axis(left, order, axis=1)
+    reach = np.maximum.accumulate(np.take_along_axis(right, order, axis=1), axis=1)
+    before = np.concatenate([-rho, reach[:, :-1]], axis=1)
+    return np.all((left <= before) | (before >= rho), axis=1) & (reach[:, -1] >= rho[:, 0])
+
+
+def _certify_flights(table, bound, raise_bound, depth):
+    """Branch and bound over (departure scatterer, direction interval).
+
+    Starts from _N_DIRECTIONS intervals per scatterer and bisects the
+    ones that fail _covered, at most depth times.  With raise_bound, the
+    bound is first raised to (1 + _BOUND_MARGIN) times the longest
+    exact flight at the new interval centers.  An interval that passes
+    bounds its flights by the bound of its test, never more than the
+    final one.  Returns (bound, intervals tested, certified).
+    """
+    n0 = _N_DIRECTIONS
+    sid = np.repeat(np.arange(len(table)), n0)
+    theta = np.tile(-np.pi + (np.arange(n0) + 0.5) * (2.0 * np.pi / n0), len(table))
+    delta = np.full(len(sid), np.pi / n0)
+    radius = max(bound, 1.0)
+    tested = 0
+    for _ in range(depth + 1):
+        lines = _lines_ahead(table, sid, theta, radius)
+        while raise_bound:
+            longest = (1.0 + _BOUND_MARGIN) * float(_longest_flight(*lines).max())
+            if longest <= radius:
+                bound = max(bound, longest)
+                break
+            # some line may fly past every listed image: list more
+            radius = 2.0 * radius if math.isinf(longest) else max(2.0 * radius, longest)
+            lines = _lines_ahead(table, sid, theta, radius)
+        ok = _covered(*lines, delta, bound)
+        tested += len(ok)
+        if ok.all():
+            return bound, tested, True
+        sid, theta, delta = (np.repeat(a[~ok], 2) for a in (sid, theta, delta))
+        delta = 0.5 * delta
+        theta = theta + np.tile([-1.0, 1.0], len(theta) // 2) * delta
+    return bound, tested, False
+
+
+def finite_horizon_probe(table: Table, q_max: int = 8) -> HorizonCertificate:
+    """Certify finite horizon and prove a bound on the free flight.
 
     Raises InfiniteHorizonError with the witness direction if any
-    rational-direction corridor is open.  Otherwise casts n_rays
-    boundary rays (uniform arc length, cosine-law angles), checks none
-    exceeds length_budget, and returns a certificate whose l_max is the
-    longest observed flight padded by 5% plus 0.05.
+    rational-direction corridor is open.  Otherwise _certify_flights
+    proves that every ray leaving a scatterer, grazing aside, hits an
+    image within l_max.  l_max starts a little above the longest exact
+    flight at the interval centers; if the bisection still fails at its
+    depth cap, l_max is raised and the search repeated with more depth.
+    Finite horizon makes that end.
     """
     if q_max < 1:
         raise InvalidArgumentError(f"q_max must be >= 1, got {q_max}")
-    if n_rays < 1000:
-        raise InvalidArgumentError(f"n_rays must be >= 1000, got {n_rays}")
-    if length_budget <= 0:
-        raise InvalidArgumentError("length_budget must be positive")
     witness = _corridor_witness(table.centers, table.radii, q_max)
     if witness is not None:
         raise InfiniteHorizonError(
@@ -550,38 +701,20 @@ def finite_horizon_probe(
         )
     r_max = float(table.radii.max())
     q_eff = max(q_max, int(math.ceil(1.0 / (2.0 * r_max))))
-
-    rng = stream(seed, "horizon-probe")
-    u = rng.random(n_rays)
-    g = rng.random(n_rays) * table.total_perimeter
-    longest = 0.0
-    # cast in fixed chunks so the ray temporaries stay small
-    for lo in range(0, n_rays, _PROBE_CHUNK):
-        gc = g[lo:lo + _PROBE_CHUNK]
-        sid = np.searchsorted(table.cum_perimeter, gc, side="right") - 1
-        sid = np.clip(sid, 0, len(table) - 1)
-        r = gc - table.cum_perimeter[sid]
-        phi = np.arcsin(2.0 * u[lo:lo + _PROBE_CHUNK] - 1.0)
-        p0, v = rays_from_boundary(table, sid, r, phi)
-        t, hit_sid, _, _ = first_hit_batch(
-            table, p0, v, skip_sid=sid, reach=length_budget
-        )
-        if np.any(hit_sid < 0):
-            raise InvalidArgumentError(
-                "a probe ray exceeded length_budget although no corridor exists; "
-                "increase length_budget"
-            )
-        longest = max(longest, float(t.max()))
-    l_max = longest * 1.05 + 0.05
-    return HorizonCertificate(
-        l_max=l_max, q_checked=q_eff, rays_cast=int(n_rays), longest_observed=longest
-    )
+    bound, total, depth = 0.0, 0, _MAX_DEPTH
+    while True:
+        bound, tested, certified = _certify_flights(table, bound, True, depth)
+        total += tested
+        if certified:
+            return HorizonCertificate(l_max=bound, q_checked=q_eff, intervals_tested=total)
+        bound *= 1.0 + 10.0 * _BOUND_MARGIN
+        depth += 2
 
 
-def validate_table(scatterers, n_rays: int = 1_000_000) -> Table:
+def validate_table(scatterers) -> Table:
     """Build a Table, check disjointness, and attach a horizon certificate."""
     table = Table(scatterers)
-    table.certificate = finite_horizon_probe(table, n_rays=n_rays)
+    table.certificate = finite_horizon_probe(table)
     return table
 
 

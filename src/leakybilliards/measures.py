@@ -66,9 +66,13 @@ class DensitySpec:
 
 
 def density_from_json(obj) -> DensitySpec:
+    """Read a density; amp exists only for kinds other than nu and phase
+    only for arc_cosine, so a field the kind ignores is rejected."""
     f = ConfigReader(obj, "density")
-    spec = DensitySpec(kind=f.choice("kind", DENSITY_KINDS, "nu"),
-                       amp=f.number("amp", 0.0), phase=f.number("phase", 0.0))
+    kind = f.choice("kind", DENSITY_KINDS, "nu")
+    spec = DensitySpec(kind=kind,
+                       amp=f.number("amp", 0.0) if kind != "nu" else 0.0,
+                       phase=f.number("phase", 0.0) if kind == "arc_cosine" else 0.0)
     f.close()
     return spec
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import billiard_map as _bmap
 from . import holes as _holes
-from .errors import InvalidArgumentError
+from .errors import ConfigError, InvalidArgumentError
 
 CHUNK = 65536
 
@@ -37,11 +37,16 @@ ALIVE, ESCAPED, CENSORED = 0, 1, 2
 
 
 def default_threads() -> int:
-    """Worker count from LEAKY_THREADS, defaulting to 1."""
+    """Worker count from LEAKY_THREADS, defaulting to 1; anything but a
+    positive integer there is a ConfigError."""
+    value = os.environ.get("LEAKY_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("LEAKY_THREADS", "1")))
+        threads = int(value)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"LEAKY_THREADS must be a positive integer, got {value!r}")
+    return threads
 
 
 def open_step_batch(table, hole, offsets, sid, r, phi, threads: int = 1):

@@ -35,7 +35,8 @@ def test_validate_geometry(tmp_path, capsys):
     assert res["n_scatterers"] == 2
     assert math.isclose(res["total_perimeter"], 2 * math.pi * 0.6,
                         rel_tol=1e-12)
-    assert math.isclose(res["l_max"], 1.6314900802675691, rel_tol=1e-9)
+    assert math.isclose(res["l_max"], 1.5095308362599174, rel_tol=1e-9)
+    assert res["intervals_tested"] == 624
     assert res["master_seed"] == 1
     assert len(res["config_hash"]) == 64
     paths = capsys.readouterr().out.strip().splitlines()
@@ -250,6 +251,19 @@ def test_config_hash_ignores_threads():
     cfg = {"seed": 1, "n_particles": 100}
     assert cli.config_hash(cfg) == cli.config_hash(dict(cfg, threads=8))
     assert cli.config_hash(cfg) != cli.config_hash(dict(cfg, seed=2))
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_bad_leaky_threads_is_a_config_error(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("LEAKY_THREADS", value)
+    code, _ = run(tmp_path, "validate-geometry", {"seed": 1})
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config.invalid"
+    assert "LEAKY_THREADS" in err["message"]
+    # the variable only sets a default: a config naming threads ignores it
+    code, _ = run(tmp_path, "validate-geometry", {"seed": 1, "threads": 2})
+    assert code == 0
 
 
 def test_config_rejects_non_canonical(tmp_path):
@@ -514,6 +528,9 @@ MISREAD_HOLES = {
     ("escape-rate", "seed", True, "seed"),
     ("escape-rate", "threads", True, "threads"),
     ("tower-eig", "tower.c1", 5.0, "c1"),
+    # fields the density's kind does not use
+    ("escape-rate", "density", {"kind": "nu", "amp": 0.5}, "amp"),
+    ("escape-rate", "density", {"kind": "angle_ramp", "phase": 2.0}, "phase"),
 ])
 def test_config_misreads_are_rejected(tmp_path, capsys, probes, sub, path,
                                       value, named):

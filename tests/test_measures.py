@@ -55,7 +55,12 @@ def test_density_json_roundtrip():
         measures.DensitySpec(kind="arc_cosine", amp=0.4, phase=0.2),
         measures.DensitySpec(kind="angle_ramp", amp=-0.2),
     ):
+        # each kind has only the fields it uses
         obj = {"kind": spec.kind, "amp": spec.amp, "phase": spec.phase}
+        if spec.kind != "arc_cosine":
+            del obj["phase"]
+        if spec.kind == "nu":
+            del obj["amp"]
         assert measures.density_from_json(obj) == spec
     assert measures.density_from_json({}) == measures.DensitySpec()
     for bad in (
@@ -63,6 +68,8 @@ def test_density_json_roundtrip():
         {"kind": "arc_cosine", "amp": "0.5"},
         {"kind": "arc_cosine", "amplitude": 0.5},
         {"kind": "angle_ramp", "amp": 0.2, "phase": True},
+        {"kind": "nu", "amp": 0.5},
+        {"kind": "angle_ramp", "amp": 0.2, "phase": 2.0},
         {"kind": 1},
         ["nu"],
     ):
