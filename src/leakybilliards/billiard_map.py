@@ -66,6 +66,8 @@ class CollisionBatch(NamedTuple):
     start: np.ndarray       # (N,2) unfolded launch points
     direction: np.ndarray   # (N,2) unit directions
     censored: np.ndarray    # near-tangency or grazing, not resolved
+    departure_id: np.ndarray  # scatterer each flight leaves from: the sid
+                              # argument itself, not a copy
 
 
 def check_phase_point(table, x: PhasePoint) -> None:
@@ -109,7 +111,7 @@ def collide_batch(table, sid, r, phi) -> CollisionBatch:
     sin1 = -v[:, 0] * d[:, 1] + v[:, 1] * d[:, 0]
     phi1 = np.where(safe, np.arctan2(sin1, np.maximum(cos1, 0.0)), phi)
     cens |= safe & (cos1 < _COS_GUARD)
-    return CollisionBatch(sid1, r1, phi1, t, p0, v, cens)
+    return CollisionBatch(sid1, r1, phi1, t, p0, v, cens, sid)
 
 
 def _wrap_polyline(p0, v, length):
@@ -163,14 +165,11 @@ def collide_inverse_batch(table, sid, r, phi) -> CollisionBatch:
 
     With I(r, phi) = (r, -phi) the inverse collision map is I o f o I;
     the returned flight segment runs backward from the input state to
-    its preimage.
+    its preimage, so it departs from the input state's own scatterer.
     """
     out = collide_batch(table, sid, np.asarray(r, dtype=float),
                         -np.asarray(phi, dtype=float))
-    return CollisionBatch(
-        out.scatterer_id, out.r, -out.phi, out.flight_length,
-        out.start, out.direction, out.censored,
-    )
+    return out._replace(phi=-out.phi)
 
 
 def collision_jacobian(table, x: PhasePoint) -> np.ndarray:

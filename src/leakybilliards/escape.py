@@ -257,7 +257,7 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
     r = r.copy()
     phi = phi.copy()
     rng = stream(master_seed, "fleming-viot")
-    offsets = _holes.escape_offsets(table, hole)
+    images = _holes.escape_offsets(table, hole)
 
     eff = np.empty(n_steps + 1)
     ratios = np.empty(n_steps + 1)
@@ -288,7 +288,7 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
         n_cloned += m
 
     if hole is not None:
-        mask, cens = _holes.state_in_hole_batch(table, hole, sid, r, phi, offsets)
+        mask, cens = _holes.state_in_hole_batch(table, hole, sid, r, phi, images)
         dead = mask | cens
         n_cens = int(cens.sum())
         n_cens_total += n_cens
@@ -303,7 +303,7 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
         captures[0] = (sid.copy(), r.copy(), phi.copy())
 
     for k in range(1, n_steps + 1):
-        batch, esc = _od.open_step_batch(table, hole, offsets, sid, r, phi,
+        batch, esc = _od.open_step_batch(table, hole, images, sid, r, phi,
                                          threads)
         dead = batch.censored | esc
         alive = ~dead
@@ -422,12 +422,12 @@ def backward_hole_visits(table, hole, sid, r, phi, k_steps: int):
     n = len(sid)
     visits = np.zeros(n, dtype=np.int64)
     cens = np.zeros(n, dtype=bool)
-    offsets = _holes.escape_offsets(table, hole)
+    images = _holes.escape_offsets(table, hole)
     for k in range(k_steps + 1):
         idx = np.flatnonzero(~cens)
         back = _bmap.collide_inverse_batch(table, sid[idx], r[idx], phi[idx])
         inside, undecided = _holes.in_hole_given_flight(
-            table, hole, sid[idx], r[idx], back, offsets
+            table, hole, sid[idx], r[idx], back, images
         )
         visits[idx[inside]] += 1
         cens[idx[undecided]] = True

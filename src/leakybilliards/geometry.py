@@ -200,14 +200,10 @@ class Table:
     def sector_candidates(self, reach: float):
         """Per (departure scatterer, direction sector) first-hit candidates.
 
-        Row sid*N_SECTORS + s lists every image disk, inflated by
-        _SECTOR_MARGIN, that meets the departure disk sid Minkowski-summed
-        with the pie slice of radius reach over sector s: any ray leaving
-        that disk's boundary in that sector meets nothing else within
-        reach.  The departure disk's own (0,0) image is left out.  Rows
-        are sorted by the lower bound |C - c_sid| - rho - rho_sid -
-        _SECTOR_MARGIN on the flight to the image, padded with lower
-        bound inf, and share one width K.
+        sector_rows over every scatterer image, with each departure
+        disk's own (0,0) image left out: a ray leaving a disk's boundary
+        meets nothing outside its row within reach.  Cached per reach
+        rounded to six decimals.
 
         Returns (centers (M,2), radii (M,), ids (M,), offsets (M,2),
         rows (S*N_SECTORS, K) image indices, row_lb (S*N_SECTORS, K+1)).
@@ -215,32 +211,76 @@ class Table:
         key = round(float(reach), 6)
         if key in self._sectors:
             return self._sectors[key]
-        # every reach that rounds to key is below this slice radius
-        reach = key + 1e-6
+        reach = sector_reach(reach)
         n = len(self.scatterers)
         kmax = int(math.ceil(reach + 2.0 * float(self.radii.max()) + 1.0 + _SECTOR_MARGIN))
-        ks = np.arange(-kmax, kmax + 1, dtype=float)
-        kx, ky, sid = (a.ravel() for a in np.meshgrid(ks, ks, np.arange(n), indexing="ij"))
+        kx, ky, sid = image_lattice(kmax, n)
         centers = np.stack([self.centers[sid, 0] + kx, self.centers[sid, 1] + ky], axis=1)
         radii = self.radii[sid]
-        edges = -np.pi + 2.0 * np.pi * np.arange(N_SECTORS + 1) / N_SECTORS
-        a0 = (edges[:-1] - _SECTOR_PAD)[None, :, None]
-        a1 = (edges[1:] + _SECTOR_PAD)[None, :, None]
-
-        # axes: departure scatterer, sector, image
-        dx = (centers[:, 0] - self.centers[:, 0, None])[:, None, :]
-        dy = (centers[:, 1] - self.centers[:, 1, None])[:, None, :]
-        gap = (radii + self.radii[:, None])[:, None, :] + _SECTOR_MARGIN
-        own = (sid == np.arange(n)[:, None, None]) & (kx == 0.0) & (ky == 0.0)
-        member = (pie_slice_distance(dx, dy, a0, a1, reach) <= gap) & ~own
-        lb = np.where(member, np.hypot(dx, dy) - gap, np.inf).reshape(n * N_SECTORS, -1)
-        order = np.argsort(lb, axis=1, kind="stable")
-        rows = order[:, :max(int(member.sum(axis=2).max()), 1)]
-        row_lb = np.concatenate(
-            [np.take_along_axis(lb, rows, axis=1), np.full((len(rows), 1), np.inf)], axis=1)
+        own = (sid == np.arange(n)[:, None]) & (kx == 0.0) & (ky == 0.0)
+        rows, row_lb = sector_rows(self, centers, radii, reach, exclude=own)
         out = (centers, radii, sid, np.stack([kx, ky], axis=1), rows, row_lb)
         self._sectors[key] = out
         return out
+
+
+def image_lattice(kmax: int, n: int = 1):
+    """Integer offsets (kx, ky) in [-kmax, kmax]^2, each repeated for ids
+    0..n-1, kx slowest and id fastest.  Returns (kx, ky, ids) as flat
+    arrays, the offsets as floats."""
+    ks = np.arange(-kmax, kmax + 1, dtype=float)
+    return tuple(a.ravel() for a in np.meshgrid(ks, ks, np.arange(n), indexing="ij"))
+
+
+def sector_reach(reach: float) -> float:
+    """Pie-slice radius of the sector rows for a search reach: every
+    reach that rounds to the same six decimals lies below it."""
+    return round(float(reach), 6) + 1e-6
+
+
+def sector_keys(sid, v):
+    """Row of each ray in a sector table: sid*N_SECTORS + the sector of
+    its direction v (N,2).  A direction that rounds across a sector edge
+    still lands in a row that covers it, since rows pad their sectors by
+    _SECTOR_PAD."""
+    ang = np.arctan2(v[:, 1], v[:, 0])
+    sector = ((ang + np.pi) * (N_SECTORS / (2.0 * np.pi))).astype(np.int64)
+    return sid * N_SECTORS + np.minimum(sector, N_SECTORS - 1)
+
+
+def sector_rows(table: Table, centers, radii, reach: float, exclude=None):
+    """Disks a flight can meet, per (departure scatterer, direction sector).
+
+    Row sid*N_SECTORS + s lists every disk (centers (M,2), radii (M,)),
+    inflated by _SECTOR_MARGIN, that meets the departure disk sid
+    Minkowski-summed with the pie slice of radius reach over sector s,
+    padded by _SECTOR_PAD: a flight of length at most reach that leaves
+    that disk's boundary in that sector can meet no other disk.  exclude
+    (S, M) marks disks to leave out of a departure disk's rows.  Rows
+    are sorted by the lower bound |C - c_sid| - rho - rho_sid -
+    _SECTOR_MARGIN on the flight to the disk, padded with lower bound
+    inf, and share one width K.
+
+    Returns (rows (S*N_SECTORS, K) disk indices, row_lb (S*N_SECTORS, K+1)).
+    """
+    n = len(table)
+    edges = -np.pi + 2.0 * np.pi * np.arange(N_SECTORS + 1) / N_SECTORS
+    a0 = (edges[:-1] - _SECTOR_PAD)[None, :, None]
+    a1 = (edges[1:] + _SECTOR_PAD)[None, :, None]
+
+    # axes: departure scatterer, sector, disk
+    dx = (centers[:, 0] - table.centers[:, 0, None])[:, None, :]
+    dy = (centers[:, 1] - table.centers[:, 1, None])[:, None, :]
+    gap = (radii + table.radii[:, None])[:, None, :] + _SECTOR_MARGIN
+    member = pie_slice_distance(dx, dy, a0, a1, reach) <= gap
+    if exclude is not None:
+        member &= ~exclude[:, None, :]
+    lb = np.where(member, np.hypot(dx, dy) - gap, np.inf).reshape(n * N_SECTORS, -1)
+    order = np.argsort(lb, axis=1, kind="stable")
+    rows = order[:, :max(int(member.sum(axis=2).max()), 1)]
+    row_lb = np.concatenate(
+        [np.take_along_axis(lb, rows, axis=1), np.full((len(rows), 1), np.inf)], axis=1)
+    return rows, row_lb
 
 
 def boundary_point(table: Table, scatterer_id: int, r: float) -> TablePoint:
@@ -369,9 +409,7 @@ def _sector_scan(table, p0, v, skip_sid, reach):
     best_img = np.full(n, -1, dtype=np.int64)
     maybe_graze = np.zeros(n, dtype=bool)
 
-    ang = np.arctan2(v[:, 1], v[:, 0])
-    sector = ((ang + np.pi) * (N_SECTORS / (2.0 * np.pi))).astype(np.int64)
-    key = skip_sid * N_SECTORS + np.minimum(sector, N_SECTORS - 1)
+    key = sector_keys(skip_sid, v)
     idx = np.arange(n)
     px, py, vx, vy = p0[:, 0], p0[:, 1], v[:, 0], v[:, 1]
     bt, bi, mg = best_t.copy(), best_img.copy(), maybe_graze.copy()

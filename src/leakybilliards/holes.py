@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,19 +95,22 @@ def type_ii_hole(table, center, radius: float, check_clearance: bool = True) -> 
 
 
 def _require_clearance(table, center, radius):
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            d = np.hypot(
-                table.centers[:, 0] + dx - center[0],
-                table.centers[:, 1] + dy - center[1],
-            )
-            bad = d <= table.radii + radius
-            if np.any(bad):
-                j = int(np.flatnonzero(bad)[0])
-                raise HoleTouchesScattererError(
-                    f"hole disk at {center} r={radius:.6g} meets scatterer {j} "
-                    f"(image offset ({dx},{dy}))"
-                )
+    """Reject a hole disk that meets any image of a scatterer.
+
+    The nearest image of scatterer j lies at the displacement from the
+    hole center wrapped into [-0.5, 0.5)^2, wherever the center is.
+    """
+    d = table.centers - np.asarray(center, dtype=float)
+    shift = -np.floor(d + 0.5)
+    w = d + shift
+    bad = np.hypot(w[:, 0], w[:, 1]) <= table.radii + radius
+    if np.any(bad):
+        j = int(np.flatnonzero(bad)[0])
+        dx, dy = (int(k) for k in shift[j])
+        raise HoleTouchesScattererError(
+            f"hole disk at {center} r={radius:.6g} meets scatterer {j} "
+            f"(image offset ({dx},{dy}))"
+        )
 
 
 def hole_family(table, q0, h: float, offset: float = 0.0, *,
@@ -161,27 +165,47 @@ def arc_contains(hole: HoleSpec, table, sid, r):
 
 def hole_image_offsets(table, hole: HoleSpec):
     """Integer translates of a Type II hole that a flight of length at most
-    the certificate's l_max can cross."""
+    the certificate's l_max can cross, in geometry.image_lattice order."""
     if table.certificate is None:
         raise InvalidArgumentError("table has no horizon certificate")
     reach = table.certificate.l_max
     d0 = math.sqrt(0.5) + float(table.radii.max())
     kmax = int(math.ceil(reach + hole.radius + d0 + 1.0))
+    kx, ky, _ = _geo.image_lattice(kmax)
     cx, cy = hole.center
-    offs = []
-    for kx in range(-kmax, kmax + 1):
-        for ky in range(-kmax, kmax + 1):
-            lb = math.hypot(cx + kx - 0.5, cy + ky - 0.5) - hole.radius - d0
-            if lb <= reach:
-                offs.append((float(kx), float(ky)))
-    return np.array(offs)
+    lb = np.hypot(cx + kx - 0.5, cy + ky - 0.5) - hole.radius - d0
+    keep = lb <= reach
+    return np.stack([kx[keep], ky[keep]], axis=1)
+
+
+class EscapeImages(NamedTuple):
+    """The images of a Type II hole that escape tests look at.
+
+    offsets are the hole_image_offsets and centers the image centers.
+    Row sid*N_SECTORS + s of rows lists, nearest first, the images a
+    flight of length at most reach can cross when it leaves scatterer
+    sid in direction sector s (geometry.sector_rows); counts[row] is the
+    row's length, and the entries past it are padding, other images.
+    """
+
+    offsets: np.ndarray
+    centers: np.ndarray
+    rows: np.ndarray
+    counts: np.ndarray
+    reach: float
 
 
 def escape_offsets(table, hole: HoleSpec | None):
-    """hole_image_offsets for a Type II hole, None for any other hole."""
+    """EscapeImages of a Type II hole, None for any other hole."""
     if hole is None or hole.kind != "II":
         return None
-    return hole_image_offsets(table, hole)
+    offsets = hole_image_offsets(table, hole)
+    centers = np.asarray(hole.center) + offsets
+    reach = _geo.sector_reach(table.certificate.l_max)
+    rows, row_lb = _geo.sector_rows(
+        table, centers, np.full(len(centers), hole.radius), reach)
+    counts = np.count_nonzero(np.isfinite(row_lb), axis=1)
+    return EscapeImages(offsets, centers, rows, counts, reach)
 
 
 def segment_crosses_disk(start, direction, length, center, radius, offsets):
@@ -206,8 +230,49 @@ def segment_crosses_disk(start, direction, length, center, radius, offsets):
     return out
 
 
+def flight_crosses_hole(hole: HoleSpec, images: EscapeImages, flight):
+    """segment_crosses_disk of each flight over images.offsets, the same
+    bits from only the images in the flight's sector row.
+
+    flight is a CollisionBatch.  The test is an OR of a strict < per
+    image, and a flight of length at most images.reach leaving
+    departure_id in its direction's sector can only cross images in its
+    row, so testing the row, with the same per-image arithmetic, gives
+    the same result; so does testing any further image.  Column 0 is
+    therefore tested on every flight, row padding included, and column
+    k only on the flights whose row is longer than k.  A longer flight
+    is tested against every offset.
+    """
+    key = _geo.sector_keys(flight.departure_id, flight.direction)
+    sx, sy = flight.start[:, 0], flight.start[:, 1]
+    vx, vy = flight.direction[:, 0], flight.direction[:, 1]
+    t = flight.flight_length
+    r2 = hole.radius * hole.radius
+
+    def column(k, sel):
+        c = images.rows[key[sel], k]
+        wx = images.centers[c, 0] - sx[sel]
+        wy = images.centers[c, 1] - sy[sel]
+        tp = np.clip(wx * vx[sel] + wy * vy[sel], 0.0, t[sel])
+        dx = wx - tp * vx[sel]
+        dy = wy - tp * vy[sel]
+        return dx * dx + dy * dy < r2
+
+    out = column(0, slice(None))
+    count = images.counts[key]
+    for k in range(1, images.rows.shape[1]):
+        sel = np.flatnonzero(count > k)
+        out[sel] |= column(k, sel)
+    far = ~(t <= images.reach)
+    if far.any():
+        out[far] = segment_crosses_disk(
+            flight.start[far], flight.direction[far], t[far],
+            hole.center, hole.radius, images.offsets)
+    return out
+
+
 def arrival_escape_mask(table, hole: HoleSpec, batch: _bmap.CollisionBatch,
-                        offsets=None):
+                        images=None):
     """Escape mask for one collision batch under the arrival convention.
 
     A flight escapes when the state it arrives at is in the hole, read
@@ -215,11 +280,11 @@ def arrival_escape_mask(table, hole: HoleSpec, batch: _bmap.CollisionBatch,
     the caller accounts for them separately.
     """
     inside, _ = in_hole_given_flight(table, hole, batch.scatterer_id, batch.r,
-                                     batch, offsets)
+                                     batch, images)
     return inside & ~batch.censored
 
 
-def in_hole_given_flight(table, hole: HoleSpec, sid, r, flight, offsets=None):
+def in_hole_given_flight(table, hole: HoleSpec, sid, r, flight, images=None):
     """Phase-space membership of states given the flights that produced them.
 
     flight is a CollisionBatch holding, per state, the free flight that
@@ -227,25 +292,23 @@ def in_hole_given_flight(table, hole: HoleSpec, sid, r, flight, offsets=None):
     states, or their collide_inverse_batch.  Type I reads only sid and
     r, so flight may be None there.  Returns (inside, undecided): a
     Type II state is in the hole exactly when its flight crossed the
-    disk, and undecided when that flight was censored.
+    disk, and undecided when that flight was censored.  images are the
+    hole's escape_offsets, computed here when None.
     """
     if hole.kind == "I":
         return arc_contains(hole, table, sid, r), np.zeros(np.shape(sid), dtype=bool)
-    if offsets is None:
-        offsets = hole_image_offsets(table, hole)
-    mask = segment_crosses_disk(
-        flight.start, flight.direction, flight.flight_length,
-        hole.center, hole.radius, offsets,
-    )
+    if images is None:
+        images = escape_offsets(table, hole)
+    mask = flight_crosses_hole(hole, images, flight)
     return mask & ~flight.censored, flight.censored
 
 
-def state_in_hole_batch(table, hole: HoleSpec, sid, r, phi, offsets=None):
+def state_in_hole_batch(table, hole: HoleSpec, sid, r, phi, images=None):
     """Vectorized phase-space membership; returns (in_hole, censored)."""
     sid = np.asarray(sid, dtype=np.int64)
     r = np.asarray(r, dtype=float)
     back = _bmap.collide_inverse_batch(table, sid, r, phi) if hole.kind == "II" else None
-    return in_hole_given_flight(table, hole, sid, r, back, offsets)
+    return in_hole_given_flight(table, hole, sid, r, back, images)
 
 
 def in_hole(table, hole: HoleSpec, x: _bmap.PhasePoint) -> bool:

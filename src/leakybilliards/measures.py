@@ -206,7 +206,7 @@ def noise_floor(table, n: int, r_bins: int, phi_bins: int, master_seed: int,
 
 
 def pushforward_residual(table, hole, sid, r, phi, r_bins: int, phi_bins: int,
-                         offsets=None):
+                         images=None):
     """Stationarity residual of a particle set under one open step.
 
     Returns (distance, mass_ratio, n_censored): the L1 distance between
@@ -219,7 +219,7 @@ def pushforward_residual(table, hole, sid, r, phi, r_bins: int, phi_bins: int,
     sid = np.asarray(sid, dtype=np.int64)
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    batch, esc = _od.open_step_batch(table, hole, offsets, sid, r, phi)
+    batch, esc = _od.open_step_batch(table, hole, images, sid, r, phi)
     alive = ~(batch.censored | esc)
     n_cens = int(batch.censored.sum())
     n_risk = len(sid) - n_cens

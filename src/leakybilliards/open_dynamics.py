@@ -49,28 +49,28 @@ def default_threads() -> int:
     return threads
 
 
-def open_step_batch(table, hole, offsets, sid, r, phi, threads: int = 1):
+def open_step_batch(table, hole, images, sid, r, phi, threads: int = 1):
     """One step of the open collision map; returns (CollisionBatch, escaped).
 
     The states are cut into CHUNK-sized slices; each slice is collided
     and masked on its own, and threads only decides which worker runs
     which slice.  Both steps work element by element, so the result is
     the same for any chunking and any thread count.  escaped never marks
-    a censored entry.  hole None means a closed step; offsets are the
+    a censored entry.  hole None means a closed step; images are the
     holes.escape_offsets of the hole, computed here when None.
     """
     sid = np.asarray(sid, dtype=np.int64)
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if offsets is None:
-        offsets = _holes.escape_offsets(table, hole)
+    if images is None:
+        images = _holes.escape_offsets(table, hole)
 
     def step(lo):
         batch = _bmap.collide_batch(table, sid[lo:lo + CHUNK], r[lo:lo + CHUNK],
                                     phi[lo:lo + CHUNK])
         if hole is None:
             return batch, np.zeros(len(batch.censored), dtype=bool)
-        return batch, _holes.arrival_escape_mask(table, hole, batch, offsets)
+        return batch, _holes.arrival_escape_mask(table, hole, batch, images)
 
     starts = range(0, max(len(sid), 1), CHUNK)
     if threads <= 1 or len(starts) == 1:
@@ -81,8 +81,9 @@ def open_step_batch(table, hole, offsets, sid, r, phi, threads: int = 1):
     if len(parts) == 1:
         return parts[0]
     batches, masks = zip(*parts)
-    return (_bmap.CollisionBatch(*map(np.concatenate, zip(*batches))),
-            np.concatenate(masks))
+    # departure_id, the last field, is a slice of sid in every part
+    joined = map(np.concatenate, zip(*(b[:-1] for b in batches)))
+    return _bmap.CollisionBatch(*joined, sid), np.concatenate(masks)
 
 
 @dataclass
@@ -133,7 +134,7 @@ def evolve_ensemble(table, hole, sid, r, phi, n_steps: int,
     capture = set(int(c) for c in capture)
     captures: dict = {}
 
-    offsets = _holes.escape_offsets(table, hole)
+    images = _holes.escape_offsets(table, hole)
 
     survivors = np.zeros(n_steps + 1, dtype=np.int64)
     escaped = np.zeros(n_steps + 1, dtype=np.int64)
@@ -141,7 +142,7 @@ def evolve_ensemble(table, hole, sid, r, phi, n_steps: int,
 
     if convention == "arrival" and hole is not None:
         # index-0 escapes: initial states already inside the hole
-        mask, cens = _holes.state_in_hole_batch(table, hole, sid, r, phi, offsets)
+        mask, cens = _holes.state_in_hole_batch(table, hole, sid, r, phi, images)
         status[cens] = CENSORED
         hit = mask & (status == ALIVE)
         status[hit] = ESCAPED
@@ -163,7 +164,7 @@ def evolve_ensemble(table, hole, sid, r, phi, n_steps: int,
         live = np.flatnonzero(status == ALIVE)
         if len(live):
             batch, esc = open_step_batch(
-                table, hole, offsets, sid[live], r[live], phi[live], threads
+                table, hole, images, sid[live], r[live], phi[live], threads
             )
             status[live[batch.censored]] = CENSORED
             status[live[esc]] = ESCAPED

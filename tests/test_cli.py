@@ -226,6 +226,18 @@ def test_exit_code_config_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("anchor", [[0.0, 0.0], [2.0, 0.0]])
+def test_type_ii_hole_in_a_scatterer_image_exits_2(tmp_path, capsys, anchor):
+    # [2.0, 0.0] is the centre of an image of scatterer 0, outside the cell
+    code, _ = run(tmp_path, "simulate", {
+        "hole": {"kind": "II", "anchor": anchor, "h": 0.05},
+        "n_particles": 100, "n_max": 2, "seed": 0,
+    })
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "holes.touches_scatterer"
+
+
 def test_exit_code_numeric_error(tmp_path, capsys):
     cfg = dict(ESCAPE_CFG, n_particles=300, window=[10, 28])
     code, _ = run(tmp_path, "escape-rate", cfg)

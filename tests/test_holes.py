@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from leakybilliards import billiard_map as bmap
-from leakybilliards import holes, measures
+from leakybilliards import geometry, holes
 from leakybilliards.errors import (
     HoleTooLargeError,
     HoleTouchesScattererError,
@@ -150,19 +150,128 @@ def test_type_ii_clearance(table):
     # clearance must also respect periodic images
     with pytest.raises(HoleTouchesScattererError):
         holes.type_ii_hole(table, (0.99, 0.0), 0.1)
+    # a centre outside the unit cell is checked against the nearest image,
+    # here the centre of a scatterer-0 image
+    for center in ((2.0, 0.0), (3.0, 3.0)):
+        with pytest.raises(HoleTouchesScattererError):
+            holes.type_ii_hole(table, center, 0.05)
+    # an image of a clear hole is clear, and keeps its centre as given
+    assert holes.type_ii_hole(table, (1.5, -2.0), 0.05).center == (1.5, -2.0)
 
 
-def test_image_offsets_cover_observed_escapes(table, nu_states):
+FOUR_DISK = [((0.0, 0.0), 0.3), ((0.5, 0.5), 0.25), ((0.5, 0.0), 0.1), ((0.0, 0.5), 0.1)]
+
+
+def _four_disk_table():
+    return geometry.validate_table([geometry.Scatterer(c, rho) for c, rho in FOUR_DISK])
+
+
+def _hole_image_offsets_oracle(table, hole):
+    """The double loop hole_image_offsets replaced, kept as its oracle."""
+    reach = table.certificate.l_max
+    d0 = math.sqrt(0.5) + float(table.radii.max())
+    kmax = int(math.ceil(reach + hole.radius + d0 + 1.0))
+    cx, cy = hole.center
+    offs = []
+    for kx in range(-kmax, kmax + 1):
+        for ky in range(-kmax, kmax + 1):
+            lb = math.hypot(cx + kx - 0.5, cy + ky - 0.5) - hole.radius - d0
+            if lb <= reach:
+                offs.append((float(kx), float(ky)))
+    return np.array(offs)
+
+
+@pytest.mark.parametrize("which, center, radius", [
+    ("default", (0.5, 0.0), 0.05),
+    ("default", (0.2, 0.7), 0.1),
+    ("default", (1.5, -2.25), 0.02),
+    ("four-disk", (0.25, 0.27), 0.04),
+    ("four-disk", (-3.75, 0.73), 0.2),
+])
+def test_hole_image_offsets_match_loop_oracle(table, which, center, radius):
+    if which == "four-disk":
+        table = _four_disk_table()
+    hole = holes.type_ii_hole(table, center, radius, check_clearance=False)
+    got = holes.hole_image_offsets(table, hole)
+    want = _hole_image_offsets_oracle(table, hole)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _hole_flights(table, hole, images, n, seed, inverse):
+    """n flights from collide_batch (or collide_inverse_batch): a third
+    aimed exactly tangent to a hole image, a sixth stretched past the
+    rows' reach, the rest from cosine-law boundary states."""
+    rng = stream(seed, "hole-flights", int(inverse))
+    sid = rng.integers(0, len(table), n)
+    r = rng.random(n) * table.perimeters[sid]
+    phi = np.arcsin(2.0 * rng.random(n) - 1.0)
+
+    n_tan = n // 3
+    # depart from the side of the disk that faces the image
+    img = images.centers[rng.integers(0, len(images.centers), n_tan)]
+    c, rho = table.centers[sid[:n_tan]], table.radii[sid[:n_tan]]
+    face = np.arctan2(img[:, 1] - c[:, 1], img[:, 0] - c[:, 0]) + rng.uniform(-1.0, 1.0, n_tan)
+    r[:n_tan] = rho * np.mod(face, 2.0 * np.pi)
+    p0, _ = geometry.rays_from_boundary(table, sid[:n_tan], r[:n_tan], np.zeros(n_tan))
+    cx, cy = img[:, 0] - p0[:, 0], img[:, 1] - p0[:, 1]
+    dist = np.hypot(cx, cy)
+    side = np.where(rng.random(n_tan) < 0.5, -1.0, 1.0)
+    ang = np.arctan2(cy, cx) + side * np.arcsin(np.minimum(hole.radius / dist, 1.0))
+    psi = r[:n_tan] / rho
+    aim = np.mod(ang - psi + np.pi, 2.0 * np.pi) - np.pi
+    usable = np.abs(aim) < 0.5 * np.pi - 1e-6
+    phi[:n_tan][usable] = aim[usable]
+
+    if inverse:
+        flights = bmap.collide_inverse_batch(table, sid, r, -phi)
+    else:
+        flights = bmap.collide_batch(table, sid, r, phi)
+    assert np.array_equal(flights.departure_id, sid)
+    t = flights.flight_length.copy()
+    far = slice(n_tan, n_tan + n // 6)
+    t[far] = images.reach * (1.0 + 2.0 * rng.random(n // 6))
+    return flights, flights._replace(flight_length=t), usable.sum()
+
+
+@pytest.mark.parametrize("which, center, radius", [
+    ("default", (0.5, 0.0), 0.05),
+    ("default", (1.5, -2.0), 0.05),
+    ("four-disk", (0.25, 0.27), 0.04),
+])
+def test_sector_hole_mask_is_bit_identical_to_full_offsets(table, which, center, radius):
+    if which == "four-disk":
+        table = _four_disk_table()
+    hole = holes.type_ii_hole(table, center, radius)
+    images = holes.escape_offsets(table, hole)
+    # rows are short: that is the point of them
+    assert images.counts.max() < len(images.offsets) // 2
+    for inverse in (False, True):
+        real, stretched, n_aimed = _hole_flights(table, hole, images, 100_000, 7, inverse)
+        assert n_aimed > 25_000
+        for flights in (real, stretched):
+            got = holes.flight_crosses_hole(hole, images, flights)
+            want = holes.segment_crosses_disk(
+                flights.start, flights.direction, flights.flight_length,
+                hole.center, hole.radius, images.offsets)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert want.sum() > 2000
+        assert np.sum(~(stretched.flight_length <= images.reach)) >= 100_000 // 6
+
+
+def test_image_offsets_cover_observed_escapes(table):
     # brute-force offsets over a big window agree with the pruned list
+    # on the uncensored flights of the sector-mask batch
     hole = holes.type_ii_hole(table, (0.5, 0.0), 0.05)
-    offsets = holes.hole_image_offsets(table, hole)
-    wide = np.array([(float(i), float(j))
-                     for i in range(-5, 6) for j in range(-5, 6)])
-    sid, r, phi = nu_states
-    n = 3000
-    fwd = bmap.collide_batch(table, sid[:n], r[:n], phi[:n])
-    a = holes.segment_crosses_disk(fwd.start, fwd.direction, fwd.flight_length,
-                                   hole.center, hole.radius, offsets)
-    b = holes.segment_crosses_disk(fwd.start, fwd.direction, fwd.flight_length,
-                                   hole.center, hole.radius, wide)
-    assert np.array_equal(a, b)
+    images = holes.escape_offsets(table, hole)
+    wide = np.array([(float(i), float(j)) for i in range(-5, 6) for j in range(-5, 6)])
+    for inverse in (False, True):
+        flights, _, _ = _hole_flights(table, hole, images, 100_000, 7, inverse)
+        ok = ~flights.censored
+        args = (flights.start[ok], flights.direction[ok], flights.flight_length[ok],
+                hole.center, hole.radius)
+        a = holes.segment_crosses_disk(*args, images.offsets)
+        b = holes.segment_crosses_disk(*args, wide)
+        assert np.array_equal(a, b)
+        assert a.sum() > 2000
