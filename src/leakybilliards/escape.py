@@ -278,9 +278,9 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
         src = alive_idx[rng.integers(0, len(alive_idx), size=m)]
         sid[dead_idx] = sid[src]
         perim = table.perimeters[sid[src]]
-        r[dead_idx] = np.mod(
-            r[src] + rng.uniform(-jitter, jitter, size=m), perim
-        )
+        rj = np.mod(r[src] + rng.uniform(-jitter, jitter, size=m), perim)
+        # np.mod takes a hair below 0 to the perimeter itself, which is r = 0
+        r[dead_idx] = np.where(rj < perim, rj, 0.0)
         phi[dead_idx] = np.clip(
             phi[src] + rng.uniform(-jitter, jitter, size=m),
             -phi_cap, phi_cap,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,11 +52,16 @@ _GAP_TOLERANCE = 1e-9
 
 # direction sectors per departure scatterer in the first-hit candidate
 # table; each sector's angle range is padded by _SECTOR_PAD radians and
-# each image disk inflated by _SECTOR_MARGIN, which covers the 1e-9
-# graze pre-screen and every rounding error in the ray data
+# each image disk inflated by _SECTOR_MARGIN, which covers the graze
+# tolerance and every rounding error in the ray data
 N_SECTORS = 32
 _SECTOR_PAD = 1e-9
 _SECTOR_MARGIN = 1e-6
+
+# the sector scan's loose graze pre-screen, on disc/4 = rho^2 - imp^2
+# for impact parameter imp: |imp - rho| < 1e-9 gives |disc/4| < 1e-9
+# for any rho < 1/2, so this flags at least what that test flags
+_GRAZE_SCREEN = 2e-9
 
 # flagged rays per block of the exact graze recheck
 _GRAZE_BLOCK = 4096
@@ -205,8 +211,7 @@ class Table:
         meets nothing outside its row within reach.  Cached per reach
         rounded to six decimals.
 
-        Returns (centers (M,2), radii (M,), ids (M,), offsets (M,2),
-        rows (S*N_SECTORS, K) image indices, row_lb (S*N_SECTORS, K+1)).
+        Returns (ids (M,), offsets (M,2), SectorRows over the M images).
         """
         key = round(float(reach), 6)
         if key in self._sectors:
@@ -218,8 +223,8 @@ class Table:
         centers = np.stack([self.centers[sid, 0] + kx, self.centers[sid, 1] + ky], axis=1)
         radii = self.radii[sid]
         own = (sid == np.arange(n)[:, None]) & (kx == 0.0) & (ky == 0.0)
-        rows, row_lb = sector_rows(self, centers, radii, reach, exclude=own)
-        out = (centers, radii, sid, np.stack([kx, ky], axis=1), rows, row_lb)
+        out = (sid, np.stack([kx, ky], axis=1),
+               sector_rows(self, centers, radii, reach, exclude=own))
         self._sectors[key] = out
         return out
 
@@ -248,6 +253,24 @@ def sector_keys(sid, v):
     return sid * N_SECTORS + np.minimum(sector, N_SECTORS - 1)
 
 
+class SectorRows(NamedTuple):
+    """Rows of disks, one per (departure scatterer, direction sector),
+    stored column by column.
+
+    Each field is a (K, S*N_SECTORS) array whose field[k] holds column k
+    of every row as one contiguous vector, which a scan reads with
+    field[k].take(key).  idx is the disk index, x and y its center and
+    rho2 its squared radius.  lb, (K+1, S*N_SECTORS), is the distance
+    lower bound: inf past the end of a row and in the extra last column.
+    """
+
+    idx: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    rho2: np.ndarray
+    lb: np.ndarray
+
+
 def sector_rows(table: Table, centers, radii, reach: float, exclude=None):
     """Disks a flight can meet, per (departure scatterer, direction sector).
 
@@ -259,9 +282,7 @@ def sector_rows(table: Table, centers, radii, reach: float, exclude=None):
     (S, M) marks disks to leave out of a departure disk's rows.  Rows
     are sorted by the lower bound |C - c_sid| - rho - rho_sid -
     _SECTOR_MARGIN on the flight to the disk, padded with lower bound
-    inf, and share one width K.
-
-    Returns (rows (S*N_SECTORS, K) disk indices, row_lb (S*N_SECTORS, K+1)).
+    inf, and share one width K.  Returns them as SectorRows.
     """
     n = len(table)
     edges = -np.pi + 2.0 * np.pi * np.arange(N_SECTORS + 1) / N_SECTORS
@@ -278,9 +299,9 @@ def sector_rows(table: Table, centers, radii, reach: float, exclude=None):
     lb = np.where(member, np.hypot(dx, dy) - gap, np.inf).reshape(n * N_SECTORS, -1)
     order = np.argsort(lb, axis=1, kind="stable")
     rows = order[:, :max(int(member.sum(axis=2).max()), 1)]
-    row_lb = np.concatenate(
-        [np.take_along_axis(lb, rows, axis=1), np.full((len(rows), 1), np.inf)], axis=1)
-    return rows, row_lb
+    idx = np.ascontiguousarray(rows.T)
+    lb = np.concatenate([np.take_along_axis(lb, rows, axis=1).T, np.full((1, len(rows)), np.inf)])
+    return SectorRows(idx, centers[idx, 0], centers[idx, 1], radii[idx] * radii[idx], lb)
 
 
 def boundary_point(table: Table, scatterer_id: int, r: float) -> TablePoint:
@@ -400,10 +421,17 @@ def _sector_scan(table, p0, v, skip_sid, reach):
     """Column-by-column scan of each ray's sector candidate row.
 
     A ray retires once its best flight is no longer than the next
-    column's distance lower bound.  Returns (t, sid, offset,
-    maybe_graze) like _full_scan.
+    column's distance lower bound.  Retired rays are masked out, and the
+    rays still in the scan are compacted only once at least half of
+    them have retired; hits go straight into the result arrays by ray
+    index.  Returns (t, sid, offset, maybe_graze) like _full_scan.
+
+    The arithmetic is the full scan's with b = 2*hb: with hb = f.v,
+    b*b - 4*cc = 4*(hb*hb - cc) and 0.5*(-b - sqrt(b*b - 4*cc)) =
+    -hb - sqrt(hb*hb - cc) hold in floating point too, since they only
+    scale by powers of two, so every flight length keeps its bits.
     """
-    img_c, img_r, img_sid, img_off, rows, row_lb = table.sector_candidates(reach)
+    img_sid, img_off, cols = table.sector_candidates(reach)
     n = p0.shape[0]
     best_t = np.full(n, np.inf)
     best_img = np.full(n, -1, dtype=np.int64)
@@ -412,33 +440,34 @@ def _sector_scan(table, p0, v, skip_sid, reach):
     key = sector_keys(skip_sid, v)
     idx = np.arange(n)
     px, py, vx, vy = p0[:, 0], p0[:, 1], v[:, 0], v[:, 1]
-    bt, bi, mg = best_t.copy(), best_img.copy(), maybe_graze.copy()
-    for k in range(rows.shape[1] + 1):
-        live = bt > row_lb[key, k]
-        if not live.all():
-            done = ~live
-            best_t[idx[done]] = bt[done]
-            best_img[idx[done]] = bi[done]
-            maybe_graze[idx[done]] = mg[done]
-            idx, key, px, py, vx, vy, bt, bi, mg = (
-                a[live] for a in (idx, key, px, py, vx, vy, bt, bi, mg))
-        if not idx.size:
+    for k in range(len(cols.lb)):
+        bt = best_t.take(idx)
+        live = bt > cols.lb[k].take(key)
+        n_live = np.count_nonzero(live)
+        if not n_live:
             break
-        c = rows[key, k]
-        rho = img_r[c]
-        fx = px - img_c[c, 0]
-        fy = py - img_c[c, 1]
-        b = 2.0 * (fx * vx + fy * vy)
-        cc = fx * fx + fy * fy - rho * rho
-        disc = b * b - 4.0 * cc
-        hit = disc > 0.0
-        tsm = 0.5 * (-b - np.sqrt(np.where(hit, disc, 0.0)))
-        ok = hit & (tsm > _T_EPS) & (tsm < bt)
-        bt = np.where(ok, tsm, bt)
-        bi = np.where(ok, c, bi)
+        if 2 * n_live <= len(idx):
+            keep = np.flatnonzero(live)
+            idx, key, px, py, vx, vy, bt = (
+                a.take(keep) for a in (idx, key, px, py, vx, vy, bt))
+            live = None
+        fx = px - cols.x[k].take(key)
+        fy = py - cols.y[k].take(key)
+        hb = fx * vx + fy * vy
+        cc = fx * fx + fy * fy - cols.rho2[k].take(key)
+        disc4 = hb * hb - cc
+        tsm = -hb - np.sqrt(np.maximum(disc4, 0.0))
+        ok = (disc4 > 0.0) & (tsm > _T_EPS) & (tsm < bt)
         # loose pre-screen; the exact grazing test reruns flagged rays
-        imp = np.sqrt(np.maximum(cc + rho * rho - 0.25 * b * b, 0.0))
-        mg |= (np.abs(imp - rho) < 1e-9) & (-0.5 * b > _T_EPS)
+        flag = (np.abs(disc4) < _GRAZE_SCREEN) & (hb < -_T_EPS)
+        if live is not None:
+            ok &= live
+            flag &= live
+        sel = np.flatnonzero(ok)
+        rays = idx.take(sel)
+        best_t[rays] = tsm.take(sel)
+        best_img[rays] = cols.idx[k].take(key.take(sel))
+        maybe_graze[idx[flag]] = True
 
     found = best_img >= 0
     best_sid = np.where(found, img_sid[best_img], -1)

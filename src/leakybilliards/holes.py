@@ -182,10 +182,10 @@ class EscapeImages(NamedTuple):
     """The images of a Type II hole that escape tests look at.
 
     offsets are the hole_image_offsets and centers the image centers.
-    Row sid*N_SECTORS + s of rows lists, nearest first, the images a
-    flight of length at most reach can cross when it leaves scatterer
-    sid in direction sector s (geometry.sector_rows); counts[row] is the
-    row's length, and the entries past it are padding, other images.
+    Row sid*N_SECTORS + s of rows, a geometry.SectorRows, lists nearest
+    first the images a flight of length at most reach can cross when it
+    leaves scatterer sid in direction sector s; counts[row] is the row's
+    length, and the entries past it are padding, other images.
     """
 
     offsets: np.ndarray
@@ -202,9 +202,8 @@ def escape_offsets(table, hole: HoleSpec | None):
     offsets = hole_image_offsets(table, hole)
     centers = np.asarray(hole.center) + offsets
     reach = _geo.sector_reach(table.certificate.l_max)
-    rows, row_lb = _geo.sector_rows(
-        table, centers, np.full(len(centers), hole.radius), reach)
-    counts = np.count_nonzero(np.isfinite(row_lb), axis=1)
+    rows = _geo.sector_rows(table, centers, np.full(len(centers), hole.radius), reach)
+    counts = np.count_nonzero(np.isfinite(rows.lb), axis=0)
     return EscapeImages(offsets, centers, rows, counts, reach)
 
 
@@ -250,9 +249,8 @@ def flight_crosses_hole(hole: HoleSpec, images: EscapeImages, flight):
     r2 = hole.radius * hole.radius
 
     def column(k, sel):
-        c = images.rows[key[sel], k]
-        wx = images.centers[c, 0] - sx[sel]
-        wy = images.centers[c, 1] - sy[sel]
+        wx = images.rows.x[k].take(key[sel]) - sx[sel]
+        wy = images.rows.y[k].take(key[sel]) - sy[sel]
         tp = np.clip(wx * vx[sel] + wy * vy[sel], 0.0, t[sel])
         dx = wx - tp * vx[sel]
         dy = wy - tp * vy[sel]
@@ -260,7 +258,7 @@ def flight_crosses_hole(hole: HoleSpec, images: EscapeImages, flight):
 
     out = column(0, slice(None))
     count = images.counts[key]
-    for k in range(1, images.rows.shape[1]):
+    for k in range(1, len(images.rows.idx)):
         sel = np.flatnonzero(count > k)
         out[sel] |= column(k, sel)
     far = ~(t <= images.reach)

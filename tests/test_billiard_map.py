@@ -162,3 +162,21 @@ def test_outgoing_angle_stays_in_range(r, phi):
         assert abs(batch.phi[0]) <= math.pi / 2
         assert 0.0 <= batch.r[0] < table.perimeters[batch.scatterer_id[0]]
         assert batch.flight_length[0] > 0
+
+
+def test_arrival_a_hair_below_the_seam_wraps_to_zero(table):
+    # the arrival angle is a tiny negative number, which np.mod rounds
+    # up to a full turn: r would land on the perimeter itself
+    y, _ = bmap.collide(table, bmap.PhasePoint(1, 0.31821418141060925, 0.28922339682412823))
+    assert (y.scatterer_id, y.r) == (0, 0.0)
+    bmap.collide(table, y)
+    # flights rebuilt from the preimages of r = 0 states land at the seam
+    rng = stream(17, "seam")
+    n = 20_000
+    sid = rng.integers(0, len(table), n)
+    phi = 0.99 * np.arcsin(2.0 * rng.random(n) - 1.0)
+    back = bmap.collide_inverse_batch(table, sid, np.zeros(n), phi)
+    ok = ~back.censored
+    fwd = bmap.collide_batch(table, back.scatterer_id[ok], back.r[ok], back.phi[ok])
+    assert np.all(fwd.r >= 0.0) and np.all(fwd.r < table.perimeters[fwd.scatterer_id])
+    assert np.sum(fwd.r == 0.0) > n // 10

@@ -203,3 +203,37 @@ def test_singularity_diagnostic_zero_survivor_mass(table):
     assert diag["backward_violations"] == 0
     assert diag["n_backchecked"] > 0
     assert 0.0 < diag["fraction_entered"] < 1.0
+
+
+class _JitterBelowSeam:
+    """Generator stand-in whose clone jitter is always -1e-20, so a clone
+    of a state at r = 0 lands a hair below the seam."""
+
+    def __init__(self, *_):
+        self._rng = np.random.default_rng(0)
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def uniform(self, low, high, size):
+        return np.full(size, -1e-20)
+
+
+def test_fleming_viot_clone_below_the_seam_wraps_to_zero(table, monkeypatch):
+    # half the states sit at r = 0, the other half in the hole, so step 0
+    # clones every r = 0 state with a jitter np.mod rounds to a full turn
+    n = 64
+    r0 = np.where(np.arange(n) < n // 2, 0.0, 0.75)
+
+    def initial(table, density, n, rng):
+        return np.zeros(n, dtype=np.int64), r0.copy(), np.zeros(n)
+
+    monkeypatch.setattr(escape, "stream", _JitterBelowSeam)
+    monkeypatch.setattr(measures, "sample_initial", initial)
+    hole = holes.type_i_hole(table, 0, 0.5, 1.0)
+    fv = escape.fleming_viot_evolve(table, hole, NU, n_particles=n, n_steps=2,
+                                    window=(0, 2), master_seed=1, capture=(0,))
+    sid, r, _ = fv.captures[0]
+    assert fv.n_cloned >= n // 2
+    assert np.all(r < table.perimeters[sid])
+    assert np.all(r[n // 2:] == 0.0)

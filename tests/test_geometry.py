@@ -270,15 +270,19 @@ def _tangent_and_random_rays(table, reach, n, seed):
     return p0, v, sid
 
 
+def _four_disk_table():
+    return geometry.validate_table([
+        geometry.Scatterer((0.0, 0.0), 0.3),
+        geometry.Scatterer((0.5, 0.5), 0.25),
+        geometry.Scatterer((0.5, 0.0), 0.1),
+        geometry.Scatterer((0.0, 0.5), 0.1),
+    ])
+
+
 @pytest.mark.parametrize("which", ["default", "four-disk"])
 def test_sector_scan_is_bit_identical_to_full_scan(table, which):
     if which == "four-disk":
-        table = geometry.validate_table([
-            geometry.Scatterer((0.0, 0.0), 0.3),
-            geometry.Scatterer((0.5, 0.5), 0.25),
-            geometry.Scatterer((0.5, 0.0), 0.1),
-            geometry.Scatterer((0.0, 0.5), 0.1),
-        ])
+        table = _four_disk_table()
     for reach in (table.certificate.l_max, 0.4):
         p0, v, sid = _tangent_and_random_rays(table, reach, 100_000, 5)
         t, hit, off, grazed = geometry.first_hit_batch(table, p0, v, sid, reach=reach)
@@ -291,6 +295,56 @@ def test_sector_scan_is_bit_identical_to_full_scan(table, which):
         assert grazed.sum() > 500
         if reach < 1.0:
             assert np.sum(~(t <= reach)) > 1000 and np.any(hit < 0)
+
+
+def _old_sector_scan(table, p0, v, sid, reach):
+    """The sector scan with the full scan's b = 2*(f.v) arithmetic and its
+    graze pre-screen |imp - rho| < 1e-9, kept as the oracle of the
+    half-b scan.  Returns (t, image index, pre-screen flags)."""
+    img_sid, _, cols = table.sector_candidates(reach)
+    key = geometry.sector_keys(sid, v)
+    bt = np.full(len(sid), np.inf)
+    bi = np.full(len(sid), -1)
+    flags = np.zeros(len(sid), dtype=bool)
+    for k in range(len(cols.idx)):
+        live = bt > cols.lb[k, key]
+        c = cols.idx[k, key]
+        rho = table.radii[img_sid[c]]
+        fx = p0[:, 0] - cols.x[k, key]
+        fy = p0[:, 1] - cols.y[k, key]
+        b = 2.0 * (fx * v[:, 0] + fy * v[:, 1])
+        cc = fx * fx + fy * fy - rho * rho
+        disc = b * b - 4.0 * cc
+        hit = disc > 0.0
+        tsm = 0.5 * (-b - np.sqrt(np.where(hit, disc, 0.0)))
+        ok = live & hit & (tsm > geometry._T_EPS) & (tsm < bt)
+        bt = np.where(ok, tsm, bt)
+        bi = np.where(ok, c, bi)
+        imp = np.sqrt(np.maximum(cc + rho * rho - 0.25 * b * b, 0.0))
+        flags |= live & (np.abs(imp - rho) < 1e-9) & (-0.5 * b > geometry._T_EPS)
+    return bt, bi, flags
+
+
+@pytest.mark.parametrize("which", ["default", "four-disk"])
+def test_graze_pre_screen_flags_what_the_impact_parameter_test_flags(table, which):
+    if which == "four-disk":
+        table = _four_disk_table()
+    reach = table.certificate.l_max
+    p0, v, sid = _tangent_and_random_rays(table, reach, 100_000, 5)
+    # turn the tangent third by up to 3e-9 rad, which spreads |imp - rho|
+    # over the whole band the 1e-9 test flags
+    n_tan = len(sid) // 3
+    eps = stream(6, "screen").uniform(-3e-9, 3e-9, n_tan)
+    vx, vy = v[:n_tan, 0].copy(), v[:n_tan, 1].copy()
+    v[:n_tan, 0] = np.cos(eps) * vx - np.sin(eps) * vy
+    v[:n_tan, 1] = np.sin(eps) * vx + np.cos(eps) * vy
+    t, hit, _, flags = geometry._sector_scan(table, p0, v, sid, reach)
+    want_t, want_img, want_flags = _old_sector_scan(table, p0, v, sid, reach)
+    img_sid, _, _ = table.sector_candidates(reach)
+    assert t.tobytes() == want_t.tobytes()
+    assert np.array_equal(hit, np.where(want_img >= 0, img_sid[want_img], -1))
+    assert want_flags.sum() > 500
+    assert np.all(flags[want_flags])
 
 
 def _graze_recheck_oracle(table, p0, v, best_t, maybe_graze, reach):
