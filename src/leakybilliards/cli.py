@@ -287,9 +287,9 @@ def _run_simulate(cfg, seed, threads, base, meta):
     table = make_table()
     hole = make_hole(table) if make_hole else None
     from .streams import stream
-    sid, r, phi = _measures.sample_initial(table, density, n, stream(seed, "initial"))
+    state = _measures.sample_initial(table, density, n, stream(seed, "initial"))
     res = _od.evolve_ensemble(
-        table, hole, sid, r, phi, n_max,
+        table, hole, state, n_max,
         convention=convention, threads=threads,
     )
     base.update({
@@ -317,6 +317,9 @@ def _run_escape_rate(cfg, seed, threads, base, meta):
     table = make_table()
     hole = make_hole(table) if make_hole else None
     if estimator == "direct":
+        # the estimator fails fast when this is far below its min_tail
+        base["predicted_survivors_at_end"] = _escape.predicted_survivors(
+            table, hole, n, window[1])
         est, res = _escape.estimate_escape_rate(
             table, hole, density, n, n_max, window, seed,
             convention=convention, threads=threads,

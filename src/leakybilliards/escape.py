@@ -18,6 +18,7 @@ Two estimators:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +100,13 @@ def censor_corrected_counts(survivors, censored=None):
     return eff
 
 
+def _centred_moments(x, y):
+    """(var x, cov xy, var y) with bias 1, summed by math.fsum."""
+    dx = x - math.fsum(x) / len(x)
+    dy = y - math.fsum(y) / len(y)
+    return tuple(math.fsum(p) / len(x) for p in (dx * dx, dx * dy, dy * dy))
+
+
 def fit_escape_rate(survivors, window, censored=None,
                     min_tail: int = 100, at_risk=None) -> EscapeEstimate:
     """Fit log of censor-corrected survival counts over a step window.
@@ -132,14 +140,19 @@ def fit_escape_rate(survivors, window, censored=None,
         )
     eff = censor_corrected_counts(s, censored)
     x = np.arange(lo, hi + 1, dtype=float)
-    y = np.log(eff[lo:hi + 1])
-    # ordinary least squares, in the arithmetic of scipy.stats.linregress;
-    # a flat curve (ssym == 0) fits exactly, so r = 0 gives se_ols = 0
-    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    # math.log and math.exp round the same on every host; numpy's SIMD
+    # log and exp do not, and theta_hat is an artifact
+    y = np.array([math.log(e) for e in eff[lo:hi + 1]])
+    # ordinary least squares as in scipy.stats.linregress, with correctly
+    # rounded sums: np.cov goes through BLAS, whose kernel, and so whose
+    # last bits, depend on the CPU model.  y is shifted by y[0] first, so
+    # a flat curve centres to exact zeros (ssym == 0) and fits exactly:
+    # r = 0 gives se_ols = 0
+    ssxm, ssxym, ssym = _centred_moments(x, y - y[0])
     r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0) if ssym > 0.0 else 0.0
     slope = float(ssxym / ssxm)
     se_ols = float(np.sqrt((1 - r**2) * ssym / ssxm / (len(x) - 2)))
-    theta = float(np.exp(slope))
+    theta = math.exp(slope)
     # Binomial counting noise.  The log-curve is a sum of per-step
     # increments log(S_m/S_{m-1}) which are independent given the past,
     # with variance ~ (1-theta)/(theta * at_risk_{m-1}).  The slope is a
@@ -170,15 +183,31 @@ def fit_escape_rate(survivors, window, censored=None,
     )
 
 
+def predicted_survivors(table, hole, n_particles: int, step: int) -> float:
+    """Survivors at a step if each step lost the hole's stationary mass,
+    n * exp(-nu(H) * step): the pre-flight estimate of a direct run."""
+    return n_particles * math.exp(-_holes.hole_mass(table, hole) * step)
+
+
 def estimate_escape_rate(table, hole, density, n_particles: int, n_max: int,
                          window, master_seed: int,
                          convention: str = "arrival", threads: int = 1,
                          min_tail: int = 100, capture=()):
-    """Sample, evolve, fit; returns (EscapeEstimate, EnsembleResult)."""
+    """Sample, evolve, fit; returns (EscapeEstimate, EnsembleResult).
+
+    Raises StarvedSampleError before simulating when predicted_survivors
+    at the window's end is 10x below min_tail.
+    """
+    predicted = predicted_survivors(table, hole, n_particles, int(window[1]))
+    if 10.0 * predicted < min_tail:
+        raise StarvedSampleError(
+            f"about {predicted:.3g} survivors predicted at step {int(window[1])} "
+            f"(< {min_tail}/10 from the hole mass); increase n_particles"
+        )
     rng = stream(master_seed, "initial")
-    sid, r, phi = _measures.sample_initial(table, density, n_particles, rng)
+    state = _measures.sample_initial(table, density, n_particles, rng)
     res = _od.evolve_ensemble(
-        table, hole, sid, r, phi, n_max,
+        table, hole, state, n_max,
         convention=convention, threads=threads, capture=capture,
     )
     est = fit_escape_rate(res.survivors, window, censored=res.censored,
@@ -197,9 +226,9 @@ def survivor_distribution(table, hole, density, n_particles: int,
     the transient; raise min_survivors for acceptance-grade precision.
     """
     rng = stream(master_seed, "initial")
-    sid, r, phi = _measures.sample_initial(table, density, n_particles, rng)
+    state = _measures.sample_initial(table, density, n_particles, rng)
     res = _od.evolve_ensemble(
-        table, hole, sid, r, phi, n_steps,
+        table, hole, state, n_steps,
         convention=convention, threads=threads,
     )
     n_surv = len(res.final_sid)
@@ -228,6 +257,17 @@ class FVResult:
     captures: dict = field(default_factory=dict)
 
 
+def _rotate(u, tau):
+    """Rotate vectors u (m,2) by the angles 2*atan(tau) (m,), with the
+    rational cos and sin (1 - tau^2, 2*tau) / (1 + tau^2): no
+    trigonometry, and for a jitter-sized angle a = 2*tau the rotation
+    is by a to within a^3/12."""
+    t2 = tau * tau
+    c = (1.0 - t2) / (1.0 + t2)
+    s = (tau + tau) / (1.0 + t2)
+    return np.stack([c * u[:, 0] - s * u[:, 1], s * u[:, 0] + c * u[:, 1]], axis=1)
+
+
 def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
                         window, master_seed: int, threads: int = 1,
                         capture=()) -> FVResult:
@@ -236,13 +276,17 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
     The per-step survival ratios exclude censored particles from both
     sides; their running product plays the role of the survival curve.
     The final population approximates the limiting conditional measure;
-    capture lists steps whose post-cloning population to snapshot.
+    capture lists steps whose post-cloning population to snapshot, as
+    (sid, r, phi).
 
-    Clones get a tiny phase jitter.  The map is deterministic, so an
-    exact copy would shadow its parent forever and the population would
-    collapse onto ever fewer distinct orbits; hyperbolicity amplifies
-    the jitter to independence within ~10 steps while displacing the
-    sampled measure by far less than any histogram bin.
+    Clones get a tiny phase jitter: the normal and the velocity are
+    turned together by dr/rho, which moves r by dr, then the velocity
+    alone by dphi, and phi is capped at TANGENCY_GUARD from +-pi/2 on
+    its cosine.  The map is deterministic, so an exact copy would shadow
+    its parent forever and the population would collapse onto ever
+    fewer distinct orbits; hyperbolicity amplifies the jitter to
+    independence within ~10 steps while displacing the sampled measure
+    by far less than any histogram bin.
 
     Escapes are counted under the arrival convention only: ratios[0] is
     the index-0 loss of initial states already in the hole.
@@ -252,10 +296,7 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
     capture = set(int(c) for c in capture)
     captures: dict = {}
     rng_init = stream(master_seed, "initial")
-    sid, r, phi = _measures.sample_initial(table, density, n_particles, rng_init)
-    sid = sid.copy()
-    r = r.copy()
-    phi = phi.copy()
+    state = _measures.sample_initial(table, density, n_particles, rng_init)
     rng = stream(master_seed, "fleming-viot")
     images = _holes.escape_offsets(table, hole)
 
@@ -266,7 +307,7 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
     n_cloned = 0
 
     jitter = 1e-5
-    phi_cap = np.pi / 2 - 1e-9
+    cos_cap = _bmap._COS_GUARD
 
     def clone_into(dead_idx, alive_idx):
         nonlocal n_cloned
@@ -276,19 +317,27 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
             raise ExtinctionError("every particle died in one step")
         m = len(dead_idx)
         src = alive_idx[rng.integers(0, len(alive_idx), size=m)]
-        sid[dead_idx] = sid[src]
-        perim = table.perimeters[sid[src]]
-        rj = np.mod(r[src] + rng.uniform(-jitter, jitter, size=m), perim)
-        # np.mod takes a hair below 0 to the perimeter itself, which is r = 0
-        r[dead_idx] = np.where(rj < perim, rj, 0.0)
-        phi[dead_idx] = np.clip(
-            phi[src] + rng.uniform(-jitter, jitter, size=m),
-            -phi_cap, phi_cap,
-        )
+        sid = state.sid.take(src)
+        tau_r = 0.5 * rng.uniform(-jitter, jitter, size=m) / table.radii[sid]
+        tau_phi = 0.5 * rng.uniform(-jitter, jitter, size=m)
+        nrm = _rotate(state.normal.take(src, axis=0), tau_r)
+        vel = _rotate(_rotate(state.velocity.take(src, axis=0), tau_r), tau_phi)
+        nx, ny = nrm[:, 0], nrm[:, 1]
+        cosp = vel[:, 0] * nx + vel[:, 1] * ny
+        low = np.flatnonzero(cosp < cos_cap)
+        if low.size:
+            # cap phi at the guard: cos = cos_cap, sin keeps its sign
+            sinp = np.where(vel[low, 1] * nx[low] - vel[low, 0] * ny[low] < 0.0, -1.0, 1.0)
+            sinp *= math.sqrt((1.0 - cos_cap) * (1.0 + cos_cap))
+            vel[low, 0] = cos_cap * nx[low] - sinp * ny[low]
+            vel[low, 1] = cos_cap * ny[low] + sinp * nx[low]
+        state.sid[dead_idx] = sid
+        state.normal[dead_idx] = nrm
+        state.velocity[dead_idx] = vel
         n_cloned += m
 
     if hole is not None:
-        mask, cens = _holes.state_in_hole_batch(table, hole, sid, r, phi, images)
+        mask, cens = _holes.state_in_hole(table, hole, state, images)
         dead = mask | cens
         n_cens = int(cens.sum())
         n_cens_total += n_cens
@@ -300,39 +349,36 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
         clone_into(np.flatnonzero(dead), np.flatnonzero(~dead))
     eff[0] = n_particles * ratios[0]
     if 0 in capture:
-        captures[0] = (sid.copy(), r.copy(), phi.copy())
+        captures[0] = _bmap.phase_of(table, state)
 
     for k in range(1, n_steps + 1):
-        batch, esc = _od.open_step_batch(table, hole, images, sid, r, phi,
-                                         threads)
-        dead = batch.censored | esc
-        alive = ~dead
-        n_cens = int(batch.censored.sum())
+        # dead entries of the arrivals are placeholders, overwritten by clones
+        state, cens, esc = _od.open_step_batch(table, hole, images, state, threads)
+        dead = cens | esc
+        n_cens = int(cens.sum())
         n_cens_total += n_cens
         at_risk = n_particles - n_cens
-        surv = int(alive.sum())
+        surv = n_particles - int(dead.sum())
         if at_risk <= 0 or surv <= 0:
             raise ExtinctionError(f"population went extinct at step {k}")
         ratios[k] = surv / at_risk
         eff[k] = eff[k - 1] * ratios[k]
-        sid[alive] = batch.scatterer_id[alive]
-        r[alive] = batch.r[alive]
-        phi[alive] = batch.phi[alive]
-        clone_into(np.flatnonzero(dead), np.flatnonzero(alive))
+        clone_into(np.flatnonzero(dead), np.flatnonzero(~dead))
         if k in capture:
-            captures[k] = (sid.copy(), r.copy(), phi.copy())
+            captures[k] = _bmap.phase_of(table, state)
 
     # cloning keeps every ratio at full population size
     pop = np.full(len(eff), float(n_particles))
     est = fit_escape_rate(eff, window, censored=None, min_tail=0,
                           at_risk=pop)
+    final_sid, final_r, final_phi = _bmap.phase_of(table, state)
     return FVResult(
         estimate=est,
         eff_counts=eff,
         ratios=ratios,
-        final_sid=sid,
-        final_r=r,
-        final_phi=phi,
+        final_sid=final_sid,
+        final_r=final_r,
+        final_phi=final_phi,
         n_censored=n_cens_total,
         n_cloned=n_cloned,
         captures=captures,
@@ -377,13 +423,13 @@ def small_hole_sweep(table, anchor, h_list, density, n_particles: int,
     if not 0 < measure_step <= n_max:
         raise InvalidArgumentError("measure_step must lie in [1, n_max]")
     rng = stream(master_seed, "initial")
-    sid, r, phi = _measures.sample_initial(table, density, n_particles, rng)
+    state = _measures.sample_initial(table, density, n_particles, rng)
     ref = _measures.nu_measure(table, r_bins, phi_bins)
     rows = []
     for h in h_list:
         hole = _holes.hole_family(table, anchor, h, offset=offset, kind=kind)
         res = _od.evolve_ensemble(
-            table, hole, sid, r, phi, n_max,
+            table, hole, state, n_max,
             convention=convention, threads=threads, capture=(measure_step,),
         )
         est = fit_escape_rate(res.survivors, window, censored=res.censored,
@@ -408,37 +454,32 @@ def small_hole_sweep(table, anchor, h_list, density, n_particles: int,
     return rows
 
 
-def backward_hole_visits(table, hole, sid, r, phi, k_steps: int):
+def backward_hole_visits(table, hole, state, k_steps: int):
     """Count hole memberships along k_steps of the inverse map.
 
-    Returns (visits, censored): visits[i] counts how many of the states
-    x, f^-1 x, ..., f^-k x lie in the hole; censored marks particles
-    whose backward orbit hit the tangency guard, checked only up to the
-    censoring step.
+    state is a billiard_map.State.  Returns (visits, censored):
+    visits[i] counts how many of the states x, f^-1 x, ..., f^-k x lie
+    in the hole; censored marks particles whose backward orbit hit the
+    tangency guard, checked only up to the censoring step.
     """
-    sid = np.asarray(sid, dtype=np.int64).copy()
-    r = np.asarray(r, dtype=float).copy()
-    phi = np.asarray(phi, dtype=float).copy()
-    n = len(sid)
+    n = len(state.sid)
     visits = np.zeros(n, dtype=np.int64)
     cens = np.zeros(n, dtype=bool)
+    idx = np.arange(n)
     images = _holes.escape_offsets(table, hole)
     for k in range(k_steps + 1):
-        idx = np.flatnonzero(~cens)
-        back = _bmap.collide_inverse_batch(table, sid[idx], r[idx], phi[idx])
+        back = _bmap.collide_inverse_cartesian(table, *state)
         inside, undecided = _holes.in_hole_given_flight(
-            table, hole, sid[idx], r[idx], back, images
+            table, hole, state.sid, state.normal, back, images
         )
         visits[idx[inside]] += 1
         cens[idx[undecided]] = True
         if k == k_steps:
             break
         cens[idx[back.censored]] = True
-        ok = ~back.censored
-        tgt = idx[ok]
-        sid[tgt] = back.scatterer_id[ok]
-        r[tgt] = back.r[ok]
-        phi[tgt] = back.phi[ok]
+        ok = np.flatnonzero(~back.censored)
+        idx = idx[ok]
+        state = back.arrivals().take(ok)
     return visits, cens
 
 
@@ -463,9 +504,9 @@ def singularity_diagnostic(table, hole, k_steps: int, n_particles: int,
     shadowing the forward history and say nothing about it.
     """
     rng = stream(master_seed, "singularity")
-    sid, r, phi = _measures.sample_nu(table, n_particles, rng)
+    state = _measures.sample_nu_state(table, n_particles, rng)
     res = _od.evolve_ensemble(
-        table, hole, sid, r, phi, k_steps,
+        table, hole, state, k_steps,
         convention=convention, threads=threads,
     )
     at_risk = n_particles - int(res.censored[-1])
@@ -480,8 +521,8 @@ def singularity_diagnostic(table, hole, k_steps: int, n_particles: int,
     m = min(n_backcheck, n_surv)
     if m > 0:
         visits, cens = backward_hole_visits(
-            table, hole, res.final_sid[:m], res.final_r[:m],
-            res.final_phi[:m], min(k_backcheck, k_steps),
+            table, hole, res.final_state.take(np.arange(m)),
+            min(k_backcheck, k_steps),
         )
         violations = int(visits[~cens].sum())
         checked = int((~cens).sum())

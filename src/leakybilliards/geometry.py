@@ -321,27 +321,38 @@ def boundary_point(table: Table, scatterer_id: int, r: float) -> TablePoint:
     return TablePoint(sid, (cx + rho * nx, cy + rho * ny), (nx, ny))
 
 
-def rays_from_boundary(table: Table, sid, r, phi):
-    """Vectorized launch data for boundary states.
+def boundary_frame(table: Table, sid, r, cos_phi, sin_phi):
+    """Vectorized Cartesian form of boundary states.
 
     phi is the angle from the inward normal, positive toward the
     counterclockwise tangent; |phi| < pi/2 points into the domain.
-    Returns (p0 (N,2), v (N,2)) with unit directions.
+    Returns (n (N,2), v (N,2)): the unit normal at arc length r, pointing
+    away from the disk center, and the unit direction at angle phi,
+    given by its cosine and sine.
     """
-    sid = np.asarray(sid, dtype=np.int64)
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    rho = table.radii[sid]
-    psi = r / rho
+    psi = np.asarray(r, dtype=float) / table.radii[sid]
     nx, ny = np.cos(psi), np.sin(psi)
-    p0 = np.empty(sid.shape + (2,), dtype=float)
-    p0[..., 0] = table.centers[sid, 0] + rho * nx
-    p0[..., 1] = table.centers[sid, 1] + rho * ny
-    cphi, sphi = np.cos(phi), np.sin(phi)
-    v = np.empty_like(p0)
-    v[..., 0] = cphi * nx - sphi * ny
-    v[..., 1] = cphi * ny + sphi * nx
-    return p0, v
+    n = np.stack([nx, ny], axis=-1)
+    v = np.stack([cos_phi * nx - sin_phi * ny, cos_phi * ny + sin_phi * nx], axis=-1)
+    return n, v
+
+
+def launch_points(table: Table, sid, n):
+    """Boundary points center + rho*n of scatterers sid, (N,2)."""
+    rho = table.radii.take(sid)
+    p0 = table.centers.take(sid, axis=0)
+    p0[:, 0] += rho * n[:, 0]
+    p0[:, 1] += rho * n[:, 1]
+    return p0
+
+
+def rays_from_boundary(table: Table, sid, r, phi):
+    """Vectorized launch data for boundary states (see boundary_frame).
+    Returns (p0 (N,2), v (N,2)) with unit directions."""
+    sid = np.asarray(sid, dtype=np.int64)
+    phi = np.asarray(phi, dtype=float)
+    n, v = boundary_frame(table, sid, r, np.cos(phi), np.sin(phi))
+    return launch_points(table, sid, n), v
 
 
 def pie_slice_distance(x, y, a0, a1, radius):
@@ -394,7 +405,7 @@ def first_hit_batch(table: Table, p0, v, skip_sid, reach=None):
     hit at t <= reach gets the same bits.  A ray with no hit within
     reach is re-run through _full_scan, which returns its first hit
     among image_candidates(reach) even when that hit lies past reach,
-    and collide_batch accepts it.  Past reach that hit need not be the
+    and collide_cartesian accepts it.  Past reach that hit need not be the
     nearest, since images whose distance lower bound exceeds reach are
     never scanned.  Only a ray that meets none of those images gets
     t = inf and sid = -1.  At the certificate's l_max, a ray leaving its
@@ -413,7 +424,7 @@ def first_hit_batch(table: Table, p0, v, skip_sid, reach=None):
     if miss.size:
         (best_t[miss], best_sid[miss], best_off[miss],
          maybe_graze[miss]) = _full_scan(table, p0[miss], v[miss], skip_sid[miss], reach)
-    grazed = _graze_recheck(table, p0, v, best_t, maybe_graze, reach)
+    grazed = _graze_recheck(table, p0, v, best_t, maybe_graze, reach, skip_sid)
     return best_t, best_sid, best_off, grazed
 
 
@@ -536,32 +547,52 @@ def _full_scan(table, p0, v, skip_sid, reach):
     return best_t, best_sid, best_off, maybe_graze
 
 
-def _graze_recheck(table, p0, v, best_t, maybe_graze, reach):
-    """Exact grazing test of the pre-screened rays over every image.
+def _graze_recheck(table, p0, v, best_t, maybe_graze, reach, skip_sid=None):
+    """Exact grazing test of the pre-screened rays.
 
     A flagged ray grazes if it has no hit, or if it passes within
     GRAZE_TOLERANCE of an image's circle at a closest approach strictly
     between _T_EPS and its hit (the hit's own chord midpoint lies beyond
-    it).  Flagged rays are tested against all images at once, in blocks
-    of _GRAZE_BLOCK rays.
+    it).  Given the departure ids skip_sid, a ray with a hit within
+    reach is tested against its row of Table.sector_candidates(reach):
+    every circle it passes ahead of that hit lies in the row (its own
+    disk lies behind a ray that leaves it), and the row's padding
+    entries are other images, harmless to an OR.  Every other flagged
+    ray is tested against all of image_candidates(reach).  Rays are
+    tested in blocks of _GRAZE_BLOCK.
     """
+    grazed = np.zeros(len(best_t), dtype=bool)
+    flagged = np.flatnonzero(maybe_graze)
+    if skip_sid is not None:
+        near = flagged[best_t[flagged] <= reach]
+        flagged = flagged[~(best_t[flagged] <= reach)]
+        img_sid, _, cols = table.sector_candidates(reach)
+        for lo in range(0, near.size, _GRAZE_BLOCK):
+            idx = near[lo:lo + _GRAZE_BLOCK]
+            key = sector_keys(skip_sid[idx], v[idx])
+            grazed[idx] = _grazes(p0[idx], v[idx], best_t[idx], cols.x[:, key].T,
+                                  cols.y[:, key].T, table.radii[img_sid[cols.idx[:, key].T]])
     offs, sids, _ = table.image_candidates(reach)
     cx = table.centers[sids, 0] + offs[:, 0]
     cy = table.centers[sids, 1] + offs[:, 1]
     rho = table.radii[sids]
-    grazed = np.zeros(len(best_t), dtype=bool)
-    flagged = np.flatnonzero(maybe_graze)
     for lo in range(0, flagged.size, _GRAZE_BLOCK):
         idx = flagged[lo:lo + _GRAZE_BLOCK]
-        tb = best_t[idx, None]
-        fx = p0[idx, 0, None] - cx
-        fy = p0[idx, 1, None] - cy
-        t_close = -0.5 * (2.0 * (fx * v[idx, 0, None] + fy * v[idx, 1, None]))
-        imp2 = fx * fx + fy * fy - t_close * t_close
-        near = np.abs(np.sqrt(np.maximum(imp2, 0.0)) - rho) < GRAZE_TOLERANCE
-        ahead = (_T_EPS < t_close) & (t_close < tb)
-        grazed[idx] = ~np.isfinite(tb[:, 0]) | np.any(near & ahead, axis=1)
+        grazed[idx] = _grazes(p0[idx], v[idx], best_t[idx], cx, cy, rho)
     return grazed
+
+
+def _grazes(p0, v, best_t, cx, cy, rho):
+    """_graze_recheck of rays (m,) against circles (cx, cy, rho), each
+    either shared (K,) or per ray (m, K)."""
+    tb = best_t[:, None]
+    fx = p0[:, 0, None] - cx
+    fy = p0[:, 1, None] - cy
+    t_close = -0.5 * (2.0 * (fx * v[:, 0, None] + fy * v[:, 1, None]))
+    imp2 = fx * fx + fy * fy - t_close * t_close
+    near = np.abs(np.sqrt(np.maximum(imp2, 0.0)) - rho) < GRAZE_TOLERANCE
+    ahead = (_T_EPS < t_close) & (t_close < tb)
+    return ~np.isfinite(best_t) | np.any(near & ahead, axis=1)
 
 
 def _corridor_witness(centers, radii, q_sweep):

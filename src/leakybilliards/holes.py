@@ -12,6 +12,9 @@ Two kinds of leak:
 
 Predicates are pure geometry and never mutate state; near-tangential
 inputs propagate the censoring of the underlying collision search.
+They read states in the Cartesian form of billiard_map.State: the arc
+test takes cross products of boundary normals, and a Type II test reads
+the flight's start and direction.
 """
 
 from __future__ import annotations
@@ -163,6 +166,39 @@ def arc_contains(hole: HoleSpec, table, sid, r):
     return on & ((r > a) | (r < b))
 
 
+def arc_contains_normal(hole: HoleSpec, table, sid, normal):
+    """arc_contains for boundary points given by their unit normals (N,2).
+
+    With na and nb the normals at the arc's endpoints, a normal lies on
+    the open counterclockwise arc from na to nb when na x n > 0 and
+    n x nb > 0, for an arc of at most half the perimeter; a longer arc
+    holds every normal off the closed complementary arc, so either
+    cross product being positive will do.  This agrees with arc_contains
+    except within rounding of an endpoint.
+    """
+    rho = float(table.radii[hole.scatterer_id])
+    ax, ay = math.cos(hole.arc[0] / rho), math.sin(hole.arc[0] / rho)
+    bx, by = math.cos(hole.arc[1] / rho), math.sin(hole.arc[1] / rho)
+    nx, ny = normal[:, 0], normal[:, 1]
+    after_a = ax * ny - ay * nx > 0.0
+    before_b = nx * by - ny * bx > 0.0
+    if hole.arc_length(table) > math.pi * rho:
+        inside = after_a | before_b
+    else:
+        inside = after_a & before_b
+    return inside & (np.asarray(sid) == hole.scatterer_id)
+
+
+def hole_mass(table, hole: HoleSpec | None) -> float:
+    """Stationary measure nu(H) of a hole: |arc|/|dQ| for Type I and,
+    by Cauchy-Crofton, 2*pi*radius/|dQ| for Type II; 0 for no hole."""
+    if hole is None:
+        return 0.0
+    if hole.kind == "I":
+        return hole.arc_length(table) / table.total_perimeter
+    return 2.0 * math.pi * hole.radius / table.total_perimeter
+
+
 def hole_image_offsets(table, hole: HoleSpec):
     """Integer translates of a Type II hole that a flight of length at most
     the certificate's l_max can cross, in geometry.image_lattice order."""
@@ -277,36 +313,43 @@ def arrival_escape_mask(table, hole: HoleSpec, batch: _bmap.CollisionBatch,
     off that same flight.  Censored entries are never marked escaped;
     the caller accounts for them separately.
     """
-    inside, _ = in_hole_given_flight(table, hole, batch.scatterer_id, batch.r,
+    inside, _ = in_hole_given_flight(table, hole, batch.scatterer_id, batch.normal,
                                      batch, images)
     return inside & ~batch.censored
 
 
-def in_hole_given_flight(table, hole: HoleSpec, sid, r, flight, images=None):
+def in_hole_given_flight(table, hole: HoleSpec, sid, normal, flight, images=None):
     """Phase-space membership of states given the flights that produced them.
 
     flight is a CollisionBatch holding, per state, the free flight that
     ended there, run either way: the forward batch that arrived at the
-    states, or their collide_inverse_batch.  Type I reads only sid and
-    r, so flight may be None there.  Returns (inside, undecided): a
-    Type II state is in the hole exactly when its flight crossed the
-    disk, and undecided when that flight was censored.  images are the
-    hole's escape_offsets, computed here when None.
+    states, or their inverse collision.  Type I reads only sid and the
+    boundary normals, so flight may be None there.  Returns (inside,
+    undecided): a Type II state is in the hole exactly when its flight
+    crossed the disk, and undecided when that flight was censored.
+    images are the hole's escape_offsets, computed here when None.
     """
     if hole.kind == "I":
-        return arc_contains(hole, table, sid, r), np.zeros(np.shape(sid), dtype=bool)
+        return (arc_contains_normal(hole, table, sid, normal),
+                np.zeros(np.shape(sid), dtype=bool))
     if images is None:
         images = escape_offsets(table, hole)
     mask = flight_crosses_hole(hole, images, flight)
     return mask & ~flight.censored, flight.censored
 
 
+def state_in_hole(table, hole: HoleSpec, state: _bmap.State, images=None):
+    """Phase-space membership of Cartesian states; returns (in_hole,
+    censored).  A Type II state is tested on its backward flight."""
+    back = (_bmap.collide_inverse_cartesian(table, *state)
+            if hole.kind == "II" else None)
+    return in_hole_given_flight(table, hole, state.sid, state.normal, back, images)
+
+
 def state_in_hole_batch(table, hole: HoleSpec, sid, r, phi, images=None):
-    """Vectorized phase-space membership; returns (in_hole, censored)."""
-    sid = np.asarray(sid, dtype=np.int64)
-    r = np.asarray(r, dtype=float)
-    back = _bmap.collide_inverse_batch(table, sid, r, phi) if hole.kind == "II" else None
-    return in_hole_given_flight(table, hole, sid, r, back, images)
+    """state_in_hole of (sid, r, phi) states."""
+    return state_in_hole(table, hole, _bmap.state_from_phase(table, sid, r, phi),
+                         images)
 
 
 def in_hole(table, hole: HoleSpec, x: _bmap.PhasePoint) -> bool:

@@ -3,7 +3,10 @@
 The stationary measure of the collision map has density cos(phi) in
 (r, phi) on each scatterer, normalized by twice the total perimeter.
 Initial ensembles are drawn from that measure directly (inverse CDF in
-phi) or reweighted by a positive Lipschitz factor via rejection.
+phi: sin(phi) = 2u - 1 is uniform) or reweighted by a positive
+Lipschitz factor via rejection.  sample_initial returns ensembles as
+billiard_map.State; the velocity is built from sin(phi) with sqrt, so
+no arcsin enters a trajectory.
 
 Empirical measures live on a product grid: per scatterer, r_bins equal
 arclength cells times phi_bins equal angle cells.  The analytic bin
@@ -18,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import billiard_map as _bmap
+from . import geometry as _geo
 from . import open_dynamics as _od
 from .errors import (
     ConfigReader,
@@ -77,8 +82,8 @@ def density_from_json(obj) -> DensitySpec:
     return spec
 
 
-def sample_nu(table, n: int, rng):
-    """Draw n states from the stationary measure; returns (sid, r, phi)."""
+def _nu_draws(table, n: int, rng):
+    """n draws of (sid, r, sin phi) from the stationary measure."""
     if n <= 0:
         raise InvalidArgumentError("sample size must be positive")
     u = rng.random(n) * table.total_perimeter
@@ -88,30 +93,47 @@ def sample_nu(table, n: int, rng):
         0, len(table) - 1,
     ).astype(np.int64)
     r = np.mod(rng.random(n) * table.perimeters[sid], table.perimeters[sid])
-    phi = np.arcsin(2.0 * rng.random(n) - 1.0)
-    return sid, r, phi
+    return sid, r, 2.0 * rng.random(n) - 1.0
 
 
-def sample_initial(table, spec: DensitySpec, n: int, rng):
-    """Draw n states with law psi d(nu) by rejection; deterministic given rng."""
+def _state(table, sid, r, s):
+    """billiard_map.State of boundary states with sin(phi) = s."""
+    c = np.sqrt((1.0 - s) * (1.0 + s))
+    return _bmap.State(sid, *_geo.boundary_frame(table, sid, r, c, s))
+
+
+def sample_nu(table, n: int, rng):
+    """Draw n states from the stationary measure; returns (sid, r, phi)."""
+    sid, r, s = _nu_draws(table, n, rng)
+    return sid, r, np.arcsin(s)
+
+
+def sample_nu_state(table, n: int, rng) -> _bmap.State:
+    """sample_nu's draws as a billiard_map.State."""
+    return _state(table, *_nu_draws(table, n, rng))
+
+
+def sample_initial(table, spec: DensitySpec, n: int, rng) -> _bmap.State:
+    """Draw n states with law psi d(nu) by rejection, as a
+    billiard_map.State; deterministic given rng."""
     if spec.kind == "nu":
-        return sample_nu(table, n, rng)
+        return sample_nu_state(table, n, rng)
     out_sid = np.empty(n, dtype=np.int64)
     out_r = np.empty(n)
-    out_phi = np.empty(n)
+    out_s = np.empty(n)
     filled = 0
     sup = spec.sup_weight
     while filled < n:
         m = int((n - filled) * sup * 1.2) + 64
-        sid, r, phi = sample_nu(table, m, rng)
-        acc = rng.random(m) < spec.weight(table, sid, r, phi) / sup
+        sid, r, s = _nu_draws(table, m, rng)
+        acc = rng.random(m) < spec.weight(table, sid, r, np.arcsin(s)) / sup
         take = min(int(acc.sum()), n - filled)
         idx = np.flatnonzero(acc)[:take]
         out_sid[filled:filled + take] = sid[idx]
         out_r[filled:filled + take] = r[idx]
-        out_phi[filled:filled + take] = phi[idx]
+        out_s[filled:filled + take] = s[idx]
         filled += take
-    return out_sid, out_r, out_phi
+    return _state(table, out_sid, out_r, out_s)
 
 
 @dataclass
@@ -219,14 +241,15 @@ def pushforward_residual(table, hole, sid, r, phi, r_bins: int, phi_bins: int,
     sid = np.asarray(sid, dtype=np.int64)
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    batch, esc = _od.open_step_batch(table, hole, images, sid, r, phi)
-    alive = ~(batch.censored | esc)
-    n_cens = int(batch.censored.sum())
+    arrivals, cens, esc = _od.open_step_batch(
+        table, hole, images, _bmap.state_from_phase(table, sid, r, phi))
+    alive = ~(cens | esc)
+    n_cens = int(cens.sum())
     n_risk = len(sid) - n_cens
     if n_risk <= 0 or not np.any(alive):
         raise EmptySurvivorSetError("no uncensored survivors after one step")
-    before = bin_measure(table, sid[~batch.censored], r[~batch.censored],
-                        phi[~batch.censored], r_bins, phi_bins).normalized()
-    after = bin_measure(table, batch.scatterer_id[alive], batch.r[alive],
-                       batch.phi[alive], r_bins, phi_bins).normalized()
+    before = bin_measure(table, sid[~cens], r[~cens], phi[~cens],
+                         r_bins, phi_bins).normalized()
+    after = bin_measure(table, *_bmap.phase_of(table, arrivals.take(np.flatnonzero(alive))),
+                        r_bins, phi_bins).normalized()
     return measure_distance(before, after), float(alive.sum()) / n_risk, n_cens

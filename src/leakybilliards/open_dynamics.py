@@ -1,5 +1,10 @@
 """Open-system evolution: iterate the collision map and remove escapers.
 
+Ensembles are carried as billiard_map.State, the Cartesian form
+(scatterer id, boundary normal, velocity), so a step needs no
+trigonometry and gives the same bits on every host; (r, phi) appear
+only in the results (final_*, captures).
+
 Two bookkeeping conventions for when an escape through a Type II disk
 (or a Type I arc) is counted:
 
@@ -16,7 +21,8 @@ every survival ratio downstream.
 
 Every forward step goes through open_step_batch, which always works in
 fixed-size chunks and element by element, so outputs are identical
-byte-for-byte for any worker count.
+byte-for-byte for any worker count.  evolve_ensemble keeps only the
+survivors, packed, with their initial-particle indices.
 """
 
 from __future__ import annotations
@@ -33,8 +39,6 @@ from .errors import ConfigError, InvalidArgumentError
 
 CHUNK = 65536
 
-ALIVE, ESCAPED, CENSORED = 0, 1, 2
-
 
 def default_threads() -> int:
     """Worker count from LEAKY_THREADS, defaulting to 1; anything but a
@@ -49,41 +53,46 @@ def default_threads() -> int:
     return threads
 
 
-def open_step_batch(table, hole, images, sid, r, phi, threads: int = 1):
-    """One step of the open collision map; returns (CollisionBatch, escaped).
+def open_step_batch(table, hole, images, state, threads: int = 1):
+    """One step of the open collision map on a billiard_map.State.
 
-    The states are cut into CHUNK-sized slices; each slice is collided
-    and masked on its own, and threads only decides which worker runs
-    which slice.  Both steps work element by element, so the result is
-    the same for any chunking and any thread count.  escaped never marks
-    a censored entry.  hole None means a closed step; images are the
+    Returns (arrivals, censored, escaped): the arrival States, and masks
+    of the censored and the escaped flights.  escaped never marks a
+    censored entry, and censored entries hold placeholder states.  The
+    states are cut into CHUNK-sized slices; each slice is collided and
+    masked on its own, and threads only decides which worker runs which
+    slice.  Both steps work element by element, so the result is the
+    same for any chunking and any thread count.  The slices' results are
+    joined once all are done: writing each into preallocated outputs
+    instead lets glibc trim the heap between slices and fault it back in
+    on the next one (about 4x the page faults of a 200000-particle
+    run).  hole None means a closed step; images are the
     holes.escape_offsets of the hole, computed here when None.
     """
-    sid = np.asarray(sid, dtype=np.int64)
-    r = np.asarray(r, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    sid, normal, velocity = state
+    n = len(sid)
     if images is None:
         images = _holes.escape_offsets(table, hole)
 
-    def step(lo):
-        batch = _bmap.collide_batch(table, sid[lo:lo + CHUNK], r[lo:lo + CHUNK],
-                                    phi[lo:lo + CHUNK])
+    def step(part):
+        batch = _bmap.collide_cartesian(table, sid[part], normal[part], velocity[part])
         if hole is None:
-            return batch, np.zeros(len(batch.censored), dtype=bool)
-        return batch, _holes.arrival_escape_mask(table, hole, batch, images)
+            escaped = np.zeros(len(batch.censored), dtype=bool)
+        else:
+            escaped = _holes.arrival_escape_mask(table, hole, batch, images)
+        return batch.arrivals(), batch.censored, escaped
 
-    starts = range(0, max(len(sid), 1), CHUNK)
-    if threads <= 1 or len(starts) == 1:
-        parts = [step(lo) for lo in starts]
+    parts = [slice(lo, lo + CHUNK) for lo in range(0, max(n, 1), CHUNK)]
+    if threads <= 1 or len(parts) == 1:
+        parts = [step(part) for part in parts]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(step, starts))
+            parts = list(pool.map(step, parts))
     if len(parts) == 1:
         return parts[0]
-    batches, masks = zip(*parts)
-    # departure_id, the last field, is a slice of sid in every part
-    joined = map(np.concatenate, zip(*(b[:-1] for b in batches)))
-    return _bmap.CollisionBatch(*joined, sid), np.concatenate(masks)
+    arrivals, censored, escaped = zip(*parts)
+    return (_bmap.State(*map(np.concatenate, zip(*arrivals))),
+            np.concatenate(censored), np.concatenate(escaped))
 
 
 @dataclass
@@ -92,10 +101,11 @@ class EnsembleResult:
 
     survivors, escaped, censored are cumulative counts indexed by step,
     length n_steps+1, satisfying survivors[k] + escaped[k] + censored[k]
-    == n at every k.  final_* hold the surviving states at the last
-    step; alive_index maps them back to initial-particle indices.
-    escape_step[i] is the kill index of particle i (-1 if it never
-    escaped); captures maps requested steps to survivor state triples.
+    == n at every k.  final_state holds the surviving states at the
+    last step and final_* their (sid, r, phi); alive_index maps them
+    back to initial-particle indices.  escape_step[i] is the kill index
+    of particle i (-1 if it never escaped); captures maps requested
+    steps to survivor (sid, r, phi) triples.
     """
 
     convention: str
@@ -104,6 +114,7 @@ class EnsembleResult:
     survivors: np.ndarray
     escaped: np.ndarray
     censored: np.ndarray
+    final_state: _bmap.State
     final_sid: np.ndarray
     final_r: np.ndarray
     final_phi: np.ndarray
@@ -112,10 +123,11 @@ class EnsembleResult:
     captures: dict = field(default_factory=dict)
 
 
-def evolve_ensemble(table, hole, sid, r, phi, n_steps: int,
+def evolve_ensemble(table, hole, state, n_steps: int,
                     convention: str = "arrival", threads: int = 1,
                     capture=()) -> EnsembleResult:
-    """Iterate the open map on an ensemble, recording survival counts.
+    """Iterate the open map on an ensemble of billiard_map.State,
+    recording survival counts.
 
     hole may be None for a closed run (nothing escapes, censoring still
     applies).  capture lists steps at which survivor states should be
@@ -125,11 +137,11 @@ def evolve_ensemble(table, hole, sid, r, phi, n_steps: int,
         raise InvalidArgumentError(f"unknown escape convention {convention!r}")
     if n_steps < 0:
         raise InvalidArgumentError("n_steps must be nonnegative")
-    sid = np.asarray(sid, dtype=np.int64).copy()
-    r = np.asarray(r, dtype=float).copy()
-    phi = np.asarray(phi, dtype=float).copy()
-    n = len(sid)
-    status = np.zeros(n, dtype=np.int8)
+    state = _bmap.State(np.asarray(state.sid, dtype=np.int64),
+                        np.asarray(state.normal, dtype=float),
+                        np.asarray(state.velocity, dtype=float))
+    n = len(state.sid)
+    alive = np.arange(n)
     escape_step = np.full(n, -1, dtype=np.int64)
     capture = set(int(c) for c in capture)
     captures: dict = {}
@@ -139,44 +151,42 @@ def evolve_ensemble(table, hole, sid, r, phi, n_steps: int,
     survivors = np.zeros(n_steps + 1, dtype=np.int64)
     escaped = np.zeros(n_steps + 1, dtype=np.int64)
     censored = np.zeros(n_steps + 1, dtype=np.int64)
+    n_esc = n_cens = 0
+
+    def drop(k, cens, esc):
+        # retire the censored and the escaped, keep the rest packed
+        nonlocal n_esc, n_cens, alive
+        hit = esc & ~cens
+        escape_step[alive[hit]] = k
+        n_esc += int(np.count_nonzero(hit))
+        n_cens += int(np.count_nonzero(cens))
+        keep = np.flatnonzero(~(cens | esc))
+        alive = alive[keep]
+        return keep
 
     if convention == "arrival" and hole is not None:
         # index-0 escapes: initial states already inside the hole
-        mask, cens = _holes.state_in_hole_batch(table, hole, sid, r, phi, images)
-        status[cens] = CENSORED
-        hit = mask & (status == ALIVE)
-        status[hit] = ESCAPED
-        escape_step[hit] = 0
+        mask, cens = _holes.state_in_hole(table, hole, state, images)
+        state = state.take(drop(0, cens, mask))
 
     def record(k):
-        survivors[k] = int(np.count_nonzero(status == ALIVE))
-        escaped[k] = int(np.count_nonzero(status == ESCAPED))
-        censored[k] = int(np.count_nonzero(status == CENSORED))
+        survivors[k] = len(alive)
+        escaped[k] = n_esc
+        censored[k] = n_cens
         if k in capture:
-            live = status == ALIVE
-            captures[k] = (sid[live].copy(), r[live].copy(), phi[live].copy())
+            captures[k] = _bmap.phase_of(table, state)
 
     record(0)
     # arrival: iteration k computes the collision arriving at index k;
     # departure: iteration k tests the flight departing at index k, so
     # filling survivors[0..n_steps] takes n_steps+1 collision passes
     for k in range(1 if convention == "arrival" else 0, n_steps + 1):
-        live = np.flatnonzero(status == ALIVE)
-        if len(live):
-            batch, esc = open_step_batch(
-                table, hole, images, sid[live], r[live], phi[live], threads
-            )
-            status[live[batch.censored]] = CENSORED
-            status[live[esc]] = ESCAPED
-            escape_step[live[esc]] = k
-            ok = ~(batch.censored | esc)
-            tgt = live[ok]
-            sid[tgt] = batch.scatterer_id[ok]
-            r[tgt] = batch.r[ok]
-            phi[tgt] = batch.phi[ok]
+        if len(alive):
+            arrivals, cens, esc = open_step_batch(table, hole, images, state, threads)
+            state = arrivals.take(drop(k, cens, esc))
         record(k)
 
-    live = status == ALIVE
+    final_sid, final_r, final_phi = _bmap.phase_of(table, state)
     return EnsembleResult(
         convention=convention,
         n=n,
@@ -184,10 +194,11 @@ def evolve_ensemble(table, hole, sid, r, phi, n_steps: int,
         survivors=survivors,
         escaped=escaped,
         censored=censored,
-        final_sid=sid[live],
-        final_r=r[live],
-        final_phi=phi[live],
-        alive_index=np.flatnonzero(live),
+        final_state=state,
+        final_sid=final_sid,
+        final_r=final_r,
+        final_phi=final_phi,
+        alive_index=alive,
         escape_step=escape_step,
         captures=captures,
     )

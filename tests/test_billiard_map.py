@@ -180,3 +180,46 @@ def test_arrival_a_hair_below_the_seam_wraps_to_zero(table):
     fwd = bmap.collide_batch(table, back.scatterer_id[ok], back.r[ok], back.phi[ok])
     assert np.all(fwd.r >= 0.0) and np.all(fwd.r < table.perimeters[fwd.scatterer_id])
     assert np.sum(fwd.r == 0.0) > n // 10
+
+
+def test_cartesian_step_matches_collide_batch(table, nu_states):
+    # a state built from (r, phi) with np.cos/np.sin takes the same step
+    # as collide_batch: same arrival scatterer, r and censoring bits, and
+    # phi read off the reflected velocity within rounding
+    sid, r, phi = nu_states
+    want = bmap.collide_batch(table, sid, r, phi)
+    n = np.stack([np.cos(r / table.radii[sid]), np.sin(r / table.radii[sid])], axis=1)
+    v = np.stack([np.cos(phi) * n[:, 0] - np.sin(phi) * n[:, 1],
+                  np.cos(phi) * n[:, 1] + np.sin(phi) * n[:, 0]], axis=1)
+    got = bmap.collide_cartesian(table, sid, n, v)
+    assert got.censored.tobytes() == want.censored.tobytes()
+    assert got.scatterer_id.tobytes() == want.scatterer_id.tobytes()
+    ok = ~got.censored
+    assert ok.mean() > 0.999
+    r1 = bmap.arc_coordinate(table, got.scatterer_id, got.normal)
+    assert r1[ok].tobytes() == want.r[ok].tobytes()
+    _, r2, phi1 = bmap.phase_of(table, got.arrivals())
+    assert r2.tobytes() == r1.tobytes()
+    assert np.abs(phi1[ok] - want.phi[ok]).max() < 1e-12
+    # the inverse map undoes the step
+    back = bmap.collide_inverse_cartesian(table, *got.arrivals().take(np.flatnonzero(ok)))
+    keep = ~back.censored
+    assert np.array_equal(back.scatterer_id[keep], sid[ok][keep])
+    assert np.abs(back.normal[keep] - n[ok][keep]).max() < 1e-9
+    assert np.abs(back.velocity[keep] - v[ok][keep]).max() < 1e-9
+
+
+def test_long_closed_run_keeps_unit_vectors(table):
+    # 1000 closed steps: no drift off the unit circle, and every
+    # survivor leaves its scatterer at least at the tangency guard
+    state = measures.sample_nu_state(table, 2000, stream(23, "unit"))
+    worst = 0.0
+    for _ in range(1000):
+        batch = bmap.collide_cartesian(table, *state)
+        state = batch.arrivals().take(np.flatnonzero(~batch.censored))
+        for u in (state.normal, state.velocity):
+            worst = max(worst, np.abs(np.hypot(u[:, 0], u[:, 1]) - 1.0).max())
+        cos = state.velocity[:, 0] * state.normal[:, 0] + state.velocity[:, 1] * state.normal[:, 1]
+        assert np.all(cos >= bmap._COS_GUARD)
+    assert len(state.sid) > 1900
+    assert worst < 1e-13

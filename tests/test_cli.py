@@ -583,3 +583,36 @@ def test_shipped_configs_load(tmp_path, capsys, probes, name, sub):
         err = json.loads(capsys.readouterr().err)
         assert "horizon probe reached" in err["message"]
         assert probes == [1]
+
+
+def test_starved_escape_run_fails_before_simulating(tmp_path, capsys, monkeypatch):
+    from leakybilliards import open_dynamics
+
+    # the shipped run and ESCAPE_CFG predict plenty of survivors, and
+    # report the prediction
+    code, out = run(tmp_path, "escape-rate", ESCAPE_CFG)
+    assert code == 0
+    nu_hole = 0.3 / (2 * math.pi * 0.6)
+    assert math.isclose(read_results(out)["predicted_survivors_at_end"],
+                        20000 * math.exp(-nu_hole * 25), rel_tol=1e-12)
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "escape_default.json")
+    with open(path) as fh:
+        shipped = json.load(fh)
+    assert shipped["n_particles"] * math.exp(
+        -2 * shipped["hole"]["h"] / (2 * math.pi * 0.6) * shipped["window"][1]) > 100
+
+    # 1000 particles through the same arc for 200 steps: about 1e-4
+    # survivors predicted, far below min_tail = 100, so no step is run
+    def no_run(*args, **kwargs):
+        raise AssertionError("the ensemble was evolved")
+
+    monkeypatch.setattr(open_dynamics, "evolve_ensemble", no_run)
+    code, out = run(tmp_path, "escape-rate",
+                    dict(ESCAPE_CFG, n_particles=1000, n_max=200, window=[10, 200]),
+                    outdir="starved")
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "escape.starved_sample"
+    assert "predicted" in err["message"]
+    assert not (out / "results.json").exists()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from leakybilliards import billiard_map as bmap
 from leakybilliards import escape, holes, measures, open_dynamics
 from leakybilliards.errors import (
     AllEscapedError,
@@ -185,9 +186,9 @@ def test_backward_visits_start_with_membership(table, kind):
     # with no backward step the visit count is the state's own membership
     hole = (holes.type_i_hole(table, 0, 0.2, 0.5) if kind == "I"
             else holes.type_ii_hole(table, (0.5, 0.0), 0.05))
-    sid, r, phi = measures.sample_nu(table, 4000, stream(5, "visits"))
-    member, undecided = holes.state_in_hole_batch(table, hole, sid, r, phi)
-    visits, cens = escape.backward_hole_visits(table, hole, sid, r, phi, 0)
+    state = measures.sample_nu_state(table, 4000, stream(5, "visits"))
+    member, undecided = holes.state_in_hole(table, hole, state)
+    visits, cens = escape.backward_hole_visits(table, hole, state, 0)
     assert member.sum() > 50
     assert np.array_equal(visits, member.astype(np.int64))
     assert np.array_equal(cens, undecided)
@@ -226,7 +227,7 @@ def test_fleming_viot_clone_below_the_seam_wraps_to_zero(table, monkeypatch):
     r0 = np.where(np.arange(n) < n // 2, 0.0, 0.75)
 
     def initial(table, density, n, rng):
-        return np.zeros(n, dtype=np.int64), r0.copy(), np.zeros(n)
+        return bmap.state_from_phase(table, np.zeros(n, dtype=np.int64), r0, np.zeros(n))
 
     monkeypatch.setattr(escape, "stream", _JitterBelowSeam)
     monkeypatch.setattr(measures, "sample_initial", initial)
@@ -237,3 +238,47 @@ def test_fleming_viot_clone_below_the_seam_wraps_to_zero(table, monkeypatch):
     assert fv.n_cloned >= n // 2
     assert np.all(r < table.perimeters[sid])
     assert np.all(r[n // 2:] == 0.0)
+
+
+class _FixedJitter(_JitterBelowSeam):
+    """Generator stand-in whose clone jitters are 3e-6 in r and dphi in
+    phi (clone_into draws the r jitter first)."""
+
+    def __init__(self, dphi):
+        super().__init__()
+        self._dphi = dphi
+        self._calls = 0
+
+    def uniform(self, low, high, size):
+        self._calls += 1
+        return np.full(size, 3e-6 if self._calls % 2 else self._dphi)
+
+
+@pytest.mark.parametrize("phi0, dphi, want", [
+    (0.3, -2e-6, 0.3 - 2e-6),
+    # turned past the tangency guard: capped on the cosine
+    (math.pi / 2 - 1e-7, 2e-6, math.pi / 2 - 1e-9),
+    (-math.pi / 2 + 1e-7, -2e-6, -math.pi / 2 + 1e-9),
+])
+def test_fleming_viot_clones_jitter_r_and_phi(table, monkeypatch, phi0, dphi, want):
+    # half the states sit on r in [1.2, 2.2), outside the hole, and the
+    # others clone from them: a clone moves by the r jitter along the
+    # boundary and by the phi jitter in angle
+    n = 64
+    r0 = np.where(np.arange(n) < n // 2, 1.2 + 0.03 * np.arange(n), 0.75)
+
+    def initial(table, density, n, rng):
+        return bmap.state_from_phase(table, np.zeros(n, dtype=np.int64), r0, np.full(n, phi0))
+
+    monkeypatch.setattr(escape, "stream", lambda *_: _FixedJitter(dphi))
+    monkeypatch.setattr(measures, "sample_initial", initial)
+    hole = holes.type_i_hole(table, 0, 0.5, 1.0)
+    fv = escape.fleming_viot_evolve(table, hole, NU, n_particles=n, n_steps=2,
+                                    window=(0, 2), master_seed=1, capture=(0,))
+    sid, r, phi = fv.captures[0]
+    assert np.all(sid == 0)
+    assert np.abs(r[:n // 2] - r0[:n // 2]).max() < 1e-12
+    # each clone sits 3e-6 past one of the sources
+    gap = np.abs(r[n // 2:, None] - 3e-6 - r0[None, :n // 2]).min(axis=1)
+    assert gap.max() < 1e-12
+    assert np.abs(phi[n // 2:] - want).max() < 1e-12

@@ -30,6 +30,39 @@ def test_arc_membership_plain_and_wrapped(table):
     assert not holes.arc_contains(wrapped, table, [0], [1.0])[0]
 
 
+@pytest.mark.parametrize("sid, a, b", [
+    (0, 0.3, 0.5),          # plain
+    (0, 2.4, 0.1),          # wraps through r = 0
+    (1, 0.2, 1.1),          # longer than half the perimeter
+    (0, 2.0, 1.6),          # longer than half, and wrapping
+])
+def test_arc_normal_test_matches_arc_contains(table, sid, a, b):
+    # the cross-product test on boundary normals against the r test,
+    # away from rounding at the endpoints
+    hole = holes.type_i_hole(table, sid, a, b)
+    rng = stream(31, "arc-normals", sid)
+    n = 200_000
+    ids = rng.integers(0, len(table), n)
+    r = rng.random(n) * table.perimeters[ids]
+    # crowd the endpoints: a third of the points within 1e-9 of one
+    a, b = hole.arc
+    k = n // 3
+    ids[:k] = sid
+    r[:k] = np.where(rng.random(k) < 0.5, a, b) + rng.uniform(-1e-9, 1e-9, k)
+    r[:k] = np.mod(r[:k], table.perimeters[sid])
+    psi = r / table.radii[ids]
+    normal = np.stack([np.cos(psi), np.sin(psi)], axis=1)
+    got = holes.arc_contains_normal(hole, table, ids, normal)
+    want = holes.arc_contains(hole, table, ids, r)
+    perim = table.perimeters[sid]
+    gap = np.minimum.reduce([np.abs(r - a), np.abs(r - b),
+                             perim - np.abs(r - a), perim - np.abs(r - b)])
+    far = (ids != sid) | (gap > 1e-12)
+    assert np.array_equal(got[far], want[far])
+    assert want.sum() > n // 10 and (~want[ids == sid]).sum() > n // 10
+    assert np.sum(far[:k]) > 0.99 * k
+
+
 def test_type_i_full_angular_fiber(table):
     # a Type I hole is an arc times the whole angle range
     hole = holes.type_i_hole(table, 0, 0.3, 0.5)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leakybilliards import billiard_map as bmap
 from leakybilliards import geometry, holes, measures
 from leakybilliards.errors import (
     ConfigError,
@@ -32,7 +33,8 @@ def test_sampler_marginals(table, nu_states):
 
 def test_weighted_sampler_tilts(table):
     spec = measures.DensitySpec(kind="angle_ramp", amp=0.5)
-    sid, r, phi = measures.sample_initial(table, spec, 50_000, stream(5, "tilt"))
+    state = measures.sample_initial(table, spec, 50_000, stream(5, "tilt"))
+    _, _, phi = bmap.phase_of(table, state)
     # E[phi] under (1 + amp*2*phi/pi) cos(phi)/2 dphi:
     # amp*(2/pi)*E_nu[phi^2] = 0.5*(2/pi)*(pi^2/4 - 2)
     want = 0.5 * (2.0 / math.pi) * (math.pi ** 2 / 4.0 - 2.0)

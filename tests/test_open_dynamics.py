@@ -8,13 +8,13 @@ from leakybilliards.streams import stream
 
 
 def _sample(table, n, *tags):
-    return measures.sample_nu(table, n, stream(314159, *tags))
+    return measures.sample_nu_state(table, n, stream(314159, *tags))
 
 
 def test_counts_conserve_population(table):
     hole = holes.type_i_hole(table, 0, 0.2, 0.5)
-    sid, r, phi = _sample(table, 5000, "conserve")
-    res = open_dynamics.evolve_ensemble(table, hole, sid, r, phi, 30)
+    state = _sample(table, 5000, "conserve")
+    res = open_dynamics.evolve_ensemble(table, hole, state, 30)
     assert len(res.survivors) == 31
     total = res.survivors + res.escaped + res.censored
     assert np.all(total == res.n)
@@ -27,8 +27,8 @@ def test_counts_conserve_population(table):
 
 
 def test_closed_run_keeps_everything(table):
-    sid, r, phi = _sample(table, 3000, "closed")
-    res = open_dynamics.evolve_ensemble(table, None, sid, r, phi, 20)
+    state = _sample(table, 3000, "closed")
+    res = open_dynamics.evolve_ensemble(table, None, state, 20)
     assert res.escaped[-1] == 0
     assert res.survivors[-1] + res.censored[-1] == res.n
     assert np.all(res.escape_step == -1)
@@ -36,8 +36,8 @@ def test_closed_run_keeps_everything(table):
 
 def test_escape_step_matches_counts(table):
     hole = holes.type_i_hole(table, 0, 0.2, 0.6)
-    sid, r, phi = _sample(table, 4000, "steps")
-    res = open_dynamics.evolve_ensemble(table, hole, sid, r, phi, 25)
+    state = _sample(table, 4000, "steps")
+    res = open_dynamics.evolve_ensemble(table, hole, state, 25)
     for k in (1, 5, 10, 25):
         from_steps = int(((res.escape_step >= 0) & (res.escape_step <= k)).sum())
         assert from_steps == res.escaped[k]
@@ -47,12 +47,12 @@ def test_departure_is_arrival_shifted(table):
     # a departure-indexed escape at k is the arrival-indexed escape at
     # k+1: the same flight, counted at its start instead of its end
     hole = holes.type_i_hole(table, 0, 0.2, 0.6)
-    sid, r, phi = _sample(table, 4000, "shift")
+    state = _sample(table, 4000, "shift")
     arr = open_dynamics.evolve_ensemble(
-        table, hole, sid, r, phi, 21, convention="arrival"
+        table, hole, state, 21, convention="arrival"
     )
     dep = open_dynamics.evolve_ensemble(
-        table, hole, sid, r, phi, 20, convention="departure"
+        table, hole, state, 20, convention="departure"
     )
     started_inside = arr.escape_step == 0
     for k in range(0, 21):
@@ -65,11 +65,11 @@ def test_departure_is_arrival_shifted(table):
 def test_nested_holes_couple_monotonically(table):
     # same randomness, nested holes: the smaller hole's survivor set
     # contains the bigger hole's at every step
-    sid, r, phi = _sample(table, 4000, "nest")
+    state = _sample(table, 4000, "nest")
     big = holes.hole_family(table, (0, 0.3), 0.08, kind="I")
     small = holes.hole_family(table, (0, 0.3), 0.02, kind="I")
-    res_b = open_dynamics.evolve_ensemble(table, big, sid, r, phi, 30)
-    res_s = open_dynamics.evolve_ensemble(table, small, sid, r, phi, 30)
+    res_b = open_dynamics.evolve_ensemble(table, big, state, 30)
+    res_s = open_dynamics.evolve_ensemble(table, small, state, 30)
     assert np.all(res_s.survivors >= res_b.survivors)
     alive_b = set(res_b.alive_index.tolist())
     alive_s = set(res_s.alive_index.tolist())
@@ -78,9 +78,9 @@ def test_nested_holes_couple_monotonically(table):
 
 def test_captures_and_final_state_agree(table):
     hole = holes.type_i_hole(table, 0, 0.2, 0.5)
-    sid, r, phi = _sample(table, 2000, "capture")
+    state = _sample(table, 2000, "capture")
     res = open_dynamics.evolve_ensemble(
-        table, hole, sid, r, phi, 15, capture=(0, 7, 15)
+        table, hole, state, 15, capture=(0, 7, 15)
     )
     assert set(res.captures) == {0, 7, 15}
     for k in (0, 7, 15):
@@ -94,24 +94,21 @@ def test_captures_and_final_state_agree(table):
 
 def test_initial_state_in_hole_escapes_at_zero(table):
     hole = holes.type_i_hole(table, 0, 0.2, 0.5)
-    res = open_dynamics.evolve_ensemble(
-        table, hole, [0, 0], [0.3, 1.5], [0.0, 0.0], 5
-    )
+    state = bmap.state_from_phase(table, [0, 0], [0.3, 1.5], [0.0, 0.0])
+    res = open_dynamics.evolve_ensemble(table, hole, state, 5)
     assert res.escape_step[0] == 0
     assert res.survivors[0] == 1
     # departure convention ignores the initial membership
-    dep = open_dynamics.evolve_ensemble(
-        table, hole, [0, 0], [0.3, 1.5], [0.0, 0.0], 5, convention="departure"
-    )
+    dep = open_dynamics.evolve_ensemble(table, hole, state, 5, convention="departure")
     assert dep.survivors[0] == 2 - dep.escaped[0] - dep.censored[0]
 
 
 def test_thread_counts_agree_exactly(table):
     hole = holes.type_ii_hole(table, (0.5, 0.0), 0.05)
-    sid, r, phi = _sample(table, 9000, "threads")
+    state = _sample(table, 9000, "threads")
     runs = [
         open_dynamics.evolve_ensemble(
-            table, hole, sid, r, phi, 20, threads=t, capture=(10,)
+            table, hole, state, 20, threads=t, capture=(10,)
         )
         for t in (1, 4, 8)
     ]
@@ -127,20 +124,23 @@ def test_thread_counts_agree_exactly(table):
 def test_single_trajectory_helpers(table):
     # one open step of a single state lands where the collision map says
     hole = holes.type_i_hole(table, 0, 0.2, 0.5)
-    res = open_dynamics.evolve_ensemble(table, hole, [1], [0.0], [0.0], 1)
+    state = bmap.state_from_phase(table, [1], [0.0], [0.0])
+    res = open_dynamics.evolve_ensemble(table, hole, state, 1)
     assert res.survivors.tolist() == [1, 1]
     y, _ = bmap.collide(table, bmap.PhasePoint(1, 0.0, 0.0))
-    assert (res.final_sid[0], res.final_r[0], res.final_phi[0]) == \
-        (y.scatterer_id, y.r, y.phi)
+    # phi is read off the reflected velocity here and off the incoming
+    # one in collide, which may differ in the last bits
+    assert (res.final_sid[0], res.final_r[0]) == (y.scatterer_id, y.r)
+    assert abs(res.final_phi[0] - y.phi) < 1e-12
 
 
 def test_bad_arguments_rejected(table):
-    sid, r, phi = _sample(table, 10, "bad")
+    state = _sample(table, 10, "bad")
     with pytest.raises(InvalidArgumentError):
-        open_dynamics.evolve_ensemble(table, None, sid, r, phi, -1)
+        open_dynamics.evolve_ensemble(table, None, state, -1)
     with pytest.raises(InvalidArgumentError):
         open_dynamics.evolve_ensemble(
-            table, None, sid, r, phi, 5, convention="sideways"
+            table, None, state, 5, convention="sideways"
         )
 
 
@@ -150,7 +150,7 @@ def test_escape_counts_track_hole_size(table, kind):
     # analytic nu mass of the hole, |arc|/|dQ| for an arc and
     # 2*pi*rho/|dQ| for a disk (Cauchy-Crofton)
     n = 100_000
-    sid, r, phi = _sample(table, n, "mass")
+    state = _sample(table, n, "mass")
     if kind == "I":
         hole = holes.type_i_hole(table, 0, 0.25, 0.35)
         expect = 0.1 / table.total_perimeter
@@ -158,7 +158,7 @@ def test_escape_counts_track_hole_size(table, kind):
         hole = holes.type_ii_hole(table, (0.5, 0.0), 0.05)
         expect = 2.0 * np.pi * 0.05 / table.total_perimeter
     res = open_dynamics.evolve_ensemble(
-        table, hole, sid, r, phi, 1, convention="departure"
+        table, hole, state, 1, convention="departure"
     )
     frac = res.escaped[0] / n
     assert abs(frac - expect) < 4.0 * np.sqrt(expect / n)
@@ -168,22 +168,24 @@ def test_chunked_kernel_is_bit_identical(table, monkeypatch):
     # 1024-state chunks put 9 slices through the pool: every thread count
     # must reproduce one unchunked collide + mask pass bit for bit
     hole = holes.type_ii_hole(table, (0.5, 0.0), 0.05)
-    sid, r, phi = _sample(table, 9000, "chunks")
+    sid, r, phi = measures.sample_nu(table, 9000, stream(314159, "chunks"))
     ref = bmap.collide_batch(table, sid, r, phi)
     ref_esc = holes.arrival_escape_mask(table, hole, ref)
     assert ref_esc.sum() > 100 and ref.censored.sum() < len(sid)
     monkeypatch.setattr(open_dynamics, "CHUNK", 1024)
     offsets = holes.escape_offsets(table, hole)
+    state = bmap.state_from_phase(table, sid, r, phi)
     for t in (1, 2, 4):
-        batch, esc = open_dynamics.open_step_batch(
-            table, hole, offsets, sid, r, phi, threads=t
+        arrivals, cens, esc = open_dynamics.open_step_batch(
+            table, hole, offsets, state, threads=t
         )
         assert np.array_equal(esc, ref_esc)
-        for got, want in zip(batch, ref):
+        assert np.array_equal(cens, ref.censored)
+        for got, want in zip(arrivals, ref.arrivals()):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
     runs = [
-        open_dynamics.evolve_ensemble(table, hole, sid, r, phi, 8, threads=t)
+        open_dynamics.evolve_ensemble(table, hole, state, 8, threads=t)
         for t in (1, 2, 4)
     ]
     for other in runs[1:]:
