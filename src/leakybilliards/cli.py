@@ -317,13 +317,11 @@ def _run_escape_rate(cfg, seed, threads, base, meta):
     table = make_table()
     hole = make_hole(table) if make_hole else None
     if estimator == "direct":
-        # the estimator fails fast when this is far below its min_tail
-        base["predicted_survivors_at_end"] = _escape.predicted_survivors(
-            table, hole, n, window[1])
         est, res = _escape.estimate_escape_rate(
             table, hole, density, n, n_max, window, seed,
             convention=convention, threads=threads,
         )
+        base["predicted_survivors_at_end"] = est.predicted_survivors_at_end
         counts = _counts_csv(res, meta)
         censored_final = int(res.censored[-1])
     else:

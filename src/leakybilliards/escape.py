@@ -19,7 +19,7 @@ Two estimators:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,6 +46,8 @@ class EscapeEstimate:
     variability of the slope rather than the (much smaller) scatter of
     the points around one realized curve; stderr_ols and
     stderr_binomial expose the two ingredients.
+    estimate_escape_rate also records predicted_survivors_at_end, its
+    pre-flight prediction of survivors_at_end.
     """
 
     theta_hat: float
@@ -56,6 +58,7 @@ class EscapeEstimate:
     window: tuple[int, int]
     n_points: int
     survivors_at_end: float
+    predicted_survivors_at_end: float | None = None
 
     def to_json(self) -> dict:
         return {
@@ -212,7 +215,7 @@ def estimate_escape_rate(table, hole, density, n_particles: int, n_max: int,
     )
     est = fit_escape_rate(res.survivors, window, censored=res.censored,
                           min_tail=min_tail)
-    return est, res
+    return replace(est, predicted_survivors_at_end=predicted), res
 
 
 def survivor_distribution(table, hole, density, n_particles: int,

@@ -424,7 +424,7 @@ def first_hit_batch(table: Table, p0, v, skip_sid, reach=None):
     if miss.size:
         (best_t[miss], best_sid[miss], best_off[miss],
          maybe_graze[miss]) = _full_scan(table, p0[miss], v[miss], skip_sid[miss], reach)
-    grazed = _graze_recheck(table, p0, v, best_t, maybe_graze, reach, skip_sid)
+    grazed = _graze_recheck(table, p0, v, best_t, maybe_graze, reach)
     return best_t, best_sid, best_off, grazed
 
 
@@ -547,52 +547,32 @@ def _full_scan(table, p0, v, skip_sid, reach):
     return best_t, best_sid, best_off, maybe_graze
 
 
-def _graze_recheck(table, p0, v, best_t, maybe_graze, reach, skip_sid=None):
-    """Exact grazing test of the pre-screened rays.
+def _graze_recheck(table, p0, v, best_t, maybe_graze, reach):
+    """Exact grazing test of the pre-screened rays over every image.
 
     A flagged ray grazes if it has no hit, or if it passes within
     GRAZE_TOLERANCE of an image's circle at a closest approach strictly
     between _T_EPS and its hit (the hit's own chord midpoint lies beyond
-    it).  Given the departure ids skip_sid, a ray with a hit within
-    reach is tested against its row of Table.sector_candidates(reach):
-    every circle it passes ahead of that hit lies in the row (its own
-    disk lies behind a ray that leaves it), and the row's padding
-    entries are other images, harmless to an OR.  Every other flagged
-    ray is tested against all of image_candidates(reach).  Rays are
-    tested in blocks of _GRAZE_BLOCK.
+    it).  Flagged rays are tested against all images at once, in blocks
+    of _GRAZE_BLOCK rays.
     """
-    grazed = np.zeros(len(best_t), dtype=bool)
-    flagged = np.flatnonzero(maybe_graze)
-    if skip_sid is not None:
-        near = flagged[best_t[flagged] <= reach]
-        flagged = flagged[~(best_t[flagged] <= reach)]
-        img_sid, _, cols = table.sector_candidates(reach)
-        for lo in range(0, near.size, _GRAZE_BLOCK):
-            idx = near[lo:lo + _GRAZE_BLOCK]
-            key = sector_keys(skip_sid[idx], v[idx])
-            grazed[idx] = _grazes(p0[idx], v[idx], best_t[idx], cols.x[:, key].T,
-                                  cols.y[:, key].T, table.radii[img_sid[cols.idx[:, key].T]])
     offs, sids, _ = table.image_candidates(reach)
     cx = table.centers[sids, 0] + offs[:, 0]
     cy = table.centers[sids, 1] + offs[:, 1]
     rho = table.radii[sids]
+    grazed = np.zeros(len(best_t), dtype=bool)
+    flagged = np.flatnonzero(maybe_graze)
     for lo in range(0, flagged.size, _GRAZE_BLOCK):
         idx = flagged[lo:lo + _GRAZE_BLOCK]
-        grazed[idx] = _grazes(p0[idx], v[idx], best_t[idx], cx, cy, rho)
+        tb = best_t[idx, None]
+        fx = p0[idx, 0, None] - cx
+        fy = p0[idx, 1, None] - cy
+        t_close = -0.5 * (2.0 * (fx * v[idx, 0, None] + fy * v[idx, 1, None]))
+        imp2 = fx * fx + fy * fy - t_close * t_close
+        near = np.abs(np.sqrt(np.maximum(imp2, 0.0)) - rho) < GRAZE_TOLERANCE
+        ahead = (_T_EPS < t_close) & (t_close < tb)
+        grazed[idx] = ~np.isfinite(tb[:, 0]) | np.any(near & ahead, axis=1)
     return grazed
-
-
-def _grazes(p0, v, best_t, cx, cy, rho):
-    """_graze_recheck of rays (m,) against circles (cx, cy, rho), each
-    either shared (K,) or per ray (m, K)."""
-    tb = best_t[:, None]
-    fx = p0[:, 0, None] - cx
-    fy = p0[:, 1, None] - cy
-    t_close = -0.5 * (2.0 * (fx * v[:, 0, None] + fy * v[:, 1, None]))
-    imp2 = fx * fx + fy * fy - t_close * t_close
-    near = np.abs(np.sqrt(np.maximum(imp2, 0.0)) - rho) < GRAZE_TOLERANCE
-    ahead = (_T_EPS < t_close) & (t_close < tb)
-    return ~np.isfinite(best_t) | np.any(near & ahead, axis=1)
 
 
 def _corridor_witness(centers, radii, q_sweep):

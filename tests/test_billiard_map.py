@@ -209,6 +209,65 @@ def test_cartesian_step_matches_collide_batch(table, nu_states):
     assert np.abs(back.velocity[keep] - v[ok][keep]).max() < 1e-9
 
 
+def _collide_by_angles(table, sid, r, phi):
+    """The collision map computed from angles, as before states were
+    carried as normals and velocities: launch from cos/sin of r/rho and
+    phi, censor the departure on |phi|, read the arrival off arctan2.
+    Returns (sid1, r1, phi1, flight_length, censored)."""
+    psi = r / table.radii[sid]
+    nx, ny = np.cos(psi), np.sin(psi)
+    p0 = np.stack([table.centers[sid, 0] + table.radii[sid] * nx,
+                   table.centers[sid, 1] + table.radii[sid] * ny], axis=1)
+    cphi, sphi = np.cos(phi), np.sin(phi)
+    v = np.stack([cphi * nx - sphi * ny, cphi * ny + sphi * nx], axis=1)
+    cens = np.abs(phi) > (math.pi / 2 - bmap.TANGENCY_GUARD)
+    t, hit, off, grazed = geometry.first_hit_batch(table, p0, v, skip_sid=sid)
+    nohit = hit < 0
+    cens = cens | grazed | nohit
+    sid1 = np.where(nohit, sid, hit)
+    dx = p0[:, 0] + t * v[:, 0] - (table.centers[sid1, 0] + off[:, 0])
+    dy = p0[:, 1] + t * v[:, 1] - (table.centers[sid1, 1] + off[:, 1])
+    nrm = np.sqrt(dx * dx + dy * dy)
+    nrm[nohit] = 1.0
+    dx /= nrm
+    dy /= nrm
+    psi1 = np.mod(np.arctan2(dy, dx), 2 * math.pi)
+    r1 = table.radii[sid1] * psi1
+    r1[r1 >= table.perimeters[sid1]] = 0.0
+    r1 = np.where(nohit, r, r1)
+    cos1 = -(v[:, 0] * dx + v[:, 1] * dy)
+    sin1 = -v[:, 0] * dy + v[:, 1] * dx
+    phi1 = np.where(nohit, phi, np.arctan2(sin1, np.maximum(cos1, 0.0)))
+    cens |= cos1 < bmap._COS_GUARD
+    return sid1, r1, phi1, t, cens
+
+
+def test_phase_wrappers_match_the_angle_formulas(table, nu_states):
+    # collide_batch and collide_inverse_batch go through the Cartesian
+    # kernel, yet give the bits of the angle formulas, including the
+    # departure guard on states within a few ulp of |phi| = pi/2 - guard
+    sid, r, phi = nu_states
+    rng = stream(29, "guard")
+    m = 4000
+    edge = math.pi / 2 - bmap.TANGENCY_GUARD
+    near = edge + np.concatenate([(rng.random(m // 2) - 0.5) * 1e-9,
+                                  rng.integers(-8, 9, m // 2) * 2.0 ** -52])
+    near *= np.where(rng.random(m) < 0.5, -1.0, 1.0)
+    g_sid = rng.integers(0, len(table), m)
+    g_r = rng.random(m) * table.perimeters[g_sid]
+    sid, r, phi = (np.concatenate(pair) for pair in ((sid, g_sid), (r, g_r), (phi, near)))
+    fwd = bmap.collide_batch(table, sid, r, phi)
+    back = bmap.collide_inverse_batch(table, sid, r, phi)
+    want_back = list(_collide_by_angles(table, sid, r, -phi))
+    want_back[2] = -want_back[2]
+    for got, want in ((fwd, _collide_by_angles(table, sid, r, phi)), (back, want_back)):
+        for field, w in zip(("scatterer_id", "r", "phi", "flight_length", "censored"), want):
+            assert getattr(got, field).tobytes() == w.tobytes(), field
+    guarded = np.abs(phi[-m:]) > edge
+    assert 0.3 < guarded.mean() < 0.7
+    assert np.array_equal(fwd.censored[-m:][guarded], guarded[guarded])
+
+
 def test_long_closed_run_keeps_unit_vectors(table):
     # 1000 closed steps: no drift off the unit circle, and every
     # survivor leaves its scatterer at least at the tangency guard
