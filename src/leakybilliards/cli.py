@@ -29,7 +29,7 @@ from . import measures as _measures
 from . import open_dynamics as _od
 from . import tower as _tower
 from .errors import (ArtifactIOError, ConfigError, ConfigReader,
-                     LeakyBilliardsError)
+                     InvalidArgumentError, LeakyBilliardsError)
 
 _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
@@ -314,6 +314,10 @@ def _run_escape_rate(cfg, seed, threads, base, meta):
     n_max = cfg.integer("n_max")
     window = cfg.numbers("window", (int, int))
     cfg.close()
+    lo, hi = window
+    if not 0 <= lo < hi <= n_max:
+        raise InvalidArgumentError(
+            f"window [{lo},{hi}] outside the recorded range [0,{n_max}]")
     table = make_table()
     hole = make_hole(table) if make_hole else None
     if estimator == "direct":

@@ -340,7 +340,7 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
         n_cloned += m
 
     if hole is not None:
-        mask, cens = _holes.state_in_hole(table, hole, state, images)
+        mask, cens = _od.hole_membership(table, hole, images, state, threads)
         dead = mask | cens
         n_cens = int(cens.sum())
         n_cens_total += n_cens

@@ -19,15 +19,22 @@ censored particle leaves the at-risk population at the step where the
 guard fired and is excluded from both numerator and denominator of
 every survival ratio downstream.
 
-Every forward step goes through open_step_batch, which always works in
-fixed-size chunks and element by element, so outputs are identical
-byte-for-byte for any worker count.  evolve_ensemble keeps only the
+Every forward step goes through open_step_batch, and every index-0
+hole test through hole_membership.  Both run on _map_chunks, which
+always works in fixed-size chunks, element by element, so outputs are
+identical byte-for-byte for any worker count.  Before its first worker
+pool, _map_chunks fixes glibc's heap policy for the process (one arena,
+fixed mmap and trim thresholds) so the workers' memory stays resident
+between steps; see _keep_heap.  evolve_ensemble keeps only the
 survivors, packed, with their initial-particle indices.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
+import platform
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -38,6 +45,9 @@ from . import holes as _holes
 from .errors import ConfigError, InvalidArgumentError
 
 CHUNK = 65536
+
+# glibc mallopt parameters, from <malloc.h>
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 
 
 def default_threads() -> int:
@@ -53,46 +63,97 @@ def default_threads() -> int:
     return threads
 
 
+@functools.cache
+def _keep_heap() -> None:
+    """Fix glibc's heap policy, once, before the first worker pool.
+
+    By default every worker thread gets its own malloc arena, and glibc
+    moves its mmap and trim thresholds with the largest block freed so
+    far, so after each step the workers' per-slice temporaries (about
+    9 MiB a slice) go back to the OS and are faulted in again on the
+    next step: thousands of minor page faults per step at 2 threads.
+    One arena with thresholds fixed above the step's arrays (2 MiB per
+    column at two slices) and above one slice's working set keeps that
+    memory resident.  Single-thread runs never get here: pinned at
+    import, the same settings raised their peak RSS by 2-3%.  Nothing
+    here changes a computed value; where the C library is not glibc, or
+    mallopt cannot be reached, the allocator is left alone.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    for param, value in ((_M_ARENA_MAX, 1), (_M_MMAP_THRESHOLD, 4 << 20),
+                         (_M_TRIM_THRESHOLD, 16 << 20)):
+        mallopt(param, value)
+
+
+def _join(pieces):
+    if isinstance(pieces[0], _bmap.State):
+        return _bmap.State(*map(np.concatenate, zip(*pieces)))
+    return np.concatenate(pieces)
+
+
+def _map_chunks(fn, state, threads):
+    """fn on each CHUNK-sized slice of a billiard_map.State, joined.
+
+    fn returns a tuple of arrays and States, one entry per state of its
+    slice; entries are concatenated across slices once all are done.
+    Slices run in order, or in a pool of threads workers when there are
+    several; which worker runs which slice changes no result.  Writing
+    each slice into preallocated outputs instead was tried: it lets
+    glibc trim the heap between slices and fault it back in on the next
+    one (about 4x the page faults of a 200000-particle run).
+    """
+    n = len(state.sid)
+    parts = [_bmap.State(*(a[lo:lo + CHUNK] for a in state))
+             for lo in range(0, max(n, 1), CHUNK)]
+    if threads <= 1 or len(parts) == 1:
+        parts = [fn(part) for part in parts]
+    else:
+        _keep_heap()
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(fn, parts))
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(map(_join, zip(*parts)))
+
+
 def open_step_batch(table, hole, images, state, threads: int = 1):
     """One step of the open collision map on a billiard_map.State.
 
     Returns (arrivals, censored, escaped): the arrival States, and masks
     of the censored and the escaped flights.  escaped never marks a
-    censored entry, and censored entries hold placeholder states.  The
-    states are cut into CHUNK-sized slices; each slice is collided and
-    masked on its own, and threads only decides which worker runs which
-    slice.  Both steps work element by element, so the result is the
-    same for any chunking and any thread count.  The slices' results are
-    joined once all are done: writing each into preallocated outputs
-    instead lets glibc trim the heap between slices and fault it back in
-    on the next one (about 4x the page faults of a 200000-particle
-    run).  hole None means a closed step; images are the
+    censored entry, and censored entries hold placeholder states.  Each
+    slice of _map_chunks is collided and masked on its own; both steps
+    work element by element, so the result is the same for any chunking
+    and any thread count.  hole None means a closed step; images are the
     holes.escape_offsets of the hole, computed here when None.
     """
-    sid, normal, velocity = state
-    n = len(sid)
     if images is None:
         images = _holes.escape_offsets(table, hole)
 
     def step(part):
-        batch = _bmap.collide_cartesian(table, sid[part], normal[part], velocity[part])
+        batch = _bmap.collide_cartesian(table, *part)
         if hole is None:
             escaped = np.zeros(len(batch.censored), dtype=bool)
         else:
             escaped = _holes.arrival_escape_mask(table, hole, batch, images)
         return batch.arrivals(), batch.censored, escaped
 
-    parts = [slice(lo, lo + CHUNK) for lo in range(0, max(n, 1), CHUNK)]
-    if threads <= 1 or len(parts) == 1:
-        parts = [step(part) for part in parts]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(step, parts))
-    if len(parts) == 1:
-        return parts[0]
-    arrivals, censored, escaped = zip(*parts)
-    return (_bmap.State(*map(np.concatenate, zip(*arrivals))),
-            np.concatenate(censored), np.concatenate(escaped))
+    return _map_chunks(step, state, threads)
+
+
+def hole_membership(table, hole, images, state, threads: int = 1):
+    """holes.state_in_hole of a billiard_map.State, run slice by slice
+    like open_step_batch: returns (in_hole, censored), the same bits for
+    any thread count."""
+    return _map_chunks(
+        lambda part: _holes.state_in_hole(table, hole, part, images), state, threads)
 
 
 @dataclass
@@ -166,7 +227,7 @@ def evolve_ensemble(table, hole, state, n_steps: int,
 
     if convention == "arrival" and hole is not None:
         # index-0 escapes: initial states already inside the hole
-        mask, cens = _holes.state_in_hole(table, hole, state, images)
+        mask, cens = hole_membership(table, hole, images, state, threads)
         state = state.take(drop(0, cens, mask))
 
     def record(k):

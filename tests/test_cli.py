@@ -616,3 +616,26 @@ def test_starved_escape_run_fails_before_simulating(tmp_path, capsys, monkeypatc
     assert err["error"] == "escape.starved_sample"
     assert "predicted" in err["message"]
     assert not (out / "results.json").exists()
+
+
+@pytest.mark.parametrize("estimator", ["direct", "fleming-viot"])
+@pytest.mark.parametrize("window", [[10, 70], [-1, 20], [20, 20]])
+def test_window_outside_the_run_fails_before_simulating(
+        tmp_path, capsys, probes, monkeypatch, estimator, window):
+    from leakybilliards import escape
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the ensemble was evolved")
+
+    monkeypatch.setattr(escape, "estimate_escape_rate", no_run)
+    monkeypatch.setattr(escape, "fleming_viot_evolve", no_run)
+    code, out = run(tmp_path, "escape-rate",
+                    dict(ESCAPE_CFG, estimator=estimator, n_max=60, window=window))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config.bad_argument"
+    lo, hi = window
+    assert err["message"] == f"window [{lo},{hi}] outside the recorded range [0,60]"
+    # no table was built, so no horizon probe ran
+    assert probes == []
+    assert not (out / "results.json").exists()

@@ -1,3 +1,9 @@
+import json
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -192,3 +198,62 @@ def test_chunked_kernel_is_bit_identical(table, monkeypatch):
         assert np.array_equal(runs[0].escape_step, other.escape_step)
         assert np.array_equal(runs[0].final_r, other.final_r)
         assert np.array_equal(runs[0].final_phi, other.final_phi)
+
+
+@pytest.mark.parametrize("kind", ["I", "II"])
+def test_chunked_membership_is_bit_identical(table, monkeypatch, kind):
+    # 1024-state chunks put 9 slices through the pool: every thread count
+    # must reproduce one unchunked state_in_hole pass bit for bit
+    if kind == "I":
+        hole = holes.type_i_hole(table, 0, 0.2, 0.6)
+    else:
+        hole = holes.type_ii_hole(table, (0.5, 0.0), 0.05)
+    state = _sample(table, 9000, "membership")
+    offsets = holes.escape_offsets(table, hole)
+    ref_in, ref_cens = holes.state_in_hole(table, hole, state, offsets)
+    assert ref_in.sum() > 100
+    monkeypatch.setattr(open_dynamics, "CHUNK", 1024)
+    for t in (1, 2, 4):
+        got_in, got_cens = open_dynamics.hole_membership(
+            table, hole, offsets, state, threads=t
+        )
+        assert got_in.dtype == ref_in.dtype and got_cens.dtype == ref_cens.dtype
+        assert np.array_equal(got_in, ref_in)
+        assert np.array_equal(got_cens, ref_cens)
+
+
+_FAULTS_SCRIPT = """
+import json, resource, statistics
+from leakybilliards import escape, geometry, holes, measures, open_dynamics
+
+table = geometry.default_table()
+hole = holes.type_ii_hole(table, (0.5, 0.0), 0.05)
+step, faults = open_dynamics.open_step_batch, []
+
+def counted(*args, **kwargs):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    out = step(*args, **kwargs)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return out
+
+open_dynamics.open_step_batch = counted
+escape.fleming_viot_evolve(table, hole, measures.density_from_json({"kind": "nu"}),
+                           131072, 8, (1, 8), 3, threads=2)
+print(json.dumps({"faults": faults, "median": statistics.median(faults[2:])}))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap policy")
+def test_threaded_steps_keep_their_memory_resident():
+    # two full chunks at 2 threads: once warm, a step reuses the heap it
+    # freed instead of returning it to the OS and faulting it back in
+    # (thousands of minor faults per step when glibc trims)
+    import leakybilliards
+
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(leakybilliards.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert len(report["faults"]) == 8
+    assert report["median"] <= 256, report["faults"]
