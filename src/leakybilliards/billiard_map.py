@@ -36,12 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry as _geo
-from .errors import (
-    DifferentScatterersError,
-    InvalidArgumentError,
-    NearTangencyError,
-    NoCollisionError,
-)
+from .errors import InvalidArgumentError, NearTangencyError, NoCollisionError
 
 TANGENCY_GUARD = 1e-9  # radians around +-pi/2
 
@@ -58,17 +53,12 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class FlightSegment:
-    """Straight free flight between collisions.
-
-    start/direction/length describe the unfolded segment in the plane;
-    polyline lists its pieces wrapped back into the unit cell as
-    ((x0, y0), (x1, y1)) pairs.
-    """
+    """Straight free flight between collisions: the unfolded segment
+    in the plane."""
 
     start: tuple[float, float]
     direction: tuple[float, float]
     length: float
-    polyline: tuple
 
 
 class State(NamedTuple):
@@ -213,35 +203,6 @@ def collide_batch(table, sid, r, phi) -> CollisionBatch:
     return out._replace(r=r1, phi=phi1)
 
 
-def _wrap_polyline(p0, v, length):
-    """Split the unfolded segment at unit gridlines and wrap each piece."""
-    cuts = [0.0, float(length)]
-    for axis in (0, 1):
-        if abs(v[axis]) > 1e-15:
-            a = p0[axis]
-            lo = a if v[axis] > 0 else a + v[axis] * length
-            hi = a + v[axis] * length if v[axis] > 0 else a
-            k = math.ceil(lo)
-            while k < hi:
-                tk = (k - a) / v[axis]
-                if 1e-12 < tk < length - 1e-12:
-                    cuts.append(tk)
-                k += 1
-    cuts = sorted(set(cuts))
-    pieces = []
-    for ta, tb in zip(cuts[:-1], cuts[1:]):
-        tm = 0.5 * (ta + tb)
-        ox = math.floor(p0[0] + tm * v[0])
-        oy = math.floor(p0[1] + tm * v[1])
-        pieces.append(
-            (
-                (p0[0] + ta * v[0] - ox, p0[1] + ta * v[1] - oy),
-                (p0[0] + tb * v[0] - ox, p0[1] + tb * v[1] - oy),
-            )
-        )
-    return tuple(pieces)
-
-
 def collide(table, x: PhasePoint):
     """One collision; returns (arrival PhasePoint, FlightSegment)."""
     check_phase_point(table, x)
@@ -254,7 +215,7 @@ def collide(table, x: PhasePoint):
     p0 = (float(out.start[0, 0]), float(out.start[0, 1]))
     v = (float(out.direction[0, 0]), float(out.direction[0, 1]))
     t = float(out.flight_length[0])
-    seg = FlightSegment(p0, v, t, _wrap_polyline(p0, v, t))
+    seg = FlightSegment(p0, v, t)
     y = PhasePoint(int(out.scatterer_id[0]), float(out.r[0]), float(out.phi[0]))
     return y, seg
 
@@ -304,26 +265,3 @@ def collision_jacobian(table, x: PhasePoint) -> np.ndarray:
             [tau * k0 * k1 + k1 * c0 + k0 * c1, tau * k1 + c1],
         ]
     )
-
-
-def p_distance(table, x1: PhasePoint, x2: PhasePoint, same_curve: bool = True) -> float:
-    """Path p-length integral of cos(phi) dr along the parameter segment.
-
-    Both points must lie on the same scatterer.  With same_curve the
-    r-difference is wrapped to the shorter way around the closed curve;
-    otherwise the raw parameter difference is used.  The integral has
-    the closed form |dr| * (sin(phi2) - sin(phi1)) / (phi2 - phi1).
-    """
-    if x1.scatterer_id != x2.scatterer_id:
-        raise DifferentScatterersError(
-            f"p_distance needs points on one scatterer, got "
-            f"{x1.scatterer_id} and {x2.scatterer_id}"
-        )
-    perim = table.perimeters[int(x1.scatterer_id)]
-    dr = x2.r - x1.r
-    if same_curve:
-        dr = (dr + perim / 2.0) % perim - perim / 2.0
-    dphi = x2.phi - x1.phi
-    if abs(dphi) < 1e-9:
-        return abs(dr) * math.cos(0.5 * (x1.phi + x2.phi))
-    return abs(dr * (math.sin(x2.phi) - math.sin(x1.phi)) / dphi)

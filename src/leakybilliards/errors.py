@@ -167,10 +167,6 @@ class NoCollisionError(LeakyBilliardsError):
     code = "billiard.no_collision"
 
 
-class DifferentScatterersError(LeakyBilliardsError):
-    code = "billiard.different_scatterers"
-
-
 # holes
 
 class HoleTouchesScattererError(LeakyBilliardsError):

@@ -305,7 +305,6 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
 
     eff = np.empty(n_steps + 1)
     ratios = np.empty(n_steps + 1)
-    ratios[0] = 1.0
     n_cens_total = 0
     n_cloned = 0
 
@@ -339,24 +338,16 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
         state.velocity[dead_idx] = vel
         n_cloned += m
 
-    if hole is not None:
-        mask, cens = _od.hole_membership(table, hole, images, state, threads)
-        dead = mask | cens
-        n_cens = int(cens.sum())
-        n_cens_total += n_cens
-        at_risk = n_particles - n_cens
-        surv = at_risk - int((mask & ~cens).sum())
-        if at_risk <= 0 or surv <= 0:
-            raise ExtinctionError("no uncensored survivors at step 0")
-        ratios[0] = surv / at_risk
-        clone_into(np.flatnonzero(dead), np.flatnonzero(~dead))
-    eff[0] = n_particles * ratios[0]
-    if 0 in capture:
-        captures[0] = _bmap.phase_of(table, state)
-
-    for k in range(1, n_steps + 1):
-        # dead entries of the arrivals are placeholders, overwritten by clones
-        state, cens, esc = _od.open_step_batch(table, hole, images, state, threads)
+    for k in range(n_steps + 1):
+        if k:
+            # dead entries of the arrivals are placeholders, overwritten by clones
+            state, cens, esc = _od.open_step_batch(table, hole, images, state, threads)
+        elif hole is not None:
+            # index 0: initial states already in the hole; the mask never
+            # marks a censored state
+            esc, cens = _od.hole_membership(table, hole, images, state, threads)
+        else:
+            esc = cens = np.zeros(n_particles, dtype=bool)
         dead = cens | esc
         n_cens = int(cens.sum())
         n_cens_total += n_cens
@@ -365,7 +356,7 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
         if at_risk <= 0 or surv <= 0:
             raise ExtinctionError(f"population went extinct at step {k}")
         ratios[k] = surv / at_risk
-        eff[k] = eff[k - 1] * ratios[k]
+        eff[k] = (eff[k - 1] if k else n_particles) * ratios[k]
         clone_into(np.flatnonzero(dead), np.flatnonzero(~dead))
         if k in capture:
             captures[k] = _bmap.phase_of(table, state)

@@ -30,12 +30,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    BadScattererIdError,
     ConfigReader,
     InfiniteHorizonError,
     InvalidArgumentError,
     OverlappingScatterersError,
-    ROutOfRangeError,
 )
 
 # impact parameters within this band of a scatterer radius mark the ray
@@ -49,6 +47,11 @@ _T_EPS = 1e-12
 
 # a projection gap narrower than this does not count as a corridor
 _GAP_TOLERANCE = 1e-9
+
+# the corridor sweep tests rational directions (p, q) with p, |q| up to
+# this, or up to the cutoff 1/(2*r_max) past which the widest scatterer
+# blocks every direction, whichever is larger
+_Q_SWEEP = 8
 
 # direction sectors per departure scatterer in the first-hit candidate
 # table; each sector's angle range is padded by _SECTOR_PAD radians and
@@ -87,15 +90,6 @@ class Scatterer:
     @property
     def perimeter(self) -> float:
         return 2.0 * math.pi * self.radius
-
-
-@dataclass(frozen=True)
-class TablePoint:
-    """A boundary point in the plane with the domain-inward normal."""
-
-    scatterer_id: int
-    position: tuple[float, float]
-    inward_normal: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -304,23 +298,6 @@ def sector_rows(table: Table, centers, radii, reach: float, exclude=None):
     return SectorRows(idx, centers[idx, 0], centers[idx, 1], radii[idx] * radii[idx], lb)
 
 
-def boundary_point(table: Table, scatterer_id: int, r: float) -> TablePoint:
-    """Planar position and inward normal for arc-length coordinate r."""
-    sid = int(scatterer_id)
-    if not 0 <= sid < len(table):
-        raise BadScattererIdError(f"no scatterer with id {scatterer_id}")
-    perim = table.perimeters[sid]
-    if not (0.0 <= r < perim) or not math.isfinite(r):
-        raise ROutOfRangeError(
-            f"r={r} outside [0, {perim}) on scatterer {sid}"
-        )
-    rho = table.radii[sid]
-    psi = r / rho
-    nx, ny = math.cos(psi), math.sin(psi)
-    cx, cy = table.centers[sid]
-    return TablePoint(sid, (cx + rho * nx, cy + rho * ny), (nx, ny))
-
-
 def boundary_frame(table: Table, sid, r, cos_phi, sin_phi):
     """Vectorized Cartesian form of boundary states.
 
@@ -344,15 +321,6 @@ def launch_points(table: Table, sid, n):
     p0[:, 0] += rho * n[:, 0]
     p0[:, 1] += rho * n[:, 1]
     return p0
-
-
-def rays_from_boundary(table: Table, sid, r, phi):
-    """Vectorized launch data for boundary states (see boundary_frame).
-    Returns (p0 (N,2), v (N,2)) with unit directions."""
-    sid = np.asarray(sid, dtype=np.int64)
-    phi = np.asarray(phi, dtype=float)
-    n, v = boundary_frame(table, sid, r, np.cos(phi), np.sin(phi))
-    return launch_points(table, sid, n), v
 
 
 def pie_slice_distance(x, y, a0, a1, radius):
@@ -575,11 +543,10 @@ def _graze_recheck(table, p0, v, best_t, maybe_graze, reach):
     return grazed
 
 
-def _corridor_witness(centers, radii, q_sweep):
-    """Direction (p, q) of a free corridor, or None if all are blocked."""
-    r_max = float(radii.max())
-    cutoff = 1.0 / (2.0 * r_max)
-    q_eff = max(q_sweep, int(math.ceil(cutoff)))
+def _corridor_witness(centers, radii, q_eff):
+    """Direction (p, q) of a free corridor, p and |q| up to q_eff, or
+    None if all are blocked."""
+    cutoff = 1.0 / (2.0 * float(radii.max()))
     directions = [(1, 0), (0, 1)]
     for p in range(1, q_eff + 1):
         for q in range(1, q_eff + 1):
@@ -759,7 +726,7 @@ def _certify_flights(table, bound, raise_bound, depth):
     return bound, tested, False
 
 
-def finite_horizon_probe(table: Table, q_max: int = 8) -> HorizonCertificate:
+def finite_horizon_probe(table: Table) -> HorizonCertificate:
     """Certify finite horizon and prove a bound on the free flight.
 
     Raises InfiniteHorizonError with the witness direction if any
@@ -770,15 +737,12 @@ def finite_horizon_probe(table: Table, q_max: int = 8) -> HorizonCertificate:
     depth cap, l_max is raised and the search repeated with more depth.
     Finite horizon makes that end.
     """
-    if q_max < 1:
-        raise InvalidArgumentError(f"q_max must be >= 1, got {q_max}")
-    witness = _corridor_witness(table.centers, table.radii, q_max)
+    q_eff = max(_Q_SWEEP, int(math.ceil(1.0 / (2.0 * float(table.radii.max())))))
+    witness = _corridor_witness(table.centers, table.radii, q_eff)
     if witness is not None:
         raise InfiniteHorizonError(
             f"free corridor in direction {witness}", witness=witness
         )
-    r_max = float(table.radii.max())
-    q_eff = max(q_max, int(math.ceil(1.0 / (2.0 * r_max))))
     bound, total, depth = 0.0, 0, _MAX_DEPTH
     while True:
         bound, tested, certified = _certify_flights(table, bound, True, depth)

@@ -32,7 +32,6 @@ from .errors import (
     HoleTooLargeError,
     HoleTouchesScattererError,
     InvalidArgumentError,
-    NearTangencyError,
     ROutOfRangeError,
 )
 
@@ -75,25 +74,35 @@ class HoleSpec:
 
 
 def type_i_hole(table, scatterer_id: int, a: float, b: float) -> HoleSpec:
-    """Boundary-arc hole; endpoints are taken mod the perimeter."""
+    """Boundary-arc hole; endpoints are taken mod the perimeter.
+
+    Endpoints a whole number of turns apart, up to rounding, are
+    rejected before the reduction, which would otherwise turn a full
+    turn such as (0.1, 0.1 + perimeter) into an arc a few ulps long.
+    b - a rounds at the scale of the larger of a, b and the perimeter,
+    so that sets the tolerance.
+    """
     sid = int(scatterer_id)
     if not 0 <= sid < len(table):
         raise BadScattererIdError(f"no scatterer with id {scatterer_id}")
     perim = table.perimeters[sid]
-    a, b = float(float(a) % perim), float(float(b) % perim)
+    a, b = float(a), float(b)
+    if abs(math.remainder(b - a, perim)) <= 4.0 * math.ulp(max(abs(a), abs(b), perim)):
+        raise InvalidArgumentError(
+            f"arc endpoints {a} and {b} agree mod the perimeter {perim}")
+    a, b = float(a % perim), float(b % perim)
     hole = HoleSpec(kind="I", scatterer_id=sid, arc=(a, b))
     if hole.arc_length(table) >= perim:
         raise HoleTooLargeError("arc covers the whole scatterer")
     return hole
 
 
-def type_ii_hole(table, center, radius: float, check_clearance: bool = True) -> HoleSpec:
-    """Domain-disk hole; with check_clearance it must avoid all scatterers."""
+def type_ii_hole(table, center, radius: float) -> HoleSpec:
+    """Domain-disk hole; it must avoid all scatterers."""
     hole = HoleSpec(
         kind="II", center=(float(center[0]), float(center[1])), radius=float(radius)
     )
-    if check_clearance:
-        _require_clearance(table, hole.center, hole.radius)
+    _require_clearance(table, hole.center, hole.radius)
     return hole
 
 
@@ -155,26 +164,17 @@ def hole_family(table, q0, h: float, offset: float = 0.0, *,
     return hole
 
 
-def arc_contains(hole: HoleSpec, table, sid, r):
-    """Vectorized open-arc membership for arrival coordinates."""
-    a, b = hole.arc
-    sid = np.asarray(sid)
-    r = np.asarray(r)
-    on = sid == hole.scatterer_id
-    if a < b:
-        return on & (r > a) & (r < b)
-    return on & ((r > a) | (r < b))
-
-
 def arc_contains_normal(hole: HoleSpec, table, sid, normal):
-    """arc_contains for boundary points given by their unit normals (N,2).
+    """Open-arc membership of boundary points given by their unit
+    normals (N,2) on scatterers sid.
 
     With na and nb the normals at the arc's endpoints, a normal lies on
     the open counterclockwise arc from na to nb when na x n > 0 and
     n x nb > 0, for an arc of at most half the perimeter; a longer arc
     holds every normal off the closed complementary arc, so either
-    cross product being positive will do.  This agrees with arc_contains
-    except within rounding of an endpoint.
+    cross product being positive will do.  This agrees with the test on
+    arc lengths, a < r < b (a < r or r < b for a wrapped arc), except
+    within rounding of an endpoint.
     """
     rho = float(table.radii[hole.scatterer_id])
     ax, ay = math.cos(hole.arc[0] / rho), math.sin(hole.arc[0] / rho)
@@ -345,28 +345,3 @@ def state_in_hole(table, hole: HoleSpec, state: _bmap.State, images=None):
             if hole.kind == "II" else None)
     return in_hole_given_flight(table, hole, state.sid, state.normal, back, images)
 
-
-def state_in_hole_batch(table, hole: HoleSpec, sid, r, phi, images=None):
-    """state_in_hole of (sid, r, phi) states."""
-    return state_in_hole(table, hole, _bmap.state_from_phase(table, sid, r, phi),
-                         images)
-
-
-def in_hole(table, hole: HoleSpec, x: _bmap.PhasePoint) -> bool:
-    """Phase-space hole membership of a single state; raises on censoring."""
-    _bmap.check_phase_point(table, x)
-    mask, cens = state_in_hole_batch(
-        table, hole, [x.scatterer_id], [x.r], [x.phi]
-    )
-    if cens[0]:
-        raise NearTangencyError("membership undecidable: backward flight censored")
-    return bool(mask[0])
-
-
-def in_B_sigma(table, hole: HoleSpec, x: _bmap.PhasePoint) -> bool:
-    """Whether the next flight from x enters the hole (pre-escape set)."""
-    _bmap.check_phase_point(table, x)
-    batch = _bmap.collide_batch(table, [x.scatterer_id], [x.r], [x.phi])
-    if batch.censored[0]:
-        raise NearTangencyError("pre-escape membership undecidable: flight censored")
-    return bool(arrival_escape_mask(table, hole, batch)[0])

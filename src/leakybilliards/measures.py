@@ -33,6 +33,9 @@ from .errors import (
 
 DENSITY_KINDS = ("nu", "arc_cosine", "angle_ramp")
 
+# pairs of fresh nu samples that noise_floor averages over
+_NOISE_REPS = 3
+
 
 @dataclass(frozen=True)
 class DensitySpec:
@@ -206,15 +209,12 @@ def measure_distance(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> float:
     return float(np.abs(m1.weights - m2.weights).sum())
 
 
-def noise_floor(table, n: int, r_bins: int, phi_bins: int, master_seed: int,
-                reps: int = 3) -> float:
+def noise_floor(table, n: int, r_bins: int, phi_bins: int, master_seed: int) -> float:
     """Sampling-noise baseline: mean distance of paired fresh nu samples."""
     from .streams import stream
 
-    if reps <= 0:
-        raise InvalidArgumentError("reps must be positive")
     dists = []
-    for rep in range(reps):
+    for rep in range(_NOISE_REPS):
         ma = bin_measure(
             table, *sample_nu(table, n, stream(master_seed, "noise-floor", rep, "a")),
             r_bins, phi_bins,

@@ -45,6 +45,17 @@ from .errors import (
 
 _TAIL_TOL = 1e-12
 _BALANCE_RTOL = 1e-9
+# coarsened() calls a cell constant on a cylinder when its values agree
+# to this relative tolerance
+_COARSEN_RTOL = 1e-12
+# d_functional's relative spread bound over the last quarter of its terms
+_D_RTOL = 1e-8
+# tail_mass_check's allowance over theta0/beta
+_TAIL_SLACK = 0.05
+# tower_random draws its values uniformly from [_RANDOM_LOW, _RANDOM_HIGH)
+_RANDOM_LOW, _RANDOM_HIGH = 0.5, 1.5
+# random_tower_spec: column count and return time bounds, and draws
+_MAX_COLS, _MAX_RETURN, _MAX_TRIES = 5, 5, 200
 # ordinary towers reach the ratio stop with residuals under 40 tol, so
 # this gate moves no iteration count there; see leading_eigenpair
 _RESIDUAL_FACTOR = 1e3
@@ -179,41 +190,28 @@ class Tower:
             out[l] = out.get(l, 0.0) + float(self.masses[j])
         return out
 
-    def _surviving_edges(self):
-        """Adjacency of the one-step dynamics restricted to non-hole cells."""
-        edges: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for l, j in (c for c in self.cells if c not in self.holes):
+    def _check_mixing(self):
+        """One aperiodic recurrent class in the one-step dynamics of the
+        non-hole cells.  It passes the base: a climb only raises the
+        level, and a return lands on level 0, so every cycle has one."""
+        index = {c: i for i, c in enumerate(c for c in self.cells if c not in self.holes)}
+        adj = np.zeros((len(index), len(index)), dtype=bool)
+        for (l, j), u in index.items():
             if l + 1 < self.returns[j]:
                 nxt = [(l + 1, j)]
             else:
                 nxt = [(0, i) for i in self.targets[j]]
-            edges[(l, j)] = [c for c in nxt if c not in self.holes]
-        return edges
-
-    def _check_mixing(self):
-        edges = self._surviving_edges()
-        sccs = _strongly_connected_components(edges)
-        nontrivial = []
-        for comp in sccs:
-            compset = set(comp)
-            has_cycle = len(comp) > 1 or any(
-                v in edges.get(v, ()) for v in comp
-            )
-            if has_cycle:
-                nontrivial.append(compset)
-        if len(nontrivial) == 0:
+            adj[u, [index[c] for c in nxt if c in index]] = True
+        periods = [p for p in _class_periods(adj) if p]
+        if len(periods) == 0:
             raise NotMixingError("surviving dynamics has no recurrent cycle")
-        if len(nontrivial) > 1:
+        if len(periods) > 1:
             raise NotMixingError(
-                f"surviving dynamics splits into {len(nontrivial)} recurrent "
+                f"surviving dynamics splits into {len(periods)} recurrent "
                 "classes"
             )
-        core = nontrivial[0]
-        if not any(l == 0 for l, _ in core):
-            raise NotMixingError("recurrent class never touches the base")
-        period = _component_period(edges, core)
-        if period != 1:
-            raise NotMixingError(f"surviving dynamics has period {period}")
+        if periods[0] != 1:
+            raise NotMixingError(f"surviving dynamics has period {periods[0]}")
 
     def cell_survives_to_base(self, l: int, j: int) -> bool:
         """Whether part of the cell returns to a non-hole base cell.
@@ -316,71 +314,44 @@ def build_tower(spec: TowerSpec, enforce_hole_condition: bool = True) -> Tower:
     return Tower(spec, enforce_hole_condition=enforce_hole_condition)
 
 
-def _strongly_connected_components(edges):
-    """Iterative Tarjan; edges is dict node -> list of nodes."""
-    index: dict = {}
-    low: dict = {}
-    onstack: set = set()
-    stack: list = []
-    out: list[list] = []
-    counter = [0]
-    for root in edges:
-        if root in index:
+def _class_periods(adj):
+    """Periods of the communicating classes of the digraph with boolean
+    adjacency adj, one per class: the gcd of the class's cycle lengths,
+    0 for a node on no cycle.
+
+    reach, the paths of length 1 to 2^k, is squared until it stops
+    growing; a boolean matrix product is exact and never reaches BLAS.
+    u and v share a class when each reaches the other.  The period is
+    the gcd of dist(u) + 1 - dist(v) over the class's edges u -> v, with
+    dist from one breadth-first search.
+    """
+    reach = adj
+    while True:
+        grown = reach | (reach @ reach)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    out = []
+    seen = np.zeros(len(adj), dtype=bool)
+    for head in range(len(adj)):
+        if seen[head]:
             continue
-        work = [(root, iter(edges.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    onstack.add(nxt)
-                    work.append((nxt, iter(edges.get(nxt, ()))))
-                    advanced = True
-                    break
-                if nxt in onstack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    v = stack.pop()
-                    onstack.discard(v)
-                    comp.append(v)
-                    if v == node:
-                        break
-                out.append(comp)
+        nodes = reach[head] & reach[:, head]
+        nodes[head] = True
+        seen |= nodes
+        if not reach[head, head]:
+            out.append(0)
+            continue
+        sub = adj[np.ix_(nodes, nodes)]
+        dist = np.full(len(sub), -1)
+        dist[0] = 0
+        front = dist == 0
+        while front.any():
+            front = sub[front].any(axis=0) & (dist < 0)
+            dist[front] = dist.max() + 1
+        u, v = np.nonzero(sub)
+        out.append(int(np.gcd.reduce(dist[u] + 1 - dist[v])))
     return out
-
-
-def _component_period(edges, comp: set) -> int:
-    """gcd of cycle lengths within one strongly connected component."""
-    start = next(iter(comp))
-    dist = {start: 0}
-    queue = [start]
-    g = 0
-    while queue:
-        u = queue.pop(0)
-        for v in edges.get(u, ()):
-            if v not in comp:
-                continue
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-            else:
-                g = math.gcd(g, dist[u] + 1 - dist[v])
-    return abs(g) if g else 0
 
 
 # -- functions on the tower --------------------------------------------------
@@ -479,7 +450,7 @@ class TowerFunction:
             out = _function(self.tower, d, vec)
         return out
 
-    def coarsened(self, depth: int, rtol: float = 1e-12) -> "TowerFunction":
+    def coarsened(self, depth: int) -> "TowerFunction":
         """Drop itinerary symbols; fails if information would be lost."""
         if depth > self.depth:
             raise InvalidArgumentError("coarsened() cannot raise the depth")
@@ -496,7 +467,7 @@ class TowerFunction:
                 np.minimum.at(agg_min, trunc[j], v)
                 np.maximum.at(agg_max, trunc[j], v)
                 scale = np.maximum(np.abs(agg_min), np.abs(agg_max))
-                if np.any(agg_max - agg_min > rtol * np.maximum(scale, 1.0)):
+                if np.any(agg_max - agg_min > _COARSEN_RTOL * np.maximum(scale, 1.0)):
                     raise DepthExhaustedError(
                         f"cell {(l, j)} is not constant on depth-{d - 1} "
                         "cylinders; representation depth exhausted"
@@ -585,15 +556,15 @@ def tower_cell_indicator(tower: Tower, cell: tuple[int, int],
     return f
 
 
-def tower_random(tower: Tower, depth: int, rng,
-                 low: float = 0.5, high: float = 1.5) -> TowerFunction:
+def tower_random(tower: Tower, depth: int, rng) -> TowerFunction:
     """Random positive piecewise-constant function at the given depth.
 
     Draws one value per cylinder in layout order, hole cells included
     (then zeroed), so the draws do not depend on where the hole is.
     """
     size = tower.depth_tables(depth)["layout"].size
-    return _function(tower, depth, low + (high - low) * rng.random(size))
+    return _function(tower, depth,
+                     _RANDOM_LOW + (_RANDOM_HIGH - _RANDOM_LOW) * rng.random(size))
 
 
 # -- transfer operator --------------------------------------------------------
@@ -716,8 +687,7 @@ class LowerBoundReport:
         }
 
 
-def theta_lower_bound(tower: Tower, theta_star: float | None = None,
-                      compute_theta: bool = True) -> LowerBoundReport:
+def theta_lower_bound(tower: Tower, theta_star: float | None = None) -> LowerBoundReport:
     """Closed-form eigenvalue lower bound from the weighted hole mass.
 
     bound = 1 - (1+C1)/mass(base) * sum_{l>=1} beta^{-(l-1)} * holemass(l).
@@ -729,7 +699,7 @@ def theta_lower_bound(tower: Tower, theta_star: float | None = None,
     s = tower.hole_condition_lhs
     bound = 1.0 - (1.0 + tower.c1) / tower.base_mass * s
     vacuous = s == 0.0
-    if theta_star is None and compute_theta and not vacuous:
+    if theta_star is None and not vacuous:
         theta_star, _, _ = leading_eigenpair(tower)
     satisfied = None
     if theta_star is not None and not vacuous:
@@ -751,8 +721,7 @@ class DFunctionalReport:
 
 
 def d_functional(tower: Tower, rho: TowerFunction,
-                 theta_star: float | None = None, n_terms: int = 60,
-                 rtol: float = 1e-8) -> DFunctionalReport:
+                 theta_star: float | None = None, n_terms: int = 60) -> DFunctionalReport:
     """Survival functional d(rho): limit of theta^{-n} * surviving mass.
 
     The sequence theta_star^{-n} * integral of the n-step open transfer
@@ -789,12 +758,12 @@ def d_functional(tower: Tower, rho: TowerFunction,
     tail = terms[-max(n_terms // 4, 2):]
     value = float(terms[-1])
     spread = float(np.max(np.abs(tail - value)))
-    if abs(value) > 0 and spread > rtol * max(abs(value), 1e-300):
+    if abs(value) > 0 and spread > _D_RTOL * max(abs(value), 1e-300):
         raise NotStabilizedError(
             f"d(rho) not stabilized: spread {spread:.3g} over the last "
             f"quarter vs value {value:.6g}"
         )
-    if abs(value) == 0.0 and spread > rtol:
+    if abs(value) == 0.0 and spread > _D_RTOL:
         raise NotStabilizedError(
             f"d(rho) not stabilized near zero: spread {spread:.3g}"
         )
@@ -889,14 +858,10 @@ def markov_matrix_oracle(markov_map: MarkovIntervalMap,
         )
     sub = mat[np.ix_(surviving, surviving)]
     # the oracle demands an irreducible surviving transition structure
-    adj = {
-        int(a): [int(b) for b in surviving[np.flatnonzero(sub[:, k])]]
-        for k, a in enumerate(surviving)
-    }
-    sccs = _strongly_connected_components(adj)
-    if len(sccs) != 1:
+    n_classes = len(_class_periods(sub.T != 0))
+    if n_classes != 1:
         raise ReducibleSurvivingGraphError(
-            f"surviving cells split into {len(sccs)} communicating classes"
+            f"surviving cells split into {n_classes} communicating classes"
         )
     w, vecs = np.linalg.eig(sub)
     k = int(np.argmax(np.abs(w)))
@@ -987,12 +952,11 @@ class TailReport:
 
 
 def tail_mass_check(tower: Tower, h: TowerFunction | None = None,
-                    theta_star: float | None = None,
-                    slack: float = 0.05) -> TailReport:
+                    theta_star: float | None = None) -> TailReport:
     """Level tails of the conditionally invariant measure proxy h*m.
 
     Reports the mass above each level and checks the successive-tail
-    ratio against theta0/beta plus slack.  Flat towers have zero tails
+    ratio against theta0/beta plus _TAIL_SLACK.  Flat towers have zero tails
     and pass trivially.
     """
     if h is None:
@@ -1011,12 +975,12 @@ def tail_mass_check(tower: Tower, h: TowerFunction | None = None,
         if rows[i][1] > 1e-300 and rows[i + 1][1] > 0
     ]
     envelope = max(ratios) if ratios else 0.0
-    bound = tower.theta0 / tower.beta + slack
+    bound = tower.theta0 / tower.beta + _TAIL_SLACK
     ok = envelope <= bound
     if not ok:
         raise BadTailError(
             f"tail envelope ratio {envelope:.6g} exceeds "
-            f"theta0/beta + {slack} = {bound:.6g}"
+            f"theta0/beta + {_TAIL_SLACK} = {bound:.6g}"
         )
     return TailReport(rows=rows, envelope_ratio=float(envelope),
                       bound=float(bound), ok=ok)
@@ -1085,8 +1049,7 @@ def golden_interval_map() -> MarkovIntervalMap:
     )
 
 
-def random_tower_spec(rng, max_cols: int = 5, max_return: int = 5,
-                      max_tries: int = 200) -> TowerSpec:
+def random_tower_spec(rng) -> TowerSpec:
     """Random valid tower with holes strictly above the base.
 
     Draws column counts, masses, and return times, then places holes at
@@ -1094,9 +1057,9 @@ def random_tower_spec(rng, max_cols: int = 5, max_return: int = 5,
     so the eigenvalue lower bound is never vacuous.  Retries until the
     mixing check passes.
     """
-    for _ in range(max_tries):
-        ncols = int(rng.integers(2, max_cols + 1))
-        returns = rng.integers(1, max_return + 1, size=ncols)
+    for _ in range(_MAX_TRIES):
+        ncols = int(rng.integers(2, _MAX_COLS + 1))
+        returns = rng.integers(1, _MAX_RETURN + 1, size=ncols)
         returns[int(rng.integers(0, ncols))] = 1  # keep a fast loop around
         masses = 0.2 + rng.random(ncols)
         theta0 = 0.75

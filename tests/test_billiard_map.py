@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from leakybilliards import billiard_map as bmap
 from leakybilliards import geometry, measures
-from leakybilliards.errors import DifferentScatterersError, NearTangencyError
+from leakybilliards.errors import NearTangencyError
 from leakybilliards.streams import stream
 
 
@@ -24,15 +24,6 @@ def test_period_two_orbit(table):
     assert z.scatterer_id == 1
     assert math.isclose(seg2.length, 0.6, rel_tol=0, abs_tol=1e-12)
     assert abs(z.r - x.r) < 1e-12 and abs(z.phi) < 1e-12
-
-
-def test_flight_polyline_wraps_once(table):
-    # the period-two flight crosses the x = 1 seam exactly once
-    _, seg = bmap.collide(table, bmap.PhasePoint(1, 0.0, 0.0))
-    assert len(seg.polyline) == 2
-    (a0, a1), (b0, b1) = seg.polyline
-    assert math.isclose(a1[0], 1.0, abs_tol=1e-12)
-    assert math.isclose(b0[0], 0.0, abs_tol=1e-12)
 
 
 def test_inverse_roundtrip_batch(table, nu_states):
@@ -105,33 +96,6 @@ def test_tangential_launch_censored(table):
     assert bool(batch.censored[0])
     with pytest.raises(NearTangencyError):
         bmap.collide(table, bmap.PhasePoint(0, 0.5, math.pi / 2 - 1e-10))
-
-
-def test_p_distance_constant_angle(table):
-    # equal angles reduce the integral to |dr| * cos(phi)
-    a = bmap.PhasePoint(0, 0.2, math.pi / 3)
-    b = bmap.PhasePoint(0, 0.3, math.pi / 3)
-    assert math.isclose(bmap.p_distance(table, a, b), 0.05, rel_tol=1e-12)
-
-
-def test_p_distance_closed_form(table):
-    a = bmap.PhasePoint(0, 0.2, 0.1)
-    b = bmap.PhasePoint(0, 0.45, 0.7)
-    want = abs(0.25 * (math.sin(0.7) - math.sin(0.1)) / 0.6)
-    assert math.isclose(bmap.p_distance(table, a, b), want, rel_tol=1e-12)
-
-
-def test_p_distance_wraps_shortest_way(table):
-    perim = table.perimeters[0]
-    a = bmap.PhasePoint(0, 0.01, 0.0)
-    b = bmap.PhasePoint(0, perim - 0.01, 0.0)
-    assert math.isclose(bmap.p_distance(table, a, b), 0.02, rel_tol=1e-9)
-
-
-def test_p_distance_needs_one_scatterer(table):
-    with pytest.raises(DifferentScatterersError):
-        bmap.p_distance(table, bmap.PhasePoint(0, 0.1, 0.0),
-                        bmap.PhasePoint(1, 0.1, 0.0))
 
 
 def test_scalar_matches_batch(table, nu_states):

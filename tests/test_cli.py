@@ -238,6 +238,19 @@ def test_type_ii_hole_in_a_scatterer_image_exits_2(tmp_path, capsys, anchor):
     assert err["error"] == "holes.touches_scatterer"
 
 
+def test_full_turn_type_i_arc_exits_2(tmp_path, capsys):
+    # arc[1] is arc[0] plus the perimeter of scatterer 0; reduced mod the
+    # perimeter it was an arc 8e-17 long, and the run exited 0 with no escapes
+    code, out = run(tmp_path, "simulate", {
+        "hole": {"type": "I", "scatterer": 0, "arc": [0.1, 2.6132741228718346]},
+        "n_particles": 20000, "n_max": 20, "seed": 0,
+    })
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config.bad_argument"
+    assert not (out / "results.json").exists()
+
+
 def test_exit_code_numeric_error(tmp_path, capsys):
     cfg = dict(ESCAPE_CFG, n_particles=300, window=[10, 28])
     code, _ = run(tmp_path, "escape-rate", cfg)

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leakybilliards import billiard_map as bmap
 from leakybilliards import geometry
 from leakybilliards.errors import (
-    ROutOfRangeError,
-    BadScattererIdError,
     ConfigError,
     InfiniteHorizonError,
     OverlappingScatterersError,
@@ -28,29 +27,10 @@ def test_default_table_shape(table):
     assert math.isclose(table.total_perimeter, 2 * math.pi * 0.6)
 
 
-def test_boundary_point_positions(table):
-    # r = 0 sits at angle 0 on the circle: center + (radius, 0)
-    p = geometry.boundary_point(table, 0, 0.0)
-    assert np.allclose(p.position, [0.4, 0.0])
-    assert np.allclose(p.inward_normal, [1.0, 0.0])
-    # quarter of the perimeter later the normal has rotated 90 degrees
-    q = geometry.boundary_point(table, 0, 0.25 * table.perimeters[0])
-    assert np.allclose(q.position, [0.0, 0.4], atol=1e-12)
-    assert np.allclose(q.inward_normal, [0.0, 1.0], atol=1e-12)
-
-
-def test_boundary_point_range_is_strict(table):
-    perim = table.perimeters[1]
-    geometry.boundary_point(table, 1, perim - 1e-9)
-    with pytest.raises(ROutOfRangeError):
-        geometry.boundary_point(table, 1, perim)
-    with pytest.raises(ROutOfRangeError):
-        geometry.boundary_point(table, 1, -1e-12)
-
-
-def test_boundary_point_bad_id(table):
-    with pytest.raises(BadScattererIdError):
-        geometry.boundary_point(table, 5, 0.0)
+def _rays(table, sid, r, phi):
+    """Launch points and unit directions of boundary states (sid, r, phi)."""
+    state = bmap.state_from_phase(table, sid, r, phi)
+    return geometry.launch_points(table, state.sid, state.normal), state.velocity
 
 
 def test_horizon_certificate(table):
@@ -115,7 +95,7 @@ def test_first_hit_within_certificate(table):
     sid = (u * len(table)).astype(np.int64)
     r = rng.random(n) * table.perimeters[sid]
     phi = np.arcsin(2.0 * rng.random(n) - 1.0)
-    p0, v = geometry.rays_from_boundary(table, sid, r, phi)
+    p0, v = _rays(table, sid, r, phi)
     t, hit_sid, offset, grazed = geometry.first_hit_batch(table, p0, v, skip_sid=sid)
     ok = hit_sid >= 0
     assert ok.mean() > 0.999
@@ -130,12 +110,10 @@ def test_first_hit_within_certificate(table):
 )
 def test_ray_leaves_surface(r, phi):
     table = geometry.default_table()
-    p0, v = geometry.rays_from_boundary(
-        table, np.array([0]), np.array([r]), np.array([phi])
-    )
+    _, v = _rays(table, np.array([0]), np.array([r]), np.array([phi]))
     # outgoing rays point out of the scatterer: positive normal component
-    p = geometry.boundary_point(table, 0, r)
-    assert float(v[0] @ p.inward_normal) > 0
+    n, _ = geometry.boundary_frame(table, np.array([0]), np.array([r]), 1.0, 0.0)
+    assert float(v[0] @ n[0]) > 0
 
 
 def _exit_rays(table, sid, theta, n):
@@ -202,7 +180,7 @@ def test_certified_flight_bound_covers_sampled_flights(which):
     sid = rng.integers(0, len(table), n)
     r = rng.random(n) * table.perimeters[sid]
     phi = np.arcsin(2.0 * rng.random(n) - 1.0)
-    p0, v = geometry.rays_from_boundary(table, sid, r, phi)
+    p0, v = _rays(table, sid, r, phi)
     assert _longest_flight(table, p0, v, sid) <= table.certificate.l_max
 
 
@@ -246,7 +224,7 @@ def _tangent_and_random_rays(table, reach, n, seed):
     sid = rng.integers(0, len(table), n)
     r = rng.random(n) * table.perimeters[sid]
     phi = np.arcsin(2.0 * rng.random(n) - 1.0)
-    p0, v = geometry.rays_from_boundary(table, sid, r, phi)
+    p0, v = _rays(table, sid, r, phi)
 
     n_tan = n // 3
     k = int(math.ceil(reach)) + 1

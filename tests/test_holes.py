@@ -6,28 +6,45 @@ import pytest
 from leakybilliards import billiard_map as bmap
 from leakybilliards import geometry, holes
 from leakybilliards.errors import (
+    BadScattererIdError,
     HoleTooLargeError,
     HoleTouchesScattererError,
     InvalidArgumentError,
-    NearTangencyError,
     ROutOfRangeError,
 )
 from leakybilliards.streams import stream
 
 
+def _arc_contains(hole, sid, r):
+    """Open-arc membership on arc lengths r, the oracle for
+    holes.arc_contains_normal."""
+    a, b = hole.arc
+    on = np.asarray(sid) == hole.scatterer_id
+    r = np.asarray(r)
+    if a < b:
+        return on & (r > a) & (r < b)
+    return on & ((r > a) | (r < b))
+
+
+def _rays(table, sid, r, phi):
+    """Launch points and unit directions of boundary states (sid, r, phi)."""
+    state = bmap.state_from_phase(table, sid, r, phi)
+    return geometry.launch_points(table, state.sid, state.normal), state.velocity
+
+
 def test_arc_membership_plain_and_wrapped(table):
     plain = holes.type_i_hole(table, 0, 0.3, 0.5)
-    assert holes.arc_contains(plain, table, [0], [0.4])[0]
-    assert not holes.arc_contains(plain, table, [0], [0.3])[0]  # open arc
-    assert not holes.arc_contains(plain, table, [0], [0.5])[0]
-    assert not holes.arc_contains(plain, table, [1], [0.4])[0]
+    assert _arc_contains(plain, [0], [0.4])[0]
+    assert not _arc_contains(plain, [0], [0.3])[0]  # open arc
+    assert not _arc_contains(plain, [0], [0.5])[0]
+    assert not _arc_contains(plain, [1], [0.4])[0]
 
     perim = table.perimeters[0]
     wrapped = holes.type_i_hole(table, 0, perim - 0.1, 0.1)
     assert math.isclose(wrapped.arc_length(table), 0.2, rel_tol=1e-12)
-    assert holes.arc_contains(wrapped, table, [0], [0.05])[0]
-    assert holes.arc_contains(wrapped, table, [0], [perim - 0.05])[0]
-    assert not holes.arc_contains(wrapped, table, [0], [1.0])[0]
+    assert _arc_contains(wrapped, [0], [0.05])[0]
+    assert _arc_contains(wrapped, [0], [perim - 0.05])[0]
+    assert not _arc_contains(wrapped, [0], [1.0])[0]
 
 
 @pytest.mark.parametrize("sid, a, b", [
@@ -53,7 +70,7 @@ def test_arc_normal_test_matches_arc_contains(table, sid, a, b):
     psi = r / table.radii[ids]
     normal = np.stack([np.cos(psi), np.sin(psi)], axis=1)
     got = holes.arc_contains_normal(hole, table, ids, normal)
-    want = holes.arc_contains(hole, table, ids, r)
+    want = _arc_contains(hole, ids, r)
     perim = table.perimeters[sid]
     gap = np.minimum.reduce([np.abs(r - a), np.abs(r - b),
                              perim - np.abs(r - a), perim - np.abs(r - b)])
@@ -66,9 +83,11 @@ def test_arc_normal_test_matches_arc_contains(table, sid, a, b):
 def test_type_i_full_angular_fiber(table):
     # a Type I hole is an arc times the whole angle range
     hole = holes.type_i_hole(table, 0, 0.3, 0.5)
-    for phi in (-1.5, 0.0, 1.5):
-        assert holes.in_hole(table, hole, bmap.PhasePoint(0, 0.4, phi))
-        assert not holes.in_hole(table, hole, bmap.PhasePoint(0, 0.6, phi))
+    phi = [-1.5, 0.0, 1.5] * 2
+    state = bmap.state_from_phase(table, [0] * 6, [0.4] * 3 + [0.6] * 3, phi)
+    member, cens = holes.state_in_hole(table, hole, state)
+    assert member.tolist() == [True] * 3 + [False] * 3
+    assert not cens.any()
 
 
 def test_type_ii_membership_is_backward_crossing(table, nu_states):
@@ -78,9 +97,7 @@ def test_type_ii_membership_is_backward_crossing(table, nu_states):
     fwd = bmap.collide_batch(table, sid[:n], r[:n], phi[:n])
     ok = ~fwd.censored
     esc = holes.arrival_escape_mask(table, hole, fwd)
-    member, cens = holes.state_in_hole_batch(
-        table, hole, fwd.scatterer_id[ok], fwd.r[ok], fwd.phi[ok]
-    )
+    member, cens = holes.state_in_hole(table, hole, fwd.arrivals().take(np.flatnonzero(ok)))
     # the arrival state is in the hole iff the flight that produced it
     # crossed the disk
     assert np.array_equal(member & ~cens, esc[ok] & ~cens)
@@ -90,14 +107,14 @@ def test_type_ii_membership_is_backward_crossing(table, nu_states):
 def test_grazing_flight_does_not_escape(table):
     # flight along y = 0 grazes a disk tangent to that line: strict
     # crossing means no escape
-    hole = holes.type_ii_hole(table, (0.5, 0.1), 0.1, check_clearance=False)
+    hole = holes.HoleSpec(kind="II", center=(0.5, 0.1), radius=0.1)
     start = np.array([[0.4, 0.0]])
     direction = np.array([[1.0, 0.0]])
     assert not holes.segment_crosses_disk(
         start, direction, np.array([0.2]), hole.center, hole.radius,
         np.array([[0.0, 0.0]]),
     )[0]
-    inside = holes.type_ii_hole(table, (0.5, 0.09), 0.1, check_clearance=False)
+    inside = holes.HoleSpec(kind="II", center=(0.5, 0.09), radius=0.1)
     assert holes.segment_crosses_disk(
         start, direction, np.array([0.2]), inside.center, inside.radius,
         np.array([[0.0, 0.0]]),
@@ -107,26 +124,22 @@ def test_grazing_flight_does_not_escape(table):
 def test_pre_escape_set_is_hole_pullback(table, nu_states):
     # x escapes on the next step exactly when f(x) is in the hole
     sid, r, phi = nu_states
+    n = 2000
+    fwd = bmap.collide_batch(table, sid[:n], r[:n], phi[:n])
+    # a tangential departure has no decidable next flight
+    tangent = bmap.collide_batch(table, [0], [0.1], [math.pi / 2])
+    assert tangent.censored[0]
     for hole in (
         holes.type_i_hole(table, 0, 0.3, 0.5),
         holes.type_ii_hole(table, (0.5, 0.0), 0.05),
     ):
-        checked = 0
-        i = 0
-        while checked < 200:
-            x = bmap.PhasePoint(int(sid[i]), float(r[i]), float(phi[i]))
-            i += 1
-            try:
-                y, _ = bmap.collide(table, x)
-                pre = holes.in_B_sigma(table, hole, x)
-                post = holes.in_hole(table, hole, y)
-            except Exception:
-                continue
-            assert pre == post
-            checked += 1
-        # a tangential departure has no decidable next flight
-        with pytest.raises(NearTangencyError):
-            holes.in_B_sigma(table, hole, bmap.PhasePoint(0, 0.1, math.pi / 2))
+        pre = holes.arrival_escape_mask(table, hole, fwd)
+        post, undecided = holes.state_in_hole(table, hole, fwd.arrivals())
+        ok = ~(fwd.censored | undecided)
+        assert ok.sum() > 0.99 * n
+        assert np.array_equal(pre[ok], post[ok])
+        assert pre[ok].sum() > 50
+        assert not holes.arrival_escape_mask(table, hole, tangent)[0]
 
 
 def test_hole_family_boundary_anchor(table):
@@ -156,8 +169,8 @@ def test_hole_family_nests(table):
     big = holes.hole_family(table, (0, 0.3), 0.08, kind="I")
     small = holes.hole_family(table, (0, 0.3), 0.02, kind="I")
     rs = np.linspace(small.arc[0] + 1e-9, small.arc[1] - 1e-9, 50)
-    assert holes.arc_contains(small, table, np.zeros(50, int), rs).all()
-    assert holes.arc_contains(big, table, np.zeros(50, int), rs).all()
+    assert _arc_contains(small, np.zeros(50, int), rs).all()
+    assert _arc_contains(big, np.zeros(50, int), rs).all()
 
 
 def test_hole_family_rejects_bad_inputs(table):
@@ -170,16 +183,22 @@ def test_hole_family_rejects_bad_inputs(table):
     with pytest.raises(HoleTooLargeError):
         # arc length 1.4 exceeds the small scatterer's perimeter
         holes.hole_family(table, (1, 0.3), 0.7, kind="I")
-    with pytest.raises(InvalidArgumentError):
-        # endpoints that wrap onto each other leave a degenerate arc
-        holes.type_i_hole(table, 0, 0.0, 2 * math.pi * 0.4)
+    # endpoints that wrap onto each other leave a degenerate arc; a full
+    # turn up to rounding, (0.1, 0.1 + perimeter), once became an arc
+    # 8e-17 long, and (300.3, 300.3 + perimeter) one 1.4e-14 long
+    for a, b in ((0.0, 2 * math.pi * 0.4), (0.1, 2.6132741228718346),
+                 (300.3, 302.81327412287186)):
+        with pytest.raises(InvalidArgumentError, match="agree mod the perimeter"):
+            holes.type_i_hole(table, 0, a, b)
+    with pytest.raises(BadScattererIdError):
+        holes.type_i_hole(table, 5, 0.1, 0.2)
+    with pytest.raises(BadScattererIdError):
+        holes.hole_family(table, (5, 0.3), 0.05, kind="I")
 
 
 def test_type_ii_clearance(table):
     with pytest.raises(HoleTouchesScattererError):
         holes.type_ii_hole(table, (0.45, 0.0), 0.1)
-    # same disk allowed when the check is off
-    holes.type_ii_hole(table, (0.45, 0.0), 0.1, check_clearance=False)
     # clearance must also respect periodic images
     with pytest.raises(HoleTouchesScattererError):
         holes.type_ii_hole(table, (0.99, 0.0), 0.1)
@@ -224,7 +243,7 @@ def _hole_image_offsets_oracle(table, hole):
 def test_hole_image_offsets_match_loop_oracle(table, which, center, radius):
     if which == "four-disk":
         table = _four_disk_table()
-    hole = holes.type_ii_hole(table, center, radius, check_clearance=False)
+    hole = holes.HoleSpec(kind="II", center=center, radius=radius)
     got = holes.hole_image_offsets(table, hole)
     want = _hole_image_offsets_oracle(table, hole)
     assert got.shape == want.shape and got.dtype == want.dtype
@@ -246,7 +265,7 @@ def _hole_flights(table, hole, images, n, seed, inverse):
     c, rho = table.centers[sid[:n_tan]], table.radii[sid[:n_tan]]
     face = np.arctan2(img[:, 1] - c[:, 1], img[:, 0] - c[:, 0]) + rng.uniform(-1.0, 1.0, n_tan)
     r[:n_tan] = rho * np.mod(face, 2.0 * np.pi)
-    p0, _ = geometry.rays_from_boundary(table, sid[:n_tan], r[:n_tan], np.zeros(n_tan))
+    p0, _ = _rays(table, sid[:n_tan], r[:n_tan], np.zeros(n_tan))
     cx, cy = img[:, 0] - p0[:, 0], img[:, 1] - p0[:, 1]
     dist = np.hypot(cx, cy)
     side = np.where(rng.random(n_tan) < 0.5, -1.0, 1.0)

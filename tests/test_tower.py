@@ -519,6 +519,13 @@ def test_mixing_violations():
     )
     with pytest.raises(NotMixingError):
         tower.build_tower(no_cycle, enforce_hole_condition=False)
+    # one column of height 3 returning onto itself: every cycle has length 3
+    period3 = tower.TowerSpec(
+        columns=(tower.TowerColumn(mass=1.0, return_time=3),),
+        beta=0.8, c0=4.0, theta0=0.5,
+    )
+    with pytest.raises(NotMixingError, match="period 3"):
+        tower.build_tower(period3)
 
 
 def test_hole_and_tail_guards():
