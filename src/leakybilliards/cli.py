@@ -367,13 +367,9 @@ def _run_survivor_measure(cfg, seed, threads, base, meta):
     dist = _measures.measure_distance(m, ref)
     n_surv = len(res.final_sid)
     floor = _measures.noise_floor(table, n_surv, r_bins, phi_bins, seed)
-    rows = []
-    for s in range(m.weights.shape[0]):
-        for ir in range(r_bins):
-            for ip in range(phi_bins):
-                w = m.weights[s, ir, ip]
-                if w != 0.0:
-                    rows.append((s, ir, ip, w))
+    # C order is (scatterer, r_bin, phi_bin) order
+    nonzero = np.nonzero(m.weights)
+    rows = zip(*nonzero, m.weights[nonzero])
     mcsv = _csv_render(["scatterer", "r_bin", "phi_bin", "weight"], rows, meta)
     base.update({
         "n_particles": n,

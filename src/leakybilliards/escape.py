@@ -35,6 +35,9 @@ from .errors import (
 )
 from .streams import stream
 
+# survivors a fit needs at the end of its window
+_MIN_TAIL = 100
+
 
 @dataclass(frozen=True)
 class EscapeEstimate:
@@ -111,7 +114,7 @@ def _centred_moments(x, y):
 
 
 def fit_escape_rate(survivors, window, censored=None,
-                    min_tail: int = 100, at_risk=None) -> EscapeEstimate:
+                    min_tail: int = _MIN_TAIL, at_risk=None) -> EscapeEstimate:
     """Fit log of censor-corrected survival counts over a step window.
 
     window = (lo, hi), inclusive, needs at least 3 points.  Raises
@@ -194,27 +197,23 @@ def predicted_survivors(table, hole, n_particles: int, step: int) -> float:
 
 def estimate_escape_rate(table, hole, density, n_particles: int, n_max: int,
                          window, master_seed: int,
-                         convention: str = "arrival", threads: int = 1,
-                         min_tail: int = 100, capture=()):
+                         convention: str = "arrival", threads: int = 1):
     """Sample, evolve, fit; returns (EscapeEstimate, EnsembleResult).
 
     Raises StarvedSampleError before simulating when predicted_survivors
-    at the window's end is 10x below min_tail.
+    at the window's end is 10x below _MIN_TAIL.
     """
     predicted = predicted_survivors(table, hole, n_particles, int(window[1]))
-    if 10.0 * predicted < min_tail:
+    if 10.0 * predicted < _MIN_TAIL:
         raise StarvedSampleError(
             f"about {predicted:.3g} survivors predicted at step {int(window[1])} "
-            f"(< {min_tail}/10 from the hole mass); increase n_particles"
+            f"(< {_MIN_TAIL}/10 from the hole mass); increase n_particles"
         )
     rng = stream(master_seed, "initial")
     state = _measures.sample_initial(table, density, n_particles, rng)
-    res = _od.evolve_ensemble(
-        table, hole, state, n_max,
-        convention=convention, threads=threads, capture=capture,
-    )
-    est = fit_escape_rate(res.survivors, window, censored=res.censored,
-                          min_tail=min_tail)
+    res = _od.evolve_ensemble(table, hole, state, n_max,
+                              convention=convention, threads=threads)
+    est = fit_escape_rate(res.survivors, window, censored=res.censored)
     return replace(est, predicted_survivors_at_end=predicted), res
 
 
@@ -403,7 +402,7 @@ def small_hole_sweep(table, anchor, h_list, density, n_particles: int,
                      n_max: int, window, measure_step: int, r_bins: int,
                      phi_bins: int, master_seed: int, kind: str,
                      offset: float = 0.0, convention: str = "arrival",
-                     threads: int = 1, min_tail: int = 100):
+                     threads: int = 1):
     """Escape rate and survivor-measure drift across a shrinking family.
 
     Shares one initial ensemble across hole sizes (common random
@@ -426,8 +425,7 @@ def small_hole_sweep(table, anchor, h_list, density, n_particles: int,
             table, hole, state, n_max,
             convention=convention, threads=threads, capture=(measure_step,),
         )
-        est = fit_escape_rate(res.survivors, window, censored=res.censored,
-                              min_tail=min_tail)
+        est = fit_escape_rate(res.survivors, window, censored=res.censored)
         cs, cr, cphi = res.captures[measure_step]
         n_surv = len(cs)
         if n_surv == 0:

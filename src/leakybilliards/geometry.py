@@ -176,24 +176,16 @@ class Table:
         if key in self._candidates:
             return self._candidates[key]
         d0 = math.sqrt(0.5) + float(self.radii.max())
-        kmax = int(math.ceil(reach + d0 + 1.0))
-        offs, sids, lbs = [], [], []
-        for kx in range(-kmax, kmax + 1):
-            for ky in range(-kmax, kmax + 1):
-                for j in range(len(self.scatterers)):
-                    cx = self.centers[j, 0] + kx
-                    cy = self.centers[j, 1] + ky
-                    lb = math.hypot(cx - 0.5, cy - 0.5) - self.radii[j] - d0
-                    if lb <= reach:
-                        offs.append((float(kx), float(ky)))
-                        sids.append(j)
-                        lbs.append(max(lb, 0.0))
-        order = np.argsort(np.array(lbs), kind="stable")
-        out = (
-            np.array(offs)[order],
-            np.array(sids, dtype=np.int64)[order],
-            np.array(lbs)[order],
-        )
+        kx, ky, ids = image_lattice(int(math.ceil(reach + d0 + 1.0)), len(self.scatterers))
+        # math.hypot per image: np.hypot differs from it in the last bit
+        # on some inputs, which reorders the list at large reach
+        dist = np.array(list(map(math.hypot, (self.centers[ids, 0] + kx - 0.5).tolist(),
+                                 (self.centers[ids, 1] + ky - 0.5).tolist())))
+        lb = dist - self.radii[ids] - d0
+        keep = np.flatnonzero(lb <= reach)
+        bound = np.where(lb[keep] < 0.0, 0.0, lb[keep])
+        order = np.argsort(bound, kind="stable")
+        out = (np.stack([kx, ky], axis=1)[keep[order]], ids[keep[order]], bound[order])
         self._candidates[key] = out
         return out
 

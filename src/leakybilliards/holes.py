@@ -156,12 +156,8 @@ def hole_family(table, q0, h: float, offset: float = 0.0, *,
                 f"arc length {2 * half:.6g} >= perimeter {perim:.6g}"
             )
         c = r0 + offset
-        return HoleSpec(kind="I", scatterer_id=sid, arc=(
-            float((c - half) % perim), float((c + half) % perim)))
-    center = (float(q0[0]) + offset, float(q0[1]))
-    hole = HoleSpec(kind="II", center=center, radius=half)
-    _require_clearance(table, hole.center, hole.radius)
-    return hole
+        return type_i_hole(table, sid, c - half, c + half)
+    return type_ii_hole(table, (float(q0[0]) + offset, float(q0[1])), half)
 
 
 def arc_contains_normal(hole: HoleSpec, table, sid, normal):

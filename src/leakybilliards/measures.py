@@ -164,8 +164,7 @@ class EmpiricalMeasure:
         return EmpiricalMeasure(self.weights / mass)
 
 
-def bin_measure(table, sid, r, phi, r_bins: int, phi_bins: int,
-               weights=None) -> EmpiricalMeasure:
+def bin_measure(table, sid, r, phi, r_bins: int, phi_bins: int) -> EmpiricalMeasure:
     """Histogram phase states; bins are equal in r and in phi."""
     if r_bins <= 0 or phi_bins <= 0:
         raise InvalidArgumentError("bin counts must be positive")
@@ -180,7 +179,7 @@ def bin_measure(table, sid, r, phi, r_bins: int, phi_bins: int,
         ((phi + 0.5 * np.pi) / np.pi * phi_bins).astype(np.int64), 0, phi_bins - 1
     )
     flat = (sid * r_bins + ir) * phi_bins + iphi
-    counts = np.bincount(flat, weights=weights, minlength=s * r_bins * phi_bins)
+    counts = np.bincount(flat, minlength=s * r_bins * phi_bins)
     return EmpiricalMeasure(counts.reshape(s, r_bins, phi_bins).astype(float))
 
 

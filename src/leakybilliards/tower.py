@@ -157,11 +157,14 @@ class Tower:
                 f"beta={self.beta} must lie in (theta0={self.theta0}, 1)"
             )
         self._check_tail()
-        self.hole_level_mass = self._hole_level_masses()
-        self.hole_condition_lhs = float(sum(
-            self.beta ** (-(l - 1)) * m
-            for l, m in self.hole_level_mass.items() if l >= 1
-        ))
+        level_mass: dict[int, float] = {}
+        for l, j in self.holes:
+            level_mass[l] = level_mass.get(l, 0.0) + float(self.masses[j])
+        # left to right: builtin sum() is compensated from Python 3.12 on
+        self.hole_condition_lhs = 0.0
+        for l, m in level_mass.items():
+            if l >= 1:
+                self.hole_condition_lhs += self.beta ** (-(l - 1)) * m
         self.hole_condition_rhs = (1.0 - self.beta) * self.base_mass / (1.0 + self.c1)
         if enforce_hole_condition and not (
             self.hole_condition_lhs < self.hole_condition_rhs
@@ -171,7 +174,7 @@ class Tower:
                 f"{self.hole_condition_rhs:.6g}"
             )
         self._check_mixing()
-        self._depth_cache: dict[int, dict] = {}
+        self._depth_cache: dict[int, _Layout] = {}
 
     # -- validation pieces -------------------------------------------------
 
@@ -183,12 +186,6 @@ class Tower:
                     f"mass above level {n} is {above:.6g} > "
                     f"C0*theta0^{n} = {self.c0 * self.theta0 ** n:.6g}"
                 )
-
-    def _hole_level_masses(self) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for l, j in self.holes:
-            out[l] = out.get(l, 0.0) + float(self.masses[j])
-        return out
 
     def _check_mixing(self):
         """One aperiodic recurrent class in the one-step dynamics of the
@@ -225,60 +222,46 @@ class Tower:
 
     # -- cylinder tables ----------------------------------------------------
 
-    def depth_tables(self, depth: int) -> dict:
-        """Per-column path counts, offsets, masses, truncation gathers.
-
-        Row d of column c: counts[d, c] depth-d paths, offsets[d][c] the
-        start of each target's block, mass_frac[d][c] each path's mass
-        fraction, trunc[d][c] the index of its depth-(d-1) prefix.
-        """
+    def depth_tables(self, depth: int) -> _Layout:
+        """The depth-k cylinder table and layout, built once per depth."""
         if depth < 0:
             raise InvalidArgumentError("depth must be nonnegative")
-        if depth in self._depth_cache:
-            return self._depth_cache[depth]
-        ncols = self.n_cols
-        counts = np.ones((depth + 1, ncols), dtype=np.int64)
-        offsets: list[list[np.ndarray]] = [[np.zeros(0, np.int64)] * ncols]
-        mass_frac: list[list[np.ndarray]] = [[np.ones(1)] * ncols]
-        trunc: list[list[np.ndarray] | None] = [None]
-        for d in range(1, depth + 1):
-            offsets.append([])
-            mass_frac.append([])
-            trunc.append([])
-            for c, tgt in enumerate(self.targets):
-                sizes = counts[d - 1, list(tgt)]
-                counts[d, c] = sizes.sum()
-                offsets[d].append(np.concatenate(([0], np.cumsum(sizes)[:-1]))
-                                  .astype(np.int64))
-                mass_frac[d].append(np.concatenate([
-                    (self.masses[i] / self.target_mass[c]) * mass_frac[d - 1][i]
-                    for i in tgt
-                ]))
-                trunc[d].append(np.concatenate([
-                    offsets[d - 1][c][ti] + trunc[d - 1][i]
-                    for ti, i in enumerate(tgt)
-                ]) if d > 1 else np.zeros(counts[d, c], dtype=np.int64))
-        tables = {
-            "counts": counts,
-            "offsets": offsets,
-            "mass_frac": mass_frac,
-            "trunc": trunc,
-        }
-        tables["layout"] = _Layout(self, depth, tables)
-        self._depth_cache[depth] = tables
-        return tables
+        if depth not in self._depth_cache:
+            self._depth_cache[depth] = _Layout(self, depth)
+        return self._depth_cache[depth]
 
 
 class _Layout:
-    """Where the cylinder values of each cell sit in a function's vector.
+    """One depth's cylinder table and where each cell's values sit.
+
+    Column c has counts[depth, c] itineraries of depth symbols, in
+    tree-lexicographic order: offsets[c] is the start of each target's
+    block (all 0 at depth 0), frac[c] each itinerary's mass fraction and
+    trunc[c] the index of its prefix one symbol shorter.  counts keeps
+    every depth 0..depth; the other tables are this depth's only.
 
     Cells follow tower.cells, each a contiguous slice of counts[depth, j]
     values, so a column is a (return_time, count) row-major block.  A
-    tower keeps its layouts for life, so nothing here is per cylinder.
+    tower keeps its tables for life, so none spans every cell: the
+    per-column tables cover one level's cylinders.
     """
 
-    def __init__(self, tower: Tower, depth: int, tables: dict):
-        counts = [int(n) for n in tables["counts"][depth]]
+    def __init__(self, tower: Tower, depth: int):
+        targets = tower.targets
+        self.counts = np.ones((depth + 1, tower.n_cols), dtype=np.int64)
+        offsets = [np.zeros(len(tgt), np.int64) for tgt in targets]
+        frac = [np.ones(1)] * tower.n_cols
+        trunc = [np.zeros(1, np.int64)] * tower.n_cols
+        for d in range(1, depth + 1):
+            trunc = [np.concatenate([offsets[c][ti] + trunc[i] for ti, i in enumerate(tgt)])
+                     for c, tgt in enumerate(targets)]
+            frac = [np.concatenate([(tower.masses[i] / tower.target_mass[c]) * frac[i]
+                                    for i in tgt]) for c, tgt in enumerate(targets)]
+            sizes = [self.counts[d - 1, list(tgt)] for tgt in targets]
+            self.counts[d] = [s.sum() for s in sizes]
+            offsets = [np.cumsum(s) - s for s in sizes]
+        self.offsets, self.frac, self.trunc = offsets, frac, trunc
+        counts = [int(n) for n in self.counts[depth]]
         ends = list(itertools.accumulate(counts[j] for _, j in tower.cells))
         self.size = ends[-1]
         self.cells = [(slice(e - counts[j], e), l, j)
@@ -300,13 +283,11 @@ class _Layout:
         # float sums
         self.gathers = []
         for i in range(tower.n_cols):
-            index = tables["trunc"][depth][i] if depth else np.zeros(1, np.int64)
-            for j, tgt in enumerate(tower.targets):
+            for j, tgt in enumerate(targets):
                 top = (int(tower.returns[j]) - 1, j)
                 if i in tgt and top not in tower.holes:
-                    off = tables["offsets"][depth][j][tgt.index(i)] if depth else 0
-                    self.gathers.append((where[(0, i)], where[top].start + int(off),
-                                         index, tower.jacobians[j]))
+                    off = where[top].start + int(offsets[j][tgt.index(i)])
+                    self.gathers.append((where[(0, i)], off, trunc[i], tower.jacobians[j]))
 
 
 def build_tower(spec: TowerSpec, enforce_hole_condition: bool = True) -> Tower:
@@ -370,7 +351,7 @@ class TowerFunction:
 
     def __init__(self, tower: Tower, depth: int, values=None):
         self._adopt(tower, depth,
-                    np.zeros(tower.depth_tables(depth)["layout"].size))
+                    np.zeros(tower.depth_tables(depth).size))
         for cell, view in self.values.items():
             if values is None or cell not in values:
                 continue
@@ -387,7 +368,7 @@ class TowerFunction:
         """Take ownership of a laid-out vector, pinning the hole to zero."""
         self.tower = tower
         self.depth = depth
-        self.layout = tower.depth_tables(depth)["layout"]
+        self.layout = tower.depth_tables(depth)
         self.vec = vec
         for sl in self.layout.holes:
             vec[sl] = 0.0
@@ -423,8 +404,7 @@ class TowerFunction:
 
     def cell_masses(self) -> list[float]:
         """Integral over each cell, in tower.cells order."""
-        frac = self.tower.depth_tables(self.depth)["mass_frac"][self.depth]
-        masses = self.tower.masses
+        frac, masses = self.layout.frac, self.tower.masses
         return [masses[j] * float(self.vec[sl] @ frac[j])
                 for sl, _, j in self.layout.cells]
 
@@ -442,7 +422,7 @@ class TowerFunction:
         out = self
         while out.depth < depth:
             d = out.depth + 1
-            trunc = self.tower.depth_tables(d)["trunc"][d]
+            trunc = self.tower.depth_tables(d).trunc
             vec = np.concatenate([
                 out.vec[start:start + rt * n].reshape(rt, n)[:, trunc[j]].ravel()
                 for j, (start, n, rt) in enumerate(out.layout.columns)
@@ -457,9 +437,7 @@ class TowerFunction:
         out = self
         while out.depth > depth:
             d = out.depth
-            tables = self.tower.depth_tables(d)
-            trunc = tables["trunc"][d]
-            counts = tables["counts"][d - 1]
+            trunc, counts = out.layout.trunc, out.layout.counts[d - 1]
             vals = {}
             for (l, j), v in out.values.items():
                 agg_min = np.full(counts[j], np.inf)
@@ -485,48 +463,36 @@ class TowerFunction:
     def lip_norm(self) -> float:
         """Level-weighted Lipschitz seminorm in the symbolic metric.
 
-        Within one cell, two cylinders first separate at the return
-        where their itineraries differ; the separation time accumulates
-        the climb to the first return plus the full return times along
-        the shared prefix.
+        Two cylinders of cell (l, j) separate at the itinerary-tree node
+        where their itineraries part, at time R_j - l (the climb to the
+        first return) plus the return times along the node's prefix.
+        The seminorm is the largest beta^l * (max - min over a node) /
+        beta^time.  That is, to the bit, the largest difference across
+        two branches of a node, scaled the same way: a node's max - min
+        is such a difference, the same two doubles subtracted, or the
+        range of the one branch holding both extremes, whose time is
+        larger (return times are >= 1 and beta < 1).  beta^time is
+        Python's power at the root and numpy's below it, as in the
+        branch-difference scan; they differ in the last bit at times.
         """
-        beta = self.tower.beta
-        tower = self.tower
-        tables = tower.depth_tables(self.depth)
-        counts = tables["counts"]
+        tower, beta, counts = self.tower, self.tower.beta, self.layout.counts
+        node_pow = np.array([beta ** t for t in
+                             np.arange(tower.max_return * (self.depth + 1) + 1)])
         best = 0.0
-
-        def scan(col, d, base_time, v):
-            # returns (vmin, vmax, lip) of the subtree; v is the value slice
-            if d == 0 or len(v) == 1:
-                return float(v.min()), float(v.max()), 0.0
-            mins, maxs, lips = [], [], []
-            off = 0
-            for i in tower.targets[col]:
-                nsub = counts[d - 1, i]
-                sub = v[off:off + nsub]
-                off += nsub
-                mn, mx, lp = scan(i, d - 1, base_time + tower.returns[i], sub)
-                mins.append(mn)
-                maxs.append(mx)
-                lips.append(lp)
-            lip = max(lips)
-            if len(mins) > 1:
-                order = np.argsort(mins)
-                m0, m1 = order[0], order[1]
-                cross = 0.0
-                for ci in range(len(mins)):
-                    other_min = mins[m1] if ci == m0 else mins[m0]
-                    cross = max(cross, maxs[ci] - other_min)
-                lip = max(lip, cross / beta ** base_time)
-            return min(mins), max(maxs), lip
-
-        for (l, j), v in self.values.items():
-            if len(v) <= 1:
-                continue
-            first_return = int(tower.returns[j]) - l
-            _, _, lip = scan(j, self.depth, first_return, v)
-            best = max(best, beta ** l * lip)
+        for j, (start, n, rt) in enumerate(self.layout.columns):
+            block = self.vec[start:start + rt * n].reshape(rt, n)
+            weight = np.array([[beta ** l] for l in range(rt)])
+            scale = np.array([[beta ** (rt - l)] for l in range(rt)])
+            nodes = [(j, 0, 0)]  # one tree depth's (column, first value, prefix time)
+            for d in range(self.depth, 0, -1):
+                starts = [s for _, s, _ in nodes]
+                spread = (np.maximum.reduceat(block, starts, axis=1)
+                          - np.minimum.reduceat(block, starts, axis=1))
+                best = max(best, float((weight * (spread / scale)).max()))
+                nodes = [(i, s + off, t + int(tower.returns[i])) for c, s, t in nodes
+                         for i, off in zip(tower.targets[c], itertools.accumulate(
+                             (int(counts[d - 1, i]) for i in tower.targets[c]), initial=0))]
+                scale = node_pow[np.arange(rt, 0, -1)[:, None] + [t for _, _, t in nodes]]
         return best
 
     def norm(self) -> float:
@@ -541,7 +507,7 @@ def _function(tower: Tower, depth: int, vec: np.ndarray) -> TowerFunction:
 def tower_constant(tower: Tower, value: float = 1.0,
                    depth: int = 0) -> TowerFunction:
     """Constant function (zero on the hole), at the requested depth."""
-    size = tower.depth_tables(depth)["layout"].size
+    size = tower.depth_tables(depth).size
     return _function(tower, depth, np.full(size, float(value)))
 
 
@@ -562,7 +528,7 @@ def tower_random(tower: Tower, depth: int, rng) -> TowerFunction:
     Draws one value per cylinder in layout order, hole cells included
     (then zeroed), so the draws do not depend on where the hole is.
     """
-    size = tower.depth_tables(depth)["layout"].size
+    size = tower.depth_tables(depth).size
     return _function(tower, depth,
                      _RANDOM_LOW + (_RANDOM_HIGH - _RANDOM_LOW) * rng.random(size))
 
@@ -738,8 +704,8 @@ def d_functional(tower: Tower, rho: TowerFunction,
         theta_star, _, _ = leading_eigenpair(tower)
     nonneg = bool(np.all(rho.vec >= 0))
     positive_expected = nonneg and any(
-        tower.cell_survives_to_base(l, j) and np.all(rho.values[(l, j)] > 0)
-        for (l, j) in tower.cells if (l, j) not in tower.holes
+        tower.cell_survives_to_base(l, j) and np.all(rho.vec[sl] > 0)
+        for sl, l, j in rho.layout.cells if (l, j) not in tower.holes
     )
     terms = np.empty(n_terms + 1)
     cur = rho
@@ -967,7 +933,10 @@ def tail_mass_check(tower: Tower, h: TowerFunction | None = None,
     lmax = max(level_mass)
     rows = []
     for big_l in range(0, lmax + 1):
-        tail = sum(mass for l, mass in level_mass.items() if l > big_l)
+        tail = 0.0
+        for l, mass in level_mass.items():
+            if l > big_l:
+                tail += mass
         rows.append((big_l, float(tail)))
     ratios = [
         rows[i + 1][1] / rows[i][1]

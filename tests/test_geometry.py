@@ -275,6 +275,39 @@ def test_sector_scan_is_bit_identical_to_full_scan(table, which):
             assert np.sum(~(t <= reach)) > 1000 and np.any(hit < 0)
 
 
+def _loop_image_candidates(table, reach):
+    """The image loop image_candidates replaced: images in (kx, ky, id)
+    order, math.hypot bounds clamped at 0, a stable sort by bound."""
+    d0 = math.sqrt(0.5) + float(table.radii.max())
+    kmax = int(math.ceil(reach + d0 + 1.0))
+    offs, sids, lbs = [], [], []
+    for kx in range(-kmax, kmax + 1):
+        for ky in range(-kmax, kmax + 1):
+            for j in range(len(table.scatterers)):
+                cx = table.centers[j, 0] + kx
+                cy = table.centers[j, 1] + ky
+                lb = math.hypot(cx - 0.5, cy - 0.5) - table.radii[j] - d0
+                if lb <= reach:
+                    offs.append((float(kx), float(ky)))
+                    sids.append(j)
+                    lbs.append(max(lb, 0.0))
+    order = np.argsort(np.array(lbs), kind="stable")
+    return (np.array(offs)[order], np.array(sids, dtype=np.int64)[order],
+            np.array(lbs)[order])
+
+
+@pytest.mark.parametrize("which", ["default", "four-disk"])
+def test_image_candidates_match_the_image_loop(table, which):
+    if which == "four-disk":
+        table = _four_disk_table()
+    for reach in (0.4, 1.0, table.certificate.l_max, 8.0, 16.0):
+        got = table.image_candidates(reach)
+        want = _loop_image_candidates(table, reach)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+
 def _old_sector_scan(table, p0, v, sid, reach):
     """The sector scan with the full scan's b = 2*(f.v) arithmetic and its
     graze pre-screen |imp - rho| < 1e-9, kept as the oracle of the

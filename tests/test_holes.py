@@ -194,6 +194,12 @@ def test_hole_family_rejects_bad_inputs(table):
         holes.type_i_hole(table, 5, 0.1, 0.2)
     with pytest.raises(BadScattererIdError):
         holes.hole_family(table, (5, 0.3), 0.05, kind="I")
+    # a half-width just under half the perimeter passes the family's own
+    # size check, but its endpoints round a whole turn apart; the family
+    # once returned that arc, a whole scatterer long
+    perim = table.perimeters[0]
+    with pytest.raises(InvalidArgumentError, match="agree mod the perimeter"):
+        holes.hole_family(table, (0, 2.0), math.nextafter(perim / 2, 0), kind="I")
 
 
 def test_type_ii_clearance(table):

@@ -79,9 +79,9 @@ def surviving_one_step_integral(tower_, rho):
     """
     k = rho.depth
     tables = tower_.depth_tables(k)
-    counts = tables["counts"]
-    offsets = tables["offsets"]
-    frac = tables["mass_frac"][k]
+    counts = tables.counts
+    offsets = tables.offsets
+    frac = tables.frac
     total = 0.0
     for (l, j) in tower_.cells:
         if (l, j) in tower_.holes:
@@ -101,7 +101,7 @@ def surviving_one_step_integral(tower_, rho):
                         * tower_.masses[i] / tower_.target_mass[j]
                     )
             continue
-        offs = offsets[k][j]
+        offs = offsets[j]
         for ti, i in enumerate(tgt):
             if (0, i) in tower_.holes:
                 continue
@@ -312,6 +312,59 @@ def test_norms_hand_case(gold):
     assert const.sup_norm() == 3.0
 
 
+def cross_branch_lip_norm(f):
+    """The recursive scan lip_norm replaced: at each itinerary node, the
+    largest difference between one branch's max and another branch's
+    min, over beta^time of the node."""
+    tw, beta = f.tower, f.tower.beta
+    counts = tw.depth_tables(f.depth).counts
+
+    def scan(col, d, base_time, v):
+        # (vmin, vmax, lip) of the subtree over the value slice v
+        if d == 0 or len(v) == 1:
+            return float(v.min()), float(v.max()), 0.0
+        mins, maxs, lips = [], [], []
+        off = 0
+        for i in tw.targets[col]:
+            sub = v[off:off + counts[d - 1, i]]
+            off += counts[d - 1, i]
+            mn, mx, lp = scan(i, d - 1, base_time + tw.returns[i], sub)
+            mins.append(mn)
+            maxs.append(mx)
+            lips.append(lp)
+        lip = max(lips)
+        if len(mins) > 1:
+            order = np.argsort(mins)
+            m0, m1 = order[0], order[1]
+            cross = 0.0
+            for ci in range(len(mins)):
+                other_min = mins[m1] if ci == m0 else mins[m0]
+                cross = max(cross, maxs[ci] - other_min)
+            lip = max(lip, cross / beta ** base_time)
+        return min(mins), max(maxs), lip
+
+    best = 0.0
+    for (l, j), v in f.values.items():
+        if len(v) > 1:
+            _, _, lip = scan(j, f.depth, int(tw.returns[j]) - l, v)
+            best = max(best, beta ** l * lip)
+    return best
+
+
+def test_lip_norm_matches_cross_branch_scan(gold):
+    rng = np.random.default_rng(31)
+    towers = [(gold, k) for k in range(5)]
+    for s in range(100):
+        tw = tower.build_tower(tower.random_tower_spec(rng))
+        towers.append((tw, s % 5))
+    for tw, k in towers:
+        rho = tower.tower_random(tw, k, rng)
+        ind = tower.tower_cell_indicator(tw, tw.cells[-1], k)
+        for f in (rho, tower.transfer_apply(tw, rho), tower.tower_constant(tw, 2.5, k),
+                  ind, tower.transfer_apply(tw, ind)):
+            assert f.lip_norm() == cross_branch_lip_norm(f)
+
+
 def test_d_functional_linearity(gold):
     theta, _, _ = tower.leading_eigenpair(gold)
     r1 = tower.tower_random(gold, 0, np.random.default_rng(29))
@@ -439,6 +492,35 @@ def test_random_tower_mass_identity():
         lhs = tower.transfer_apply(t, rho).integrate()
         rhs = surviving_one_step_integral(t, rho)
         assert math.isclose(lhs, rhs, rel_tol=1e-12)
+
+
+def neumaier_sum(items, start=0):
+    """Compensated sum, which builtin sum() computes for floats from
+    Python 3.12 on."""
+    total, comp = float(start), 0.0
+    for x in items:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp
+
+
+def test_tower_sums_do_not_depend_on_builtin_sum(monkeypatch):
+    rng = np.random.default_rng(37)
+    specs = [tower.random_tower_spec(rng) for _ in range(100)]
+
+    def sums():
+        out = []
+        for spec in specs:
+            tw = tower.build_tower(spec)
+            _, h, _ = tower.leading_eigenpair(tw)
+            rows = tower.tail_mass_check(tw, h).rows
+            out.append([tw.hole_condition_lhs.hex()] + [t.hex() for _, t in rows])
+        return out
+
+    plain = sums()
+    monkeypatch.setattr(tower, "sum", neumaier_sum, raising=False)
+    assert sums() == plain
 
 
 # -- degenerate and closed cases ------------------------------------------------
