@@ -141,8 +141,11 @@ def reverse(normal, velocity):
 def collide_cartesian(table, sid, normal, velocity) -> CollisionBatch:
     """Vectorized collision map on Cartesian states.
 
-    Censored entries keep their departure state as a placeholder when
-    the flight found no scatterer, and an unusable arrival otherwise.
+    Every flight ends at its first hit within the certified l_max.  A
+    flight with none raises NoCollisionError unless it is censored at
+    departure or grazes; such a censored entry keeps its departure
+    state as a placeholder, with flight length inf.  Other censored
+    entries hold an unusable arrival.
     """
     sid = np.asarray(sid, dtype=np.int64)
     nx, ny = normal[:, 0], normal[:, 1]
@@ -152,7 +155,7 @@ def collide_cartesian(table, sid, normal, velocity) -> CollisionBatch:
     t, hit, off, grazed = _geo.first_hit_batch(table, p0, velocity, skip_sid=sid)
     nohit = hit < 0
     if nohit.any():
-        bad = nohit & ~cens
+        bad = nohit & ~(cens | grazed)
         if np.any(bad):
             raise NoCollisionError(
                 f"{int(bad.sum())} flights found no scatterer within the certified "

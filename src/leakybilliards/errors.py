@@ -159,10 +159,10 @@ class NearTangencyError(LeakyBilliardsError):
 
 
 class NoCollisionError(LeakyBilliardsError):
-    """A ray met no scatterer image that the search scans (see
-    geometry.first_hit_batch); a flight merely longer than the reach
-    does not raise.  On a table with a horizon certificate only a
-    grazing ray can fly past l_max, so this marks a broken invariant."""
+    """An uncensored, non-grazing flight has no hit within the
+    certified l_max (see geometry.first_hit_batch).  The certificate
+    proves that every flight leaving a scatterer hits within l_max
+    unless it grazes, so this marks a broken invariant."""
 
     code = "billiard.no_collision"
 

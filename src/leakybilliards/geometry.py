@@ -16,8 +16,8 @@ so sweeping the finitely many rational directions below that cutoff
 decides horizon finiteness.  The flight bound L_max is then proven by
 branch and bound over direction intervals (finite_horizon_probe): every
 ray leaving a scatterer hits an image within L_max unless it grazes one.
-L_max is the reach of the first-hit search; first_hit_batch says what
-happens to a grazing ray that flies past it.
+L_max is the reach of the first-hit search: a ray gets its first hit
+within it or none, and a ray leaving its disk with none grazes.
 """
 
 from __future__ import annotations
@@ -353,24 +353,23 @@ def first_hit_batch(table: Table, p0, v, skip_sid, reach=None):
     Returns
     -------
     t, sid, offset, grazed
-        Flight lengths (inf for no hit, see below), scatterer ids (-1
-        for no hit), integer image offsets (N,2), and a flag for rays
+        Flight lengths (inf for no hit), scatterer ids (-1 for no hit),
+        integer image offsets (N,2; 0 for no hit), and a flag for rays
         passing within GRAZE_TOLERANCE of a circle they did not hit,
-        ahead of the accepted hit.
+        ahead of the accepted hit.  A ray without a hit is flagged if
+        _sector_scan's loose pre-screen finds it near a circle of its
+        row.
 
-    Each ray is tested only against its row of
-    Table.sector_candidates(reach), which holds every image a ray from
-    its departure disk in its direction sector can meet within reach.
-    The per-candidate arithmetic is the full scan's, so every ray with a
-    hit at t <= reach gets the same bits.  A ray with no hit within
-    reach is re-run through _full_scan, which returns its first hit
-    among image_candidates(reach) even when that hit lies past reach,
-    and collide_cartesian accepts it.  Past reach that hit need not be the
-    nearest, since images whose distance lower bound exceeds reach are
-    never scanned.  Only a ray that meets none of those images gets
-    t = inf and sid = -1.  At the certificate's l_max, a ray leaving its
-    disk gets no hit within reach only if it grazes an image; any other
-    such ray (one aimed into its own disk, say) is outside the proof.
+    Each ray gets its first hit within reach or no hit at all.  It is
+    tested only against its row of Table.sector_candidates(reach),
+    which holds every image a ray from its departure disk in its
+    direction sector can meet within reach.  The rows are padded a
+    little past reach; a hit there is dropped, so the result does not
+    depend on the padding.  At the certificate's l_max, a ray leaving
+    its disk has no hit only if it grazes an image; any other such ray
+    (one aimed into its own disk, say) is outside the proof.
+    billiard_map.collide_cartesian censors those at departure and
+    raises NoCollisionError for any other flight without a hit.
     """
     p0 = np.atleast_2d(np.asarray(p0, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
@@ -379,13 +378,10 @@ def first_hit_batch(table: Table, p0, v, skip_sid, reach=None):
         if table.certificate is None:
             raise InvalidArgumentError("table has no horizon certificate; pass reach")
         reach = table.certificate.l_max
-    best_t, best_sid, best_off, maybe_graze = _sector_scan(table, p0, v, skip_sid, reach)
-    miss = np.flatnonzero(~(best_t <= reach))
-    if miss.size:
-        (best_t[miss], best_sid[miss], best_off[miss],
-         maybe_graze[miss]) = _full_scan(table, p0[miss], v[miss], skip_sid[miss], reach)
-    grazed = _graze_recheck(table, p0, v, best_t, maybe_graze, reach)
-    return best_t, best_sid, best_off, grazed
+    t, sid, off, maybe_graze = _sector_scan(table, p0, v, skip_sid, reach)
+    far = np.flatnonzero(~(t <= reach))
+    t[far], sid[far], off[far] = np.inf, -1, 0.0
+    return t, sid, off, _graze_recheck(table, p0, v, t, maybe_graze, reach)
 
 
 def _sector_scan(table, p0, v, skip_sid, reach):
@@ -395,9 +391,12 @@ def _sector_scan(table, p0, v, skip_sid, reach):
     column's distance lower bound.  Retired rays are masked out, and the
     rays still in the scan are compacted only once at least half of
     them have retired; hits go straight into the result arrays by ray
-    index.  Returns (t, sid, offset, maybe_graze) like _full_scan.
+    index.  Returns (t, sid, offset, maybe_graze): each ray's first hit
+    among its row, which may lie a little past reach, and the loose
+    graze pre-screen flag that _graze_recheck settles.
 
-    The arithmetic is the full scan's with b = 2*hb: with hb = f.v,
+    The arithmetic is the textbook quadratic's with b = 2*hb, which
+    the full-scan oracle in the tests keeps: with hb = f.v,
     b*b - 4*cc = 4*(hb*hb - cc) and 0.5*(-b - sqrt(b*b - 4*cc)) =
     -hb - sqrt(hb*hb - cc) hold in floating point too, since they only
     scale by powers of two, so every flight length keeps its bits.
@@ -443,67 +442,6 @@ def _sector_scan(table, p0, v, skip_sid, reach):
     found = best_img >= 0
     best_sid = np.where(found, img_sid[best_img], -1)
     best_off = np.where(found[:, None], img_off[best_img], 0.0)
-    return best_t, best_sid, best_off, maybe_graze
-
-
-def _full_scan(table, p0, v, skip_sid, reach):
-    """Scan of every image within reach, nearest lower bound first.
-
-    Returns (t, sid, offset, maybe_graze): the first hit of each ray
-    among image_candidates(reach), possibly beyond reach, and the loose
-    graze pre-screen flag that _graze_recheck settles.
-    """
-    offs, sids, lbs = table.image_candidates(reach)
-    centers, radii = table.centers, table.radii
-    n = p0.shape[0]
-
-    best_t = np.full(n, np.inf)
-    best_sid = np.full(n, -1, dtype=np.int64)
-    best_off = np.zeros((n, 2))
-    maybe_graze = np.zeros(n, dtype=bool)
-    active = np.arange(n)
-
-    chunk = 12
-    i = 0
-    m = len(sids)
-    while i < m and active.size:
-        hi = min(i + chunk, m)
-        pa = p0[active]
-        va = v[active]
-        bt = best_t[active]
-        bs = best_sid[active]
-        bo = best_off[active]
-        mg = maybe_graze[active]
-        ska = skip_sid[active]
-        for c in range(i, hi):
-            j = sids[c]
-            ox, oy = offs[c]
-            rho = radii[j]
-            fx = pa[:, 0] - (centers[j, 0] + ox)
-            fy = pa[:, 1] - (centers[j, 1] + oy)
-            b = 2.0 * (fx * va[:, 0] + fy * va[:, 1])
-            cc = fx * fx + fy * fy - rho * rho
-            disc = b * b - 4.0 * cc
-            hit = disc > 0.0
-            tsm = 0.5 * (-b - np.sqrt(np.where(hit, disc, 0.0)))
-            ok = hit & (tsm > _T_EPS) & (tsm < bt)
-            if ox == 0.0 and oy == 0.0:
-                ok &= ska != j
-            if np.any(ok):
-                bt = np.where(ok, tsm, bt)
-                bs = np.where(ok, j, bs)
-                bo[ok, 0] = ox
-                bo[ok, 1] = oy
-            # loose pre-screen; the exact grazing test reruns flagged rays
-            imp = np.sqrt(np.maximum(cc + rho * rho - 0.25 * b * b, 0.0))
-            mg |= (np.abs(imp - rho) < 1e-9) & (-0.5 * b > _T_EPS)
-        best_t[active] = bt
-        best_sid[active] = bs
-        best_off[active] = bo
-        maybe_graze[active] = mg
-        if hi < m:
-            active = active[bt > lbs[hi]]
-        i = hi
     return best_t, best_sid, best_off, maybe_graze
 
 

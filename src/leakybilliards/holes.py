@@ -213,66 +213,43 @@ def hole_image_offsets(table, hole: HoleSpec):
 class EscapeImages(NamedTuple):
     """The images of a Type II hole that escape tests look at.
 
-    offsets are the hole_image_offsets and centers the image centers.
-    Row sid*N_SECTORS + s of rows, a geometry.SectorRows, lists nearest
-    first the images a flight of length at most reach can cross when it
-    leaves scatterer sid in direction sector s; counts[row] is the row's
-    length, and the entries past it are padding, other images.
+    centers are the centers of the hole_image_offsets translates.  Row
+    sid*N_SECTORS + s of rows, a geometry.SectorRows, lists nearest
+    first the images a flight of length at most the certificate's l_max
+    can cross when it leaves scatterer sid in direction sector s;
+    counts[row] is the row's length, and the entries past it are
+    padding, other images.
     """
 
-    offsets: np.ndarray
     centers: np.ndarray
     rows: np.ndarray
     counts: np.ndarray
-    reach: float
 
 
 def escape_offsets(table, hole: HoleSpec | None):
     """EscapeImages of a Type II hole, None for any other hole."""
     if hole is None or hole.kind != "II":
         return None
-    offsets = hole_image_offsets(table, hole)
-    centers = np.asarray(hole.center) + offsets
+    centers = np.asarray(hole.center) + hole_image_offsets(table, hole)
     reach = _geo.sector_reach(table.certificate.l_max)
     rows = _geo.sector_rows(table, centers, np.full(len(centers), hole.radius), reach)
     counts = np.count_nonzero(np.isfinite(rows.lb), axis=0)
-    return EscapeImages(offsets, centers, rows, counts, reach)
-
-
-def segment_crosses_disk(start, direction, length, center, radius, offsets):
-    """Whether unfolded segments pass strictly inside a disk image.
-
-    start (N,2), direction (N,2) unit, length (N,); offsets (K,2) lists
-    the integer translates worth checking.  Strict inequality: grazing
-    the closed disk boundary does not count as a crossing.
-    """
-    start = np.atleast_2d(start)
-    direction = np.atleast_2d(direction)
-    length = np.atleast_1d(length)
-    out = np.zeros(len(length), dtype=bool)
-    r2 = radius * radius
-    for ox, oy in offsets:
-        wx = (center[0] + ox) - start[:, 0]
-        wy = (center[1] + oy) - start[:, 1]
-        tp = np.clip(wx * direction[:, 0] + wy * direction[:, 1], 0.0, length)
-        dx = wx - tp * direction[:, 0]
-        dy = wy - tp * direction[:, 1]
-        out |= dx * dx + dy * dy < r2
-    return out
+    return EscapeImages(centers, rows, counts)
 
 
 def flight_crosses_hole(hole: HoleSpec, images: EscapeImages, flight):
-    """segment_crosses_disk of each flight over images.offsets, the same
-    bits from only the images in the flight's sector row.
+    """Whether each flight passes strictly inside an image of the hole.
 
-    flight is a CollisionBatch.  The test is an OR of a strict < per
-    image, and a flight of length at most images.reach leaving
+    flight is a CollisionBatch.  The test is an OR over images of a
+    strict < on the squared distance from the image center to the
+    segment, so grazing the closed disk does not count.  collide_cartesian
+    ends every uncensored flight within l_max, and such a flight leaving
     departure_id in its direction's sector can only cross images in its
-    row, so testing the row, with the same per-image arithmetic, gives
-    the same result; so does testing any further image.  Column 0 is
-    therefore tested on every flight, row padding included, and column
-    k only on the flights whose row is longer than k.  A longer flight
-    is tested against every offset.
+    row, so testing the row gives the result over every image; so does
+    testing any further image.  Column 0 is therefore tested on every
+    flight, row padding included, and column k only on the flights
+    whose row is longer than k.  A censored flight may have no hit
+    (length inf); its entry means nothing, and callers mask it out.
     """
     key = _geo.sector_keys(flight.departure_id, flight.direction)
     sx, sy = flight.start[:, 0], flight.start[:, 1]
@@ -293,11 +270,6 @@ def flight_crosses_hole(hole: HoleSpec, images: EscapeImages, flight):
     for k in range(1, len(images.rows.idx)):
         sel = np.flatnonzero(count > k)
         out[sel] |= column(k, sel)
-    far = ~(t <= images.reach)
-    if far.any():
-        out[far] = segment_crosses_disk(
-            flight.start[far], flight.direction[far], t[far],
-            hole.center, hole.radius, images.offsets)
     return out
 
 

@@ -472,27 +472,26 @@ class TowerFunction:
         is such a difference, the same two doubles subtracted, or the
         range of the one branch holding both extremes, whose time is
         larger (return times are >= 1 and beta < 1).  beta^time is
-        Python's power at the root and numpy's below it, as in the
-        branch-difference scan; they differ in the last bit at times.
+        Python's power of ints (libm pow) at every node: numpy's scalar
+        power differs from it in the last bit on some inputs.
         """
         tower, beta, counts = self.tower, self.tower.beta, self.layout.counts
         node_pow = np.array([beta ** t for t in
-                             np.arange(tower.max_return * (self.depth + 1) + 1)])
+                             range(tower.max_return * (self.depth + 1) + 1)])
         best = 0.0
         for j, (start, n, rt) in enumerate(self.layout.columns):
             block = self.vec[start:start + rt * n].reshape(rt, n)
             weight = np.array([[beta ** l] for l in range(rt)])
-            scale = np.array([[beta ** (rt - l)] for l in range(rt)])
             nodes = [(j, 0, 0)]  # one tree depth's (column, first value, prefix time)
             for d in range(self.depth, 0, -1):
                 starts = [s for _, s, _ in nodes]
                 spread = (np.maximum.reduceat(block, starts, axis=1)
                           - np.minimum.reduceat(block, starts, axis=1))
+                scale = node_pow[np.arange(rt, 0, -1)[:, None] + [t for _, _, t in nodes]]
                 best = max(best, float((weight * (spread / scale)).max()))
                 nodes = [(i, s + off, t + int(tower.returns[i])) for c, s, t in nodes
                          for i, off in zip(tower.targets[c], itertools.accumulate(
                              (int(counts[d - 1, i]) for i in tower.targets[c]), initial=0))]
-                scale = node_pow[np.arange(rt, 0, -1)[:, None] + [t for _, _, t in nodes]]
         return best
 
     def norm(self) -> float:

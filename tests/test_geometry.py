@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import time
@@ -8,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leakybilliards import billiard_map as bmap
-from leakybilliards import geometry
+from leakybilliards import geometry, measures
 from leakybilliards.errors import (
     ConfigError,
     InfiniteHorizonError,
+    NoCollisionError,
     OverlappingScatterersError,
 )
 from leakybilliards.streams import stream
@@ -257,6 +259,67 @@ def _four_disk_table():
     ])
 
 
+def _full_scan(table, p0, v, skip_sid, reach):
+    """Scan of every image within reach, nearest lower bound first: the
+    search the sector scan replaced, kept as its oracle.
+
+    Returns (t, sid, offset, maybe_graze): the first hit of each ray
+    among image_candidates(reach), possibly beyond reach, and the loose
+    graze pre-screen flag that _graze_recheck settles.
+    """
+    offs, sids, lbs = table.image_candidates(reach)
+    centers, radii = table.centers, table.radii
+    n = p0.shape[0]
+
+    best_t = np.full(n, np.inf)
+    best_sid = np.full(n, -1, dtype=np.int64)
+    best_off = np.zeros((n, 2))
+    maybe_graze = np.zeros(n, dtype=bool)
+    active = np.arange(n)
+
+    chunk = 12
+    i = 0
+    m = len(sids)
+    while i < m and active.size:
+        hi = min(i + chunk, m)
+        pa = p0[active]
+        va = v[active]
+        bt = best_t[active]
+        bs = best_sid[active]
+        bo = best_off[active]
+        mg = maybe_graze[active]
+        ska = skip_sid[active]
+        for c in range(i, hi):
+            j = sids[c]
+            ox, oy = offs[c]
+            rho = radii[j]
+            fx = pa[:, 0] - (centers[j, 0] + ox)
+            fy = pa[:, 1] - (centers[j, 1] + oy)
+            b = 2.0 * (fx * va[:, 0] + fy * va[:, 1])
+            cc = fx * fx + fy * fy - rho * rho
+            disc = b * b - 4.0 * cc
+            hit = disc > 0.0
+            tsm = 0.5 * (-b - np.sqrt(np.where(hit, disc, 0.0)))
+            ok = hit & (tsm > geometry._T_EPS) & (tsm < bt)
+            if ox == 0.0 and oy == 0.0:
+                ok &= ska != j
+            if np.any(ok):
+                bt = np.where(ok, tsm, bt)
+                bs = np.where(ok, j, bs)
+                bo[ok, 0] = ox
+                bo[ok, 1] = oy
+            imp = np.sqrt(np.maximum(cc + rho * rho - 0.25 * b * b, 0.0))
+            mg |= (np.abs(imp - rho) < 1e-9) & (-0.5 * b > geometry._T_EPS)
+        best_t[active] = bt
+        best_sid[active] = bs
+        best_off[active] = bo
+        maybe_graze[active] = mg
+        if hi < m:
+            active = active[bt > lbs[hi]]
+        i = hi
+    return best_t, best_sid, best_off, maybe_graze
+
+
 @pytest.mark.parametrize("which", ["default", "four-disk"])
 def test_sector_scan_is_bit_identical_to_full_scan(table, which):
     if which == "four-disk":
@@ -264,15 +327,48 @@ def test_sector_scan_is_bit_identical_to_full_scan(table, which):
     for reach in (table.certificate.l_max, 0.4):
         p0, v, sid = _tangent_and_random_rays(table, reach, 100_000, 5)
         t, hit, off, grazed = geometry.first_hit_batch(table, p0, v, sid, reach=reach)
-        ft, fhit, foff, maybe = geometry._full_scan(table, p0, v, sid, reach)
+        ft, fhit, foff, maybe = _full_scan(table, p0, v, sid, reach)
         fgrazed = geometry._graze_recheck(table, p0, v, ft, maybe, reach)
+        # the oracle's hit within reach, bit for bit; past reach, none
+        near = ft <= reach
         for got, want in ((t, ft), (hit, fhit), (off, foff), (grazed, fgrazed)):
             assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
-        # both the exact graze recheck and the full-scan fallback fire
+            assert got[near].tobytes() == want[near].tobytes()
+        assert np.all(np.isinf(t[~near])) and np.all(hit[~near] == -1)
+        assert np.all(off[~near] == 0.0)
         assert grazed.sum() > 500
         if reach < 1.0:
-            assert np.sum(~(t <= reach)) > 1000 and np.any(hit < 0)
+            assert np.sum(~near) > 1000 and np.any(fhit[~near] >= 0)
+
+
+@pytest.mark.parametrize("reach", [0.4, 1.0])
+def test_first_hit_lies_within_reach_or_is_none(table, reach):
+    # a hit past reach is no hit; the full-scan fallback once returned
+    # one, and not always the nearest
+    sid, r, phi = measures.sample_nu(table, 20_000, stream(13, "within-reach"))
+    p0, v = _rays(table, sid, r, phi)
+    t, hit, off, _ = geometry.first_hit_batch(table, p0, v, sid, reach=reach)
+    none = hit < 0
+    assert np.all(t[~none] <= reach)
+    assert np.all(np.isinf(t[none])) and np.all(off[none] == 0.0)
+    assert none.sum() > 100
+
+
+def test_broken_certificate_fails_on_every_flight_without_a_hit(table):
+    # with l_max lowered below the longest flight (1.50699), every
+    # uncensored, non-grazing flight that the full scan first meets past
+    # the bound is counted; none is given a hit past it
+    low = geometry.Table(table.scatterers)
+    low.certificate = dataclasses.replace(table.certificate, l_max=1.4)
+    state = measures.sample_nu_state(table, 200_000, stream(17, "low-certificate"))
+    p0 = geometry.launch_points(low, state.sid, state.normal)
+    ft, _, _, _ = _full_scan(low, p0, state.velocity, state.sid, 1.4)
+    _, _, _, grazed = geometry.first_hit_batch(low, p0, state.velocity, state.sid)
+    departure = np.sum(state.velocity * state.normal, axis=1) < bmap._COS_GUARD
+    want = int(np.sum(~(ft <= 1.4) & ~(departure | grazed)))
+    assert want > 1000
+    with pytest.raises(NoCollisionError, match=f"^{want} flights found no scatterer"):
+        bmap.collide_cartesian(low, *state)
 
 
 def _loop_image_candidates(table, reach):
@@ -387,7 +483,7 @@ def _graze_recheck_oracle(table, p0, v, best_t, maybe_graze, reach):
 def test_graze_recheck_matches_scalar_oracle(table):
     reach = table.certificate.l_max
     p0, v, sid = _tangent_and_random_rays(table, reach, 100_000, 5)
-    t, _, _, maybe = geometry._full_scan(table, p0, v, sid, reach)
+    t, _, _, maybe = geometry._sector_scan(table, p0, v, sid, reach)
     got = geometry._graze_recheck(table, p0, v, t, maybe, reach)
     want = _graze_recheck_oracle(table, p0, v, t, maybe, reach)
     assert got.tobytes() == want.tobytes()

@@ -170,6 +170,66 @@ def test_escape_counts_track_hole_size(table, kind):
     assert abs(frac - expect) < 4.0 * np.sqrt(expect / n)
 
 
+def _sample_nu_hole(table, hole, m, rng):
+    """m states from nu conditioned on the hole, nu_H.  Exact for an arc:
+    nu has density dr d(sin phi), so r is uniform on the arc and sin phi
+    on [-1, 1].  For a disk, by rejection: nu draws that
+    holes.state_in_hole puts in the hole, in draw order."""
+    if hole.kind == "I":
+        sid = np.full(m, hole.scatterer_id)
+        r = np.mod(hole.arc[0] + rng.random(m) * hole.arc_length(table),
+                   table.perimeters[hole.scatterer_id])
+        return bmap.state_from_phase(table, sid, r, np.arcsin(2.0 * rng.random(m) - 1.0))
+    kept, have = [], 0
+    while have < m:
+        state = measures.sample_nu_state(table, 200_000, rng)
+        inside, cens = holes.state_in_hole(table, hole, state)
+        kept.append(state.take(np.flatnonzero(inside & ~cens)))
+        have += len(kept[-1].sid)
+    return bmap.State(*map(np.concatenate, zip(*kept))).take(np.arange(m))
+
+
+@pytest.mark.parametrize("kind", ["I", "II"])
+def test_hitting_times_match_return_times(table, kind):
+    # invariance of nu gives, for tau = min{k >= 1 : f^k x in H} and
+    # sigma the same with k >= 0, at every n >= 0:
+    #   nu(sigma = n) = nu(H) * nu_H(tau > n).
+    # An arrival run from N nu states has S_n = #{sigma > n}; a
+    # departure run from M nu_H states has D_n = #{tau > n + 1}.  So
+    # (S_{n-1} - S_n)/N and nu(H) D_{n-1}/M (S_{-1} = N, D_{-1} = M)
+    # estimate the same number from independent samples.
+    n, m, steps = 200_000, 50_000, 40
+    if kind == "I":
+        hole = holes.hole_family(table, (0, 0.3), 0.08, kind="I")
+    else:
+        hole = holes.type_ii_hole(table, (0.5, 0.0), 0.05)
+    mass = holes.hole_mass(table, hole)
+    nu = _sample(table, n, "kac-nu", kind)
+    nu_h = _sample_nu_hole(table, hole, m, stream(314159, "kac-nu-hole", kind))
+    fwd = open_dynamics.evolve_ensemble(table, hole, nu, steps)
+    ret = open_dynamics.evolve_ensemble(table, hole, nu_h, steps - 1, convention="departure")
+    # censoring would take particles out of both sides; there is none
+    assert fwd.censored[-1] == 0 and ret.censored[-1] == 0
+    s = np.concatenate([[n], fwd.survivors])
+    d = np.concatenate([[m], ret.survivors])
+    hit = -np.diff(s) / n
+    back = d / m
+    # each side is a binomial proportion; z uses both variances.  The
+    # 41 z are correlated, but a union bound needs no independence: the
+    # chance that any |z| > 4.5 is at most 41 * 6.8e-6 < 3e-4
+    z = (hit - mass * back) / np.sqrt(hit * (1.0 - hit) / n
+                                      + mass * mass * back * (1.0 - back) / m)
+    assert np.max(np.abs(z)) < 4.5
+    # Kac: E_{nu_H}[tau] = sum_{n >= 0} nu_H(tau > n) = 1/nu(H).  Past
+    # the run the survival is continued geometrically at the rate of
+    # its last ten steps.  The sum is a mean of M return times whose
+    # spread is about their mean, so its relative sd is about M^-1/2 =
+    # 0.45%; the tolerance is 2%
+    rate = (d[-1] / d[-11]) ** 0.1
+    kac = back.sum() + back[-1] * rate / (1.0 - rate)
+    assert abs(mass * kac - 1.0) < 0.02
+
+
 def test_chunked_kernel_is_bit_identical(table, monkeypatch):
     # 1024-state chunks put 9 slices through the pool: every thread count
     # must reproduce one unchunked collide + mask pass bit for bit

@@ -328,7 +328,7 @@ def cross_branch_lip_norm(f):
         for i in tw.targets[col]:
             sub = v[off:off + counts[d - 1, i]]
             off += counts[d - 1, i]
-            mn, mx, lp = scan(i, d - 1, base_time + tw.returns[i], sub)
+            mn, mx, lp = scan(i, d - 1, base_time + int(tw.returns[i]), sub)
             mins.append(mn)
             maxs.append(mx)
             lips.append(lp)
