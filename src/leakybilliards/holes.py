@@ -213,15 +213,13 @@ def hole_image_offsets(table, hole: HoleSpec):
 class EscapeImages(NamedTuple):
     """The images of a Type II hole that escape tests look at.
 
-    centers are the centers of the hole_image_offsets translates.  Row
-    sid*N_SECTORS + s of rows, a geometry.SectorRows, lists nearest
-    first the images a flight of length at most the certificate's l_max
-    can cross when it leaves scatterer sid in direction sector s;
-    counts[row] is the row's length, and the entries past it are
-    padding, other images.
+    Row sid*N_SECTORS + s of rows, a geometry.SectorRows, lists nearest
+    first the hole_image_offsets translates a flight of length at most
+    the certificate's l_max can cross when it leaves scatterer sid in
+    direction sector s; counts[row] is the row's length, and the entries
+    past it are padding, other images.
     """
 
-    centers: np.ndarray
     rows: np.ndarray
     counts: np.ndarray
 
@@ -234,7 +232,7 @@ def escape_offsets(table, hole: HoleSpec | None):
     reach = _geo.sector_reach(table.certificate.l_max)
     rows = _geo.sector_rows(table, centers, np.full(len(centers), hole.radius), reach)
     counts = np.count_nonzero(np.isfinite(rows.lb), axis=0)
-    return EscapeImages(centers, rows, counts)
+    return EscapeImages(rows, counts)
 
 
 def flight_crosses_hole(hole: HoleSpec, images: EscapeImages, flight):

@@ -237,8 +237,9 @@ class _Layout:
     Column c has counts[depth, c] itineraries of depth symbols, in
     tree-lexicographic order: offsets[c] is the start of each target's
     block (all 0 at depth 0), frac[c] each itinerary's mass fraction and
-    trunc[c] the index of its prefix one symbol shorter.  counts keeps
-    every depth 0..depth; the other tables are this depth's only.
+    trunc[c] the index of its prefix one symbol shorter, sorted and
+    hitting every prefix.  counts keeps every depth 0..depth; the other
+    tables are this depth's only.
 
     Cells follow tower.cells, each a contiguous slice of counts[depth, j]
     values, so a column is a (return_time, count) row-major block.  A
@@ -272,22 +273,25 @@ class _Layout:
         self.columns = [(where[(0, j)].start, counts[j], int(rt))
                         for j, rt in enumerate(tower.returns)]
         self.holes = [where[c] for c in sorted(tower.holes)]
-        # transfer output that must vanish: the hole and the cells whose
-        # climb starts on it
+        # transfer output that must vanish: the hole, the cells whose
+        # climb starts on it and, added below, each base cell no source feeds
         self.killed = self.holes + [
             where[(l + 1, j)] for l, j in sorted(tower.holes)
             if l + 1 < tower.returns[j]
         ]
-        # (base slice, start of the source block, prefix index, jacobian)
-        # by base cell, source columns ascending: that order fixes the
-        # float sums
+        # (base slice, prefix index, prefix count, [(start of the source
+        # block, jacobian), ...]) per base cell with a surviving source,
+        # source columns ascending: that order fixes the float sums
         self.gathers = []
         for i in range(tower.n_cols):
-            for j, tgt in enumerate(targets):
-                top = (int(tower.returns[j]) - 1, j)
-                if i in tgt and top not in tower.holes:
-                    off = where[top].start + int(offsets[j][tgt.index(i)])
-                    self.gathers.append((where[(0, i)], off, trunc[i], tower.jacobians[j]))
+            sources = [(where[top].start + int(offsets[j][tgt.index(i)]), tower.jacobians[j])
+                       for j, tgt in enumerate(targets)
+                       if i in tgt and (top := (int(tower.returns[j]) - 1, j)) not in tower.holes]
+            if sources:
+                m = int(self.counts[max(depth - 1, 0), i])
+                self.gathers.append((where[(0, i)], trunc[i], m, sources))
+            else:
+                self.killed.append(where[(0, i)])
 
 
 def build_tower(spec: TowerSpec, enforce_hole_condition: bool = True) -> Tower:
@@ -436,22 +440,23 @@ class TowerFunction:
             raise InvalidArgumentError("coarsened() cannot raise the depth")
         out = self
         while out.depth > depth:
-            d = out.depth
-            trunc, counts = out.layout.trunc, out.layout.counts[d - 1]
-            vals = {}
-            for (l, j), v in out.values.items():
-                agg_min = np.full(counts[j], np.inf)
-                agg_max = np.full(counts[j], -np.inf)
-                np.minimum.at(agg_min, trunc[j], v)
-                np.maximum.at(agg_max, trunc[j], v)
+            d, lay = out.depth, out.layout
+            vec = []
+            for j, (start, n, rt) in enumerate(lay.columns):
+                # trunc is sorted and hits every prefix: one group each
+                starts = np.searchsorted(lay.trunc[j], np.arange(lay.counts[d - 1, j]))
+                block = out.vec[start:start + rt * n].reshape(rt, n)
+                agg_min = np.minimum.reduceat(block, starts, axis=1)
+                agg_max = np.maximum.reduceat(block, starts, axis=1)
                 scale = np.maximum(np.abs(agg_min), np.abs(agg_max))
-                if np.any(agg_max - agg_min > _COARSEN_RTOL * np.maximum(scale, 1.0)):
+                lossy = np.any(agg_max - agg_min > _COARSEN_RTOL * np.maximum(scale, 1.0), axis=1)
+                if lossy.any():
                     raise DepthExhaustedError(
-                        f"cell {(l, j)} is not constant on depth-{d - 1} "
-                        "cylinders; representation depth exhausted"
+                        f"cell {(int(np.argmax(lossy)), j)} is not constant on "
+                        f"depth-{d - 1} cylinders; representation depth exhausted"
                     )
-                vals[(l, j)] = agg_max
-            out = TowerFunction(self.tower, d - 1, vals)
+                vec.append(agg_max.ravel())
+            out = _function(self.tower, d - 1, np.concatenate(vec))
         return out
 
     def sup_norm(self) -> float:
@@ -545,8 +550,11 @@ def transfer_apply(tower: Tower, rho: TowerFunction) -> TowerFunction:
     the set surviving one step, exactly.
 
     On the flat vector that is one shifted copy per column (the climbs,
-    unit Jacobian), one gather per (base cell, source column) block
-    (the returns), and zeroing the killed slices.
+    unit Jacobian), the returns, and zeroing the killed slices.  All
+    sources of base cell i share its prefix index trunc[i], so their
+    returns are summed, ascending, on its prefixes and gathered once:
+    per cylinder the same float operations in the same order as one
+    gather per (base cell, source) block.
     """
     if rho.tower is not tower:
         raise InvalidArgumentError("function lives on a different tower")
@@ -554,10 +562,13 @@ def transfer_apply(tower: Tower, rho: TowerFunction) -> TowerFunction:
     x = rho.vec
     out = np.empty_like(x)
     for start, n, rt in lay.columns:
-        out[start:start + n] = 0.0
         out[start + n:start + rt * n] = x[start:start + (rt - 1) * n]
-    for base, src, index, jac in lay.gathers:
-        out[base] += x[src:][index] / jac
+    for base, index, m, sources in lay.gathers:
+        acc = np.zeros(m)
+        for src, jac in sources:
+            acc += x[src:src + m] / jac
+        # index is in range; the default mode="raise" would buffer out
+        acc.take(index, out=out[base], mode="clip")
     for sl in lay.killed:
         out[sl] = 0.0
     return _function(tower, rho.depth, out)
@@ -611,7 +622,8 @@ def leading_eigenpair(tower: Tower, tol: float = 1e-13,
             (nxt - rho * ratio).sup_norm()
             <= _RESIDUAL_FACTOR * tol * nxt.sup_norm()
         )
-        rho = nxt * (1.0 / nmass)
+        nxt.vec *= 1.0 / nmass
+        rho = nxt
         mass = 1.0
         theta = ratio
         if converged:

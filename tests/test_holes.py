@@ -269,10 +269,11 @@ def test_hole_image_offsets_match_loop_oracle(table, which, center, radius):
     assert got.tobytes() == want.tobytes()
 
 
-def _hole_flights(table, hole, images, n, seed, inverse):
+def _hole_flights(table, hole, n, seed, inverse):
     """n flights from collide_batch (or collide_inverse_batch): a third
     aimed exactly tangent to a hole image, the rest from cosine-law
     boundary states."""
+    centers = np.asarray(hole.center) + holes.hole_image_offsets(table, hole)
     rng = stream(seed, "hole-flights", int(inverse))
     sid = rng.integers(0, len(table), n)
     r = rng.random(n) * table.perimeters[sid]
@@ -280,7 +281,7 @@ def _hole_flights(table, hole, images, n, seed, inverse):
 
     n_tan = n // 3
     # depart from the side of the disk that faces the image
-    img = images.centers[rng.integers(0, len(images.centers), n_tan)]
+    img = centers[rng.integers(0, len(centers), n_tan)]
     c, rho = table.centers[sid[:n_tan]], table.radii[sid[:n_tan]]
     face = np.arctan2(img[:, 1] - c[:, 1], img[:, 0] - c[:, 0]) + rng.uniform(-1.0, 1.0, n_tan)
     r[:n_tan] = rho * np.mod(face, 2.0 * np.pi)
@@ -316,7 +317,7 @@ def test_sector_hole_mask_is_bit_identical_to_full_offsets(table, which, center,
     # rows are short: that is the point of them
     assert images.counts.max() < len(offsets) // 2
     for inverse in (False, True):
-        flights, n_aimed = _hole_flights(table, hole, images, 100_000, 7, inverse)
+        flights, n_aimed = _hole_flights(table, hole, 100_000, 7, inverse)
         assert n_aimed > 25_000
         # a flight without a hit is censored, and its entry means nothing
         hit = flights.flight_length <= table.certificate.l_max
@@ -334,10 +335,9 @@ def test_image_offsets_cover_observed_escapes(table):
     # brute-force offsets over a big window agree with the pruned list
     # on the uncensored flights of the sector-mask batch
     hole = holes.type_ii_hole(table, (0.5, 0.0), 0.05)
-    images = holes.escape_offsets(table, hole)
     wide = np.array([(float(i), float(j)) for i in range(-5, 6) for j in range(-5, 6)])
     for inverse in (False, True):
-        flights, _ = _hole_flights(table, hole, images, 100_000, 7, inverse)
+        flights, _ = _hole_flights(table, hole, 100_000, 7, inverse)
         ok = ~flights.censored
         args = (flights.start[ok], flights.direction[ok], flights.flight_length[ok],
                 hole.center, hole.radius)

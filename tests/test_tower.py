@@ -259,6 +259,60 @@ def test_transfer_commutes_with_refinement(gold):
         assert np.allclose(a.values[cell], b.values[cell], rtol=0, atol=0)
 
 
+def per_block_transfer(tower_, rho):
+    """transfer_apply with one gather per (base cell, source column)
+    block, source columns ascending: out[base] += x[src:][trunc] / J.
+    The grouped gather of transfer_apply must match it bit for bit."""
+    lay, x = rho.layout, rho.vec
+    where = {(l, j): sl for sl, l, j in lay.cells}
+    out = np.empty_like(x)
+    for start, n, rt in lay.columns:
+        out[start:start + n] = 0.0
+        out[start + n:start + rt * n] = x[start:start + (rt - 1) * n]
+    for i in range(tower_.n_cols):
+        for j, tgt in enumerate(tower_.targets):
+            top = (int(tower_.returns[j]) - 1, j)
+            if i in tgt and top not in tower_.holes:
+                src = where[top].start + int(lay.offsets[j][tgt.index(i)])
+                out[where[(0, i)]] += x[src:][lay.trunc[i]] / tower_.jacobians[j]
+    for l, j in tower_.holes:
+        out[where[(l, j)]] = 0.0
+        if l + 1 < tower_.returns[j]:
+            out[where[(l + 1, j)]] = 0.0
+    return out
+
+
+def sourceless_base_spec():
+    # base cell 2 is fed only by the top of column 2, which is a hole
+    return tower.TowerSpec(
+        columns=(
+            tower.TowerColumn(mass=1.0, return_time=1, target=(0, 1)),
+            tower.TowerColumn(mass=1.0, return_time=2, target=(0, 1)),
+            tower.TowerColumn(mass=0.2, return_time=3),
+        ),
+        beta=0.8,
+        c0=3.0,
+        theta0=0.5,
+        holes=frozenset({(2, 2)}),
+    )
+
+
+def test_transfer_apply_matches_per_block_gather():
+    # not cell-constant, so a change in the order of the float sums shows
+    rng = np.random.default_rng(2026)
+    specs = [tower.golden_tower_spec(), sourceless_base_spec()]
+    specs += [tower.random_tower_spec(rng) for _ in range(20)]
+    for spec in specs:
+        t = tower.build_tower(spec)
+        for depth in range(5):
+            rho = tower.tower_random(t, depth, rng)
+            got = tower.transfer_apply(t, rho)
+            assert np.array_equal(got.vec, per_block_transfer(t, rho))
+    t = tower.build_tower(sourceless_base_spec())
+    rho = tower.tower_random(t, 3, rng)
+    assert not tower.transfer_apply(t, rho).values[(0, 2)].any()
+
+
 def test_refine_coarsen_roundtrip(gold):
     rho = tower.tower_random(gold, 1, np.random.default_rng(13))
     back = rho.refined(4).coarsened(1)
