@@ -30,6 +30,7 @@ from . import open_dynamics as _od
 from . import tower as _tower
 from .errors import (ArtifactIOError, ConfigError, ConfigReader,
                      InvalidArgumentError, LeakyBilliardsError)
+from .streams import stream
 
 _EXIT_CONFIG = 2
 _EXIT_NUMERIC = 3
@@ -286,7 +287,6 @@ def _run_simulate(cfg, seed, threads, base, meta):
     cfg.close()
     table = make_table()
     hole = make_hole(table) if make_hole else None
-    from .streams import stream
     state = _measures.sample_initial(table, density, n, stream(seed, "initial"))
     res = _od.evolve_ensemble(
         table, hole, state, n_max,
@@ -359,11 +359,12 @@ def _run_survivor_measure(cfg, seed, threads, base, meta):
     cfg.close()
     table = make_table()
     hole = make_hole(table) if make_hole else None
+    # checks the bin counts before any particle is drawn
+    ref = _measures.nu_measure(table, r_bins, phi_bins)
     m, res = _escape.survivor_distribution(
         table, hole, density, n, n_steps, r_bins, phi_bins, seed,
         convention=convention, threads=threads, min_survivors=min_survivors,
     )
-    ref = _measures.nu_measure(table, r_bins, phi_bins)
     dist = _measures.measure_distance(m, ref)
     n_surv = len(res.final_sid)
     floor = _measures.noise_floor(table, n_surv, r_bins, phi_bins, seed)

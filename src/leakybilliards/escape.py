@@ -300,7 +300,6 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
     rng_init = stream(master_seed, "initial")
     state = _measures.sample_initial(table, density, n_particles, rng_init)
     rng = stream(master_seed, "fleming-viot")
-    images = _holes.escape_offsets(table, hole)
 
     eff = np.empty(n_steps + 1)
     ratios = np.empty(n_steps + 1)
@@ -340,13 +339,11 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
     for k in range(n_steps + 1):
         if k:
             # dead entries of the arrivals are placeholders, overwritten by clones
-            state, cens, esc = _od.open_step_batch(table, hole, images, state, threads)
-        elif hole is not None:
+            state, cens, esc = _od.open_step_batch(table, hole, state, threads)
+        else:
             # index 0: initial states already in the hole; the mask never
             # marks a censored state
-            esc, cens = _od.hole_membership(table, hole, images, state, threads)
-        else:
-            esc = cens = np.zeros(n_particles, dtype=bool)
+            esc, cens = _od.hole_membership(table, hole, state, threads)
         dead = cens | esc
         n_cens = int(cens.sum())
         n_cens_total += n_cens
@@ -415,9 +412,10 @@ def small_hole_sweep(table, anchor, h_list, density, n_particles: int,
         raise InvalidArgumentError("h_list must be nonempty")
     if not 0 < measure_step <= n_max:
         raise InvalidArgumentError("measure_step must lie in [1, n_max]")
+    # checks the bin counts before any particle is drawn
+    ref = _measures.nu_measure(table, r_bins, phi_bins)
     rng = stream(master_seed, "initial")
     state = _measures.sample_initial(table, density, n_particles, rng)
-    ref = _measures.nu_measure(table, r_bins, phi_bins)
     rows = []
     for h in h_list:
         hole = _holes.hole_family(table, anchor, h, offset=offset, kind=kind)
@@ -458,12 +456,10 @@ def backward_hole_visits(table, hole, state, k_steps: int):
     visits = np.zeros(n, dtype=np.int64)
     cens = np.zeros(n, dtype=bool)
     idx = np.arange(n)
-    images = _holes.escape_offsets(table, hole)
     for k in range(k_steps + 1):
         back = _bmap.collide_inverse_cartesian(table, *state)
         inside, undecided = _holes.in_hole_given_flight(
-            table, hole, state.sid, state.normal, back, images
-        )
+            table, hole, state.sid, state.normal, back)
         visits[idx[inside]] += 1
         cens[idx[undecided]] = True
         if k == k_steps:

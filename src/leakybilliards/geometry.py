@@ -139,6 +139,7 @@ class Table:
         self.certificate: HorizonCertificate | None = None
         self._candidates = {}
         self._sectors = {}
+        self._disks = {}
         self._check_disjoint()
 
     def __len__(self):
@@ -212,6 +213,36 @@ class Table:
         out = (sid, np.stack([kx, ky], axis=1),
                sector_rows(self, centers, radii, reach, exclude=own))
         self._sectors[key] = out
+        return out
+
+    def disk_rows(self, center, radius: float):
+        """Per (departure scatterer, direction sector) images of a disk.
+
+        The disk's integer translates that a flight of length at most
+        the certificate's l_max can meet, kept in image_lattice order
+        when a lower bound on their distance from every launch point,
+        taken from the cell midpoint, is within sector_reach(l_max), and
+        put through sector_rows at that reach.  Returns (rows, counts):
+        row sid*N_SECTORS + s of the SectorRows lists nearest first the
+        images a flight leaving scatterer sid in sector s can meet, and
+        counts[row] is its length; entries past it are padding, other
+        images.  Cached per center, radius and l_max rounded to six
+        decimals, so a replaced certificate gets rows of its own.
+        """
+        if self.certificate is None:
+            raise InvalidArgumentError("table has no horizon certificate")
+        cx, cy, radius = float(center[0]), float(center[1]), float(radius)
+        reach = sector_reach(self.certificate.l_max)
+        key = (cx, cy, radius, reach)
+        if key in self._disks:
+            return self._disks[key]
+        d0 = math.sqrt(0.5) + float(self.radii.max())
+        kx, ky, _ = image_lattice(int(math.ceil(reach + radius + d0 + 1.0)))
+        keep = np.hypot(cx + kx - 0.5, cy + ky - 0.5) - radius - d0 <= reach
+        centers = np.stack([cx + kx[keep], cy + ky[keep]], axis=1)
+        rows = sector_rows(self, centers, np.full(len(centers), radius), reach)
+        out = (rows, np.count_nonzero(np.isfinite(rows.lb), axis=0))
+        self._disks[key] = out
         return out
 
 

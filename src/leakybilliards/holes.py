@@ -14,14 +14,16 @@ Predicates are pure geometry and never mutate state; near-tangential
 inputs propagate the censoring of the underlying collision search.
 They read states in the Cartesian form of billiard_map.State: the arc
 test takes cross products of boundary normals, and a Type II test reads
-the flight's start and direction.
+the flight's start and direction against the hole images in
+Table.disk_rows, which the table builds once per hole and caches.
+Every membership test takes just (table, hole, ...); hole None is the
+empty hole, in which no state lies.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -195,47 +197,7 @@ def hole_mass(table, hole: HoleSpec | None) -> float:
     return 2.0 * math.pi * hole.radius / table.total_perimeter
 
 
-def hole_image_offsets(table, hole: HoleSpec):
-    """Integer translates of a Type II hole that a flight of length at most
-    the certificate's l_max can cross, in geometry.image_lattice order."""
-    if table.certificate is None:
-        raise InvalidArgumentError("table has no horizon certificate")
-    reach = table.certificate.l_max
-    d0 = math.sqrt(0.5) + float(table.radii.max())
-    kmax = int(math.ceil(reach + hole.radius + d0 + 1.0))
-    kx, ky, _ = _geo.image_lattice(kmax)
-    cx, cy = hole.center
-    lb = np.hypot(cx + kx - 0.5, cy + ky - 0.5) - hole.radius - d0
-    keep = lb <= reach
-    return np.stack([kx[keep], ky[keep]], axis=1)
-
-
-class EscapeImages(NamedTuple):
-    """The images of a Type II hole that escape tests look at.
-
-    Row sid*N_SECTORS + s of rows, a geometry.SectorRows, lists nearest
-    first the hole_image_offsets translates a flight of length at most
-    the certificate's l_max can cross when it leaves scatterer sid in
-    direction sector s; counts[row] is the row's length, and the entries
-    past it are padding, other images.
-    """
-
-    rows: np.ndarray
-    counts: np.ndarray
-
-
-def escape_offsets(table, hole: HoleSpec | None):
-    """EscapeImages of a Type II hole, None for any other hole."""
-    if hole is None or hole.kind != "II":
-        return None
-    centers = np.asarray(hole.center) + hole_image_offsets(table, hole)
-    reach = _geo.sector_reach(table.certificate.l_max)
-    rows = _geo.sector_rows(table, centers, np.full(len(centers), hole.radius), reach)
-    counts = np.count_nonzero(np.isfinite(rows.lb), axis=0)
-    return EscapeImages(rows, counts)
-
-
-def flight_crosses_hole(hole: HoleSpec, images: EscapeImages, flight):
+def flight_crosses_hole(table, hole: HoleSpec, flight):
     """Whether each flight passes strictly inside an image of the hole.
 
     flight is a CollisionBatch.  The test is an OR over images of a
@@ -243,12 +205,14 @@ def flight_crosses_hole(hole: HoleSpec, images: EscapeImages, flight):
     segment, so grazing the closed disk does not count.  collide_cartesian
     ends every uncensored flight within l_max, and such a flight leaving
     departure_id in its direction's sector can only cross images in its
-    row, so testing the row gives the result over every image; so does
-    testing any further image.  Column 0 is therefore tested on every
-    flight, row padding included, and column k only on the flights
-    whose row is longer than k.  A censored flight may have no hit
-    (length inf); its entry means nothing, and callers mask it out.
+    row of table.disk_rows, so testing the row gives the result over
+    every image; so does testing any further image.  Column 0 is
+    therefore tested on every flight, row padding included, and column k
+    only on the flights whose row is longer than k.  A censored flight
+    may have no hit (length inf); its entry means nothing, and callers
+    mask it out.
     """
+    rows, counts = table.disk_rows(hole.center, hole.radius)
     key = _geo.sector_keys(flight.departure_id, flight.direction)
     sx, sy = flight.start[:, 0], flight.start[:, 1]
     vx, vy = flight.direction[:, 0], flight.direction[:, 1]
@@ -256,58 +220,56 @@ def flight_crosses_hole(hole: HoleSpec, images: EscapeImages, flight):
     r2 = hole.radius * hole.radius
 
     def column(k, sel):
-        wx = images.rows.x[k].take(key[sel]) - sx[sel]
-        wy = images.rows.y[k].take(key[sel]) - sy[sel]
+        wx = rows.x[k].take(key[sel]) - sx[sel]
+        wy = rows.y[k].take(key[sel]) - sy[sel]
         tp = np.clip(wx * vx[sel] + wy * vy[sel], 0.0, t[sel])
         dx = wx - tp * vx[sel]
         dy = wy - tp * vy[sel]
         return dx * dx + dy * dy < r2
 
     out = column(0, slice(None))
-    count = images.counts[key]
-    for k in range(1, len(images.rows.idx)):
+    count = counts[key]
+    for k in range(1, len(rows.idx)):
         sel = np.flatnonzero(count > k)
         out[sel] |= column(k, sel)
     return out
 
 
-def arrival_escape_mask(table, hole: HoleSpec, batch: _bmap.CollisionBatch,
-                        images=None):
+def arrival_escape_mask(table, hole: HoleSpec | None, batch: _bmap.CollisionBatch):
     """Escape mask for one collision batch under the arrival convention.
 
     A flight escapes when the state it arrives at is in the hole, read
-    off that same flight.  Censored entries are never marked escaped;
-    the caller accounts for them separately.
+    off that same flight; with no hole nothing escapes.  Censored
+    entries are never marked escaped; the caller accounts for them
+    separately.
     """
-    inside, _ = in_hole_given_flight(table, hole, batch.scatterer_id, batch.normal,
-                                     batch, images)
+    inside, _ = in_hole_given_flight(table, hole, batch.scatterer_id, batch.normal, batch)
     return inside & ~batch.censored
 
 
-def in_hole_given_flight(table, hole: HoleSpec, sid, normal, flight, images=None):
+def in_hole_given_flight(table, hole: HoleSpec | None, sid, normal, flight):
     """Phase-space membership of states given the flights that produced them.
 
     flight is a CollisionBatch holding, per state, the free flight that
     ended there, run either way: the forward batch that arrived at the
     states, or their inverse collision.  Type I reads only sid and the
-    boundary normals, so flight may be None there.  Returns (inside,
-    undecided): a Type II state is in the hole exactly when its flight
-    crossed the disk, and undecided when that flight was censored.
-    images are the hole's escape_offsets, computed here when None.
+    boundary normals, and no hole (None) reads nothing, so flight may be
+    None there.  Returns (inside, undecided): a Type II state is in the
+    hole exactly when its flight crossed the disk, and undecided when
+    that flight was censored.
     """
-    if hole.kind == "I":
-        return (arc_contains_normal(hole, table, sid, normal),
-                np.zeros(np.shape(sid), dtype=bool))
-    if images is None:
-        images = escape_offsets(table, hole)
-    mask = flight_crosses_hole(hole, images, flight)
+    if hole is None or hole.kind == "I":
+        inside = (np.zeros(np.shape(sid), dtype=bool) if hole is None
+                  else arc_contains_normal(hole, table, sid, normal))
+        return inside, np.zeros(np.shape(sid), dtype=bool)
+    mask = flight_crosses_hole(table, hole, flight)
     return mask & ~flight.censored, flight.censored
 
 
-def state_in_hole(table, hole: HoleSpec, state: _bmap.State, images=None):
+def state_in_hole(table, hole: HoleSpec | None, state: _bmap.State):
     """Phase-space membership of Cartesian states; returns (in_hole,
-    censored).  A Type II state is tested on its backward flight."""
+    censored).  A Type II state is tested on its backward flight; with
+    no hole both masks are all False."""
     back = (_bmap.collide_inverse_cartesian(table, *state)
-            if hole.kind == "II" else None)
-    return in_hole_given_flight(table, hole, state.sid, state.normal, back, images)
-
+            if hole is not None and hole.kind == "II" else None)
+    return in_hole_given_flight(table, hole, state.sid, state.normal, back)

@@ -30,6 +30,7 @@ from .errors import (
     GridMismatchError,
     InvalidArgumentError,
 )
+from .streams import stream
 
 DENSITY_KINDS = ("nu", "arc_cosine", "angle_ramp")
 
@@ -185,6 +186,8 @@ def bin_measure(table, sid, r, phi, r_bins: int, phi_bins: int) -> EmpiricalMeas
 
 def nu_measure(table, r_bins: int, phi_bins: int) -> EmpiricalMeasure:
     """Exact bin masses of the stationary measure on the same grid."""
+    if r_bins <= 0 or phi_bins <= 0:
+        raise InvalidArgumentError("bin counts must be positive")
     edges = np.linspace(-0.5 * np.pi, 0.5 * np.pi, phi_bins + 1)
     phi_mass = np.diff(np.sin(edges))  # integral of cos over each angle cell
     r_mass = table.perimeters / r_bins  # equal cells in arclength
@@ -203,15 +206,13 @@ def measure_distance(m1: EmpiricalMeasure, m2: EmpiricalMeasure) -> float:
     for m in (m1, m2):
         if abs(m.total_mass - 1.0) > 1e-9:
             raise InvalidArgumentError(
-                "l1_distance expects normalized measures; call .normalized()"
+                "measure_distance expects normalized measures; call .normalized()"
             )
     return float(np.abs(m1.weights - m2.weights).sum())
 
 
 def noise_floor(table, n: int, r_bins: int, phi_bins: int, master_seed: int) -> float:
     """Sampling-noise baseline: mean distance of paired fresh nu samples."""
-    from .streams import stream
-
     dists = []
     for rep in range(_NOISE_REPS):
         ma = bin_measure(
@@ -226,8 +227,7 @@ def noise_floor(table, n: int, r_bins: int, phi_bins: int, master_seed: int) -> 
     return float(np.mean(dists))
 
 
-def pushforward_residual(table, hole, sid, r, phi, r_bins: int, phi_bins: int,
-                         images=None):
+def pushforward_residual(table, hole, sid, r, phi, r_bins: int, phi_bins: int):
     """Stationarity residual of a particle set under one open step.
 
     Returns (distance, mass_ratio, n_censored): the L1 distance between
@@ -241,7 +241,7 @@ def pushforward_residual(table, hole, sid, r, phi, r_bins: int, phi_bins: int,
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
     arrivals, cens, esc = _od.open_step_batch(
-        table, hole, images, _bmap.state_from_phase(table, sid, r, phi))
+        table, hole, _bmap.state_from_phase(table, sid, r, phi))
     alive = ~(cens | esc)
     n_cens = int(cens.sum())
     n_risk = len(sid) - n_cens

@@ -20,7 +20,9 @@ guard fired and is excluded from both numerator and denominator of
 every survival ratio downstream.
 
 Every forward step goes through open_step_batch, and every index-0
-hole test through hole_membership.  Both run on _map_chunks, which
+hole test through hole_membership.  Both take only the table, the hole
+and the states and leave the hole test to holes, where None, the hole
+of a closed run, holds no state.  Both run on _map_chunks, which
 always works in fixed-size chunks, element by element, so outputs are
 identical byte-for-byte for any worker count.  Before its first worker
 pool, _map_chunks fixes glibc's heap policy for the process (one arena,
@@ -123,7 +125,7 @@ def _map_chunks(fn, state, threads):
     return tuple(map(_join, zip(*parts)))
 
 
-def open_step_batch(table, hole, images, state, threads: int = 1):
+def open_step_batch(table, hole, state, threads: int = 1):
     """One step of the open collision map on a billiard_map.State.
 
     Returns (arrivals, censored, escaped): the arrival States, and masks
@@ -131,29 +133,23 @@ def open_step_batch(table, hole, images, state, threads: int = 1):
     censored entry, and censored entries hold placeholder states.  Each
     slice of _map_chunks is collided and masked on its own; both steps
     work element by element, so the result is the same for any chunking
-    and any thread count.  hole None means a closed step; images are the
-    holes.escape_offsets of the hole, computed here when None.
+    and any thread count.  hole None means a closed step.
     """
-    if images is None:
-        images = _holes.escape_offsets(table, hole)
 
     def step(part):
         batch = _bmap.collide_cartesian(table, *part)
-        if hole is None:
-            escaped = np.zeros(len(batch.censored), dtype=bool)
-        else:
-            escaped = _holes.arrival_escape_mask(table, hole, batch, images)
+        escaped = _holes.arrival_escape_mask(table, hole, batch)
         return batch.arrivals(), batch.censored, escaped
 
     return _map_chunks(step, state, threads)
 
 
-def hole_membership(table, hole, images, state, threads: int = 1):
+def hole_membership(table, hole, state, threads: int = 1):
     """holes.state_in_hole of a billiard_map.State, run slice by slice
     like open_step_batch: returns (in_hole, censored), the same bits for
     any thread count."""
     return _map_chunks(
-        lambda part: _holes.state_in_hole(table, hole, part, images), state, threads)
+        lambda part: _holes.state_in_hole(table, hole, part), state, threads)
 
 
 @dataclass
@@ -207,8 +203,6 @@ def evolve_ensemble(table, hole, state, n_steps: int,
     capture = set(int(c) for c in capture)
     captures: dict = {}
 
-    images = _holes.escape_offsets(table, hole)
-
     survivors = np.zeros(n_steps + 1, dtype=np.int64)
     escaped = np.zeros(n_steps + 1, dtype=np.int64)
     censored = np.zeros(n_steps + 1, dtype=np.int64)
@@ -225,9 +219,9 @@ def evolve_ensemble(table, hole, state, n_steps: int,
         alive = alive[keep]
         return keep
 
-    if convention == "arrival" and hole is not None:
+    if convention == "arrival":
         # index-0 escapes: initial states already inside the hole
-        mask, cens = hole_membership(table, hole, images, state, threads)
+        mask, cens = hole_membership(table, hole, state, threads)
         state = state.take(drop(0, cens, mask))
 
     def record(k):
@@ -243,7 +237,7 @@ def evolve_ensemble(table, hole, state, n_steps: int,
     # filling survivors[0..n_steps] takes n_steps+1 collision passes
     for k in range(1 if convention == "arrival" else 0, n_steps + 1):
         if len(alive):
-            arrivals, cens, esc = open_step_batch(table, hole, images, state, threads)
+            arrivals, cens, esc = open_step_batch(table, hole, state, threads)
             state = arrivals.take(drop(k, cens, esc))
         record(k)
 

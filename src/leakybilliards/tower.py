@@ -101,7 +101,6 @@ class Tower:
         cols = spec.columns
         if len(cols) == 0:
             raise ConfigError("tower needs at least one column")
-        self.spec = spec
         self.n_cols = len(cols)
         self.masses = np.array([c.mass for c in cols], dtype=float)
         self.returns = np.array([c.return_time for c in cols], dtype=np.int64)

@@ -631,6 +631,44 @@ def test_starved_escape_run_fails_before_simulating(tmp_path, capsys, monkeypatc
     assert not (out / "results.json").exists()
 
 
+BINNED_CFGS = {
+    "small-hole-sweep": {
+        "hole_family": {"anchor": [0, 0.3], "h_list": [0.08, 0.04], "kind": "I"},
+        "n_particles": 2000, "n_max": 30, "window": [5, 25],
+        "measure_step": 10, "r_bins": 16, "phi_bins": 16, "seed": 7,
+    },
+    "survivor-measure": {
+        "hole": {"kind": "I", "anchor": [0, 0.3], "h": 0.05},
+        "n_particles": 2000, "n_steps": 8, "r_bins": 16, "phi_bins": 16,
+        "seed": 5, "min_survivors": 500,
+    },
+}
+
+
+@pytest.mark.parametrize("sub,field,value", [
+    ("small-hole-sweep", "phi_bins", -3),
+    ("small-hole-sweep", "r_bins", 0),
+    ("survivor-measure", "r_bins", 0),
+    ("survivor-measure", "phi_bins", -3),
+])
+def test_bad_bin_counts_fail_before_simulating(tmp_path, capsys, monkeypatch,
+                                               sub, field, value):
+    from leakybilliards import open_dynamics
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the ensemble was evolved")
+
+    monkeypatch.setattr(open_dynamics, "evolve_ensemble", no_run)
+    code, out = run(tmp_path, sub, dict(BINNED_CFGS[sub], **{field: value}))
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "config.bad_argument"
+    assert err["message"] == "bin counts must be positive"
+    assert not (out / "results.json").exists()
+
+
 @pytest.mark.parametrize("estimator", ["direct", "fleming-viot"])
 @pytest.mark.parametrize("window", [[10, 70], [-1, 20], [20, 20]])
 def test_window_outside_the_run_fails_before_simulating(

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from leakybilliards import billiard_map as bmap
-from leakybilliards import geometry, holes
+from leakybilliards import geometry, holes, open_dynamics
 from leakybilliards.errors import (
     BadScattererIdError,
     HoleTooLargeError,
@@ -129,9 +130,9 @@ def test_grazing_flight_does_not_escape(table):
     assert flight.start.tolist() == [[0.4, 0.0]] and not flight.censored[0]
     assert math.isclose(flight.flight_length[0], 0.2)
     hole = holes.HoleSpec(kind="II", center=(0.5, 0.1), radius=0.1)
-    assert not holes.flight_crosses_hole(hole, holes.escape_offsets(table, hole), flight)[0]
+    assert not holes.flight_crosses_hole(table, hole, flight)[0]
     inside = holes.HoleSpec(kind="II", center=(0.5, 0.09), radius=0.1)
-    assert holes.flight_crosses_hole(inside, holes.escape_offsets(table, inside), flight)[0]
+    assert holes.flight_crosses_hole(table, inside, flight)[0]
 
 
 def test_pre_escape_set_is_hole_pullback(table, nu_states):
@@ -238,8 +239,10 @@ def _four_disk_table():
 
 
 def _hole_image_offsets_oracle(table, hole):
-    """The double loop hole_image_offsets replaced, kept as its oracle."""
-    reach = table.certificate.l_max
+    """Integer translates of a Type II hole that a flight within the
+    certified reach can cross, by a double loop: the oracle of the image
+    list in Table.disk_rows."""
+    reach = geometry.sector_reach(table.certificate.l_max)
     d0 = math.sqrt(0.5) + float(table.radii.max())
     kmax = int(math.ceil(reach + hole.radius + d0 + 1.0))
     cx, cy = hole.center
@@ -260,20 +263,27 @@ def _hole_image_offsets_oracle(table, hole):
     ("four-disk", (-3.75, 0.73), 0.2),
 ])
 def test_hole_image_offsets_match_loop_oracle(table, which, center, radius):
+    # disk_rows indexes its images in list order, so a missing, extra or
+    # reordered image changes the bytes of idx
     if which == "four-disk":
         table = _four_disk_table()
-    hole = holes.HoleSpec(kind="II", center=center, radius=radius)
-    got = holes.hole_image_offsets(table, hole)
-    want = _hole_image_offsets_oracle(table, hole)
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes()
+    offsets = _hole_image_offsets_oracle(table, holes.HoleSpec(
+        kind="II", center=center, radius=radius))
+    want = geometry.sector_rows(table, np.asarray(center) + offsets,
+                                np.full(len(offsets), radius),
+                                geometry.sector_reach(table.certificate.l_max))
+    rows, counts = table.disk_rows(center, radius)
+    for got, ref in zip(rows, want):
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+    assert np.array_equal(counts, np.isfinite(want.lb).sum(axis=0))
 
 
 def _hole_flights(table, hole, n, seed, inverse):
     """n flights from collide_batch (or collide_inverse_batch): a third
     aimed exactly tangent to a hole image, the rest from cosine-law
     boundary states."""
-    centers = np.asarray(hole.center) + holes.hole_image_offsets(table, hole)
+    centers = np.asarray(hole.center) + _hole_image_offsets_oracle(table, hole)
     rng = stream(seed, "hole-flights", int(inverse))
     sid = rng.integers(0, len(table), n)
     r = rng.random(n) * table.perimeters[sid]
@@ -312,17 +322,17 @@ def test_sector_hole_mask_is_bit_identical_to_full_offsets(table, which, center,
     if which == "four-disk":
         table = _four_disk_table()
     hole = holes.type_ii_hole(table, center, radius)
-    images = holes.escape_offsets(table, hole)
-    offsets = holes.hole_image_offsets(table, hole)
+    _, counts = table.disk_rows(hole.center, hole.radius)
+    offsets = _hole_image_offsets_oracle(table, hole)
     # rows are short: that is the point of them
-    assert images.counts.max() < len(offsets) // 2
+    assert counts.max() < len(offsets) // 2
     for inverse in (False, True):
         flights, n_aimed = _hole_flights(table, hole, 100_000, 7, inverse)
         assert n_aimed > 25_000
         # a flight without a hit is censored, and its entry means nothing
         hit = flights.flight_length <= table.certificate.l_max
         assert np.all(flights.censored[~hit])
-        got = holes.flight_crosses_hole(hole, images, flights)
+        got = holes.flight_crosses_hole(table, hole, flights)
         want = _segment_crosses_disk(
             flights.start[hit], flights.direction[hit], flights.flight_length[hit],
             hole.center, hole.radius, offsets)
@@ -341,7 +351,64 @@ def test_image_offsets_cover_observed_escapes(table):
         ok = ~flights.censored
         args = (flights.start[ok], flights.direction[ok], flights.flight_length[ok],
                 hole.center, hole.radius)
-        a = _segment_crosses_disk(*args, holes.hole_image_offsets(table, hole))
+        a = _segment_crosses_disk(*args, _hole_image_offsets_oracle(table, hole))
         b = _segment_crosses_disk(*args, wide)
         assert np.array_equal(a, b)
         assert a.sum() > 2000
+
+
+def test_holes_sharing_a_center_get_their_own_masks(table):
+    # the table caches rows per hole: the larger disk, asked for after
+    # the smaller one on a fresh table, must not be tested on its rows,
+    # which miss images that the larger disk's flights cross
+    fresh = geometry.Table(table.scatterers)
+    fresh.certificate = table.certificate
+    small = holes.type_ii_hole(fresh, (0.5, 0.0), 0.005)
+    big = holes.type_ii_hole(fresh, (0.5, 0.0), 0.08)
+    flights, _ = _hole_flights(fresh, big, 30_000, 11, False)
+    ok = ~flights.censored
+    masks = []
+    for hole in (small, big, small):
+        got = holes.flight_crosses_hole(fresh, hole, flights)[ok]
+        want = _segment_crosses_disk(
+            flights.start[ok], flights.direction[ok], flights.flight_length[ok],
+            hole.center, hole.radius, _hole_image_offsets_oracle(fresh, hole))
+        assert np.array_equal(got, want)
+        masks.append(got)
+    assert np.array_equal(masks[0], masks[2])
+    assert masks[0].sum() > 100 and masks[1].sum() > masks[0].sum()
+    assert not np.any(masks[0] & ~masks[1])
+
+
+@pytest.mark.parametrize("l_max", [1.4, 3.0])
+def test_replaced_certificate_gets_rows_for_its_reach(table, l_max):
+    t = geometry.Table(table.scatterers)
+    t.certificate = table.certificate
+    _, first_counts = t.disk_rows((0.5, 0.0), 0.05)
+    t.certificate = dataclasses.replace(table.certificate, l_max=l_max)
+    fresh = geometry.Table(table.scatterers)
+    fresh.certificate = t.certificate
+    (got, got_counts), (want, want_counts) = (
+        t.disk_rows((0.5, 0.0), 0.05), fresh.disk_rows((0.5, 0.0), 0.05))
+    assert not np.array_equal(got_counts, first_counts)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert np.array_equal(got_counts, want_counts)
+
+
+def test_no_hole_holds_no_state(table, nu_states, monkeypatch):
+    sid, r, phi = (a[:3000] for a in nu_states)
+    state = bmap.state_from_phase(table, sid, r, phi)
+    fwd = bmap.collide_cartesian(table, *state)
+
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("an inverse collision was computed")
+
+    monkeypatch.setattr(bmap, "collide_inverse_cartesian", no_inverse)
+    for inside, undecided in (holes.state_in_hole(table, None, state),
+                              open_dynamics.hole_membership(table, None, state, 2)):
+        assert inside.dtype == undecided.dtype == bool
+        assert inside.shape == undecided.shape == (3000,)
+        assert not inside.any() and not undecided.any()
+    esc = holes.arrival_escape_mask(table, None, fwd)
+    assert esc.dtype == bool and esc.shape == (3000,) and not esc.any()

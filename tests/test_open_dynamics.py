@@ -239,12 +239,9 @@ def test_chunked_kernel_is_bit_identical(table, monkeypatch):
     ref_esc = holes.arrival_escape_mask(table, hole, ref)
     assert ref_esc.sum() > 100 and ref.censored.sum() < len(sid)
     monkeypatch.setattr(open_dynamics, "CHUNK", 1024)
-    offsets = holes.escape_offsets(table, hole)
     state = bmap.state_from_phase(table, sid, r, phi)
     for t in (1, 2, 4):
-        arrivals, cens, esc = open_dynamics.open_step_batch(
-            table, hole, offsets, state, threads=t
-        )
+        arrivals, cens, esc = open_dynamics.open_step_batch(table, hole, state, threads=t)
         assert np.array_equal(esc, ref_esc)
         assert np.array_equal(cens, ref.censored)
         for got, want in zip(arrivals, ref.arrivals()):
@@ -269,14 +266,11 @@ def test_chunked_membership_is_bit_identical(table, monkeypatch, kind):
     else:
         hole = holes.type_ii_hole(table, (0.5, 0.0), 0.05)
     state = _sample(table, 9000, "membership")
-    offsets = holes.escape_offsets(table, hole)
-    ref_in, ref_cens = holes.state_in_hole(table, hole, state, offsets)
+    ref_in, ref_cens = holes.state_in_hole(table, hole, state)
     assert ref_in.sum() > 100
     monkeypatch.setattr(open_dynamics, "CHUNK", 1024)
     for t in (1, 2, 4):
-        got_in, got_cens = open_dynamics.hole_membership(
-            table, hole, offsets, state, threads=t
-        )
+        got_in, got_cens = open_dynamics.hole_membership(table, hole, state, threads=t)
         assert got_in.dtype == ref_in.dtype and got_cens.dtype == ref_cens.dtype
         assert np.array_equal(got_in, ref_in)
         assert np.array_equal(got_cens, ref_cens)

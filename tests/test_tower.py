@@ -18,6 +18,7 @@ from leakybilliards.errors import (
     NotStabilizedError,
     ReducibleSurvivingGraphError,
 )
+from leakybilliards.streams import stream
 
 # closed forms for the quartered doubling map with the first cell removed:
 # 4*theta^2 - 2*theta - 1 = 0, h = (0, b, a, a) with b = 4/(2+sqrt5),
@@ -193,6 +194,40 @@ def test_transfer_matrix_matches_interval_map_oracle(gold):
     assert np.all(mat[0] == 0.0)
     mods = np.sort(np.abs(np.linalg.eigvals(mat)))[::-1]
     assert abs(mods[1] / mods[0] - (3.0 - math.sqrt(5.0)) / 2.0) < 1e-12
+
+
+def _operator_matrix(t):
+    """The open transfer operator on depth-0 functions as a dense matrix:
+    column i is transfer_apply of the i-th unit vector of the layout."""
+    cols = []
+    for i in range(t.depth_tables(0).size):
+        e = tower.tower_constant(t, 0.0)
+        e.vec[i] = 1.0
+        cols.append(tower.transfer_apply(t, e).vec)
+    return np.array(cols).T
+
+
+def test_power_iteration_tracks_the_exact_spectral_gap():
+    # power iteration shrinks the error by |lambda2|/theta a step, so it
+    # should need about log(tol)/log(|lambda2|/theta) steps; the stop
+    # waits for three steady ratios and a function residual within
+    # 1e3*tol, so the count sits in a band around that: 0.75-1.12 on
+    # these 60 towers, 0.73-1.26 on the first 200 of the stream; a tower
+    # whose second eigenvalue vanishes converges in 4-7 steps
+    rng = stream(5, "gap")
+    ratios = []
+    for _ in range(60):
+        t = tower.build_tower(tower.random_tower_spec(rng))
+        mods = np.sort(np.abs(np.linalg.eigvals(_operator_matrix(t))))[::-1]
+        theta, _, report = tower.leading_eigenpair(t)
+        assert abs(mods[0] - theta) < 1e-12
+        gap = mods[1] / theta
+        if gap > 1e-6:
+            ratios.append(report.iterations / (math.log(1e-13) / math.log(gap)))
+        else:
+            assert report.iterations <= 8
+    assert len(ratios) >= 50
+    assert 0.7 <= min(ratios) and max(ratios) <= 1.3
 
 
 def test_ratio_stop_waits_for_the_function():
