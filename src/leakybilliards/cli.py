@@ -366,7 +366,7 @@ def _run_survivor_measure(cfg, seed, threads, base, meta):
         convention=convention, threads=threads, min_survivors=min_survivors,
     )
     dist = _measures.measure_distance(m, ref)
-    n_surv = len(res.final_sid)
+    n_surv = len(res.alive_index)
     floor = _measures.noise_floor(table, n_surv, r_bins, phi_bins, seed)
     # C order is (scatterer, r_bin, phi_bin) order
     nonzero = np.nonzero(m.weights)

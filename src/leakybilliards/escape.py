@@ -227,13 +227,15 @@ def survivor_distribution(table, hole, density, n_particles: int,
     approximates the limiting conditional measure once n_steps clears
     the transient; raise min_survivors for acceptance-grade precision.
     """
+    # checks the bin counts before any particle is drawn
+    _measures.nu_measure(table, r_bins, phi_bins)
     rng = stream(master_seed, "initial")
     state = _measures.sample_initial(table, density, n_particles, rng)
     res = _od.evolve_ensemble(
         table, hole, state, n_steps,
         convention=convention, threads=threads,
     )
-    n_surv = len(res.final_sid)
+    n_surv = len(res.alive_index)
     if n_surv < min_survivors:
         raise StarvedSampleError(
             f"{n_surv} survivors at step {n_steps} (< {min_survivors})"
@@ -501,7 +503,7 @@ def singularity_diagnostic(table, hole, k_steps: int, n_particles: int,
     if at_risk <= 0:
         raise StarvedSampleError("every trajectory was censored")
     fraction = float(res.escaped[-1]) / at_risk
-    n_surv = len(res.final_sid)
+    n_surv = len(res.alive_index)
     # survivors have escape_step == -1, so this count is exactly zero;
     # computing it through the bookkeeping keeps the claim honest
     in_union = int(np.count_nonzero(res.escape_step[res.alive_index] >= 0))

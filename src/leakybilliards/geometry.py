@@ -16,7 +16,7 @@ so sweeping the finitely many rational directions below that cutoff
 decides horizon finiteness.  The flight bound L_max is then proven by
 branch and bound over direction intervals (finite_horizon_probe): every
 ray leaving a scatterer hits an image within L_max unless it grazes one.
-L_max is the reach of the first-hit search: a ray gets its first hit
+L_max is the only flight bound of the package: a ray gets its first hit
 within it or none, and a ray leaving its disk with none grazes.
 """
 
@@ -113,8 +113,8 @@ class Table:
 
     Construction wraps centers into [0,1)^2 and checks pairwise
     disjointness across periodic images.  The horizon certificate is
-    attached by validate_table; kernels that need a flight bound refuse
-    to run without it unless an explicit reach is supplied.
+    attached by validate_table; search_reach, the reach of every search
+    for images, reads l_max from it and refuses to run without it.
     """
 
     def __init__(self, scatterers):
@@ -137,7 +137,6 @@ class Table:
         self.total_perimeter = float(self.perimeters.sum())
         self.cum_perimeter = np.concatenate([[0.0], np.cumsum(self.perimeters)])
         self.certificate: HorizonCertificate | None = None
-        self._candidates = {}
         self._sectors = {}
         self._disks = {}
         self._check_disjoint()
@@ -163,47 +162,27 @@ class Table:
                         )
         # radius < 1/2 already makes every disk disjoint from its own images
 
-    def image_candidates(self, reach: float):
-        """Scatterer images reachable by a ray of length <= reach.
+    def search_reach(self) -> float:
+        """Reach of the first-hit and disk rows: sector_reach of the
+        certificate's l_max, and the key of both row caches, so a
+        replaced certificate gets rows of its own.  Raises
+        InvalidArgumentError if the table has no horizon certificate."""
+        if self.certificate is None:
+            raise InvalidArgumentError("table has no horizon certificate")
+        return sector_reach(self.certificate.l_max)
 
-        Rays launched inside the package start on scatterer boundaries
-        with centers in the unit cell, hence within d0 = sqrt(2)/2 +
-        r_max of the cell midpoint.  Returns (offsets (M,2), ids (M,),
-        lower_bounds (M,)) sorted by the distance lower bound, which is
-        what lets the first-hit scan settle most rays after the nearest
-        few images.
-        """
-        key = round(float(reach), 6)
-        if key in self._candidates:
-            return self._candidates[key]
-        d0 = math.sqrt(0.5) + float(self.radii.max())
-        kx, ky, ids = image_lattice(int(math.ceil(reach + d0 + 1.0)), len(self.scatterers))
-        # math.hypot per image: np.hypot differs from it in the last bit
-        # on some inputs, which reorders the list at large reach
-        dist = np.array(list(map(math.hypot, (self.centers[ids, 0] + kx - 0.5).tolist(),
-                                 (self.centers[ids, 1] + ky - 0.5).tolist())))
-        lb = dist - self.radii[ids] - d0
-        keep = np.flatnonzero(lb <= reach)
-        bound = np.where(lb[keep] < 0.0, 0.0, lb[keep])
-        order = np.argsort(bound, kind="stable")
-        out = (np.stack([kx, ky], axis=1)[keep[order]], ids[keep[order]], bound[order])
-        self._candidates[key] = out
-        return out
-
-    def sector_candidates(self, reach: float):
+    def sector_candidates(self):
         """Per (departure scatterer, direction sector) first-hit candidates.
 
-        sector_rows over every scatterer image, with each departure
-        disk's own (0,0) image left out: a ray leaving a disk's boundary
-        meets nothing outside its row within reach.  Cached per reach
-        rounded to six decimals.
+        sector_rows over every scatterer image at search_reach(), with
+        each departure disk's own (0,0) image left out: a ray leaving a
+        disk's boundary meets nothing outside its row within reach.
 
         Returns (ids (M,), offsets (M,2), SectorRows over the M images).
         """
-        key = round(float(reach), 6)
-        if key in self._sectors:
-            return self._sectors[key]
-        reach = sector_reach(reach)
+        reach = self.search_reach()
+        if reach in self._sectors:
+            return self._sectors[reach]
         n = len(self.scatterers)
         kmax = int(math.ceil(reach + 2.0 * float(self.radii.max()) + 1.0 + _SECTOR_MARGIN))
         kx, ky, sid = image_lattice(kmax, n)
@@ -212,34 +191,26 @@ class Table:
         own = (sid == np.arange(n)[:, None]) & (kx == 0.0) & (ky == 0.0)
         out = (sid, np.stack([kx, ky], axis=1),
                sector_rows(self, centers, radii, reach, exclude=own))
-        self._sectors[key] = out
+        self._sectors[reach] = out
         return out
 
     def disk_rows(self, center, radius: float):
         """Per (departure scatterer, direction sector) images of a disk.
 
-        The disk's integer translates that a flight of length at most
-        the certificate's l_max can meet, kept in image_lattice order
-        when a lower bound on their distance from every launch point,
-        taken from the cell midpoint, is within sector_reach(l_max), and
-        put through sector_rows at that reach.  Returns (rows, counts):
-        row sid*N_SECTORS + s of the SectorRows lists nearest first the
+        The disk's reachable_images at search_reach(), put through
+        sector_rows at that reach.  Returns (rows, counts): row
+        sid*N_SECTORS + s of the SectorRows lists nearest first the
         images a flight leaving scatterer sid in sector s can meet, and
         counts[row] is its length; entries past it are padding, other
-        images.  Cached per center, radius and l_max rounded to six
-        decimals, so a replaced certificate gets rows of its own.
+        images.  Cached per center, radius and search_reach().
         """
-        if self.certificate is None:
-            raise InvalidArgumentError("table has no horizon certificate")
         cx, cy, radius = float(center[0]), float(center[1]), float(radius)
-        reach = sector_reach(self.certificate.l_max)
+        reach = self.search_reach()
         key = (cx, cy, radius, reach)
         if key in self._disks:
             return self._disks[key]
-        d0 = math.sqrt(0.5) + float(self.radii.max())
-        kx, ky, _ = image_lattice(int(math.ceil(reach + radius + d0 + 1.0)))
-        keep = np.hypot(cx + kx - 0.5, cy + ky - 0.5) - radius - d0 <= reach
-        centers = np.stack([cx + kx[keep], cy + ky[keep]], axis=1)
+        _, offs = reachable_images(self, np.array([[cx, cy]]), np.array([radius]), reach)
+        centers = np.stack([cx + offs[:, 0], cy + offs[:, 1]], axis=1)
         rows = sector_rows(self, centers, np.full(len(centers), radius), reach)
         out = (rows, np.count_nonzero(np.isfinite(rows.lb), axis=0))
         self._disks[key] = out
@@ -252,6 +223,23 @@ def image_lattice(kmax: int, n: int = 1):
     arrays, the offsets as floats."""
     ks = np.arange(-kmax, kmax + 1, dtype=float)
     return tuple(a.ravel() for a in np.meshgrid(ks, ks, np.arange(n), indexing="ij"))
+
+
+def reachable_images(table: Table, centers, radii, reach: float):
+    """Integer translates of disks (centers (M,2), radii (M,)) that a
+    flight of length at most reach, launched from a scatterer boundary
+    in the unit cell, can meet.
+
+    Launch points lie within d0 = sqrt(2)/2 + r_max of the cell
+    midpoint, so a translate is kept when its distance from the
+    midpoint, less its radius and d0, is within reach.  Returns (ids
+    (K,), offsets (K,2)) in image_lattice order.
+    """
+    d0 = math.sqrt(0.5) + float(table.radii.max())
+    kx, ky, ids = image_lattice(int(math.ceil(reach + float(radii.max()) + d0 + 1.0)), len(radii))
+    keep = np.flatnonzero(np.hypot(centers[ids, 0] + kx - 0.5, centers[ids, 1] + ky - 0.5)
+                          - radii[ids] - d0 <= reach)
+    return ids[keep], np.stack([kx[keep], ky[keep]], axis=1)
 
 
 def sector_reach(reach: float) -> float:
@@ -367,7 +355,7 @@ def pie_slice_distance(x, y, a0, a1, radius):
     return dist
 
 
-def first_hit_batch(table: Table, p0, v, skip_sid, reach=None):
+def first_hit_batch(table: Table, p0, v, skip_sid):
     """First intersection of rays with the scatterer image lattice.
 
     Parameters
@@ -378,8 +366,6 @@ def first_hit_batch(table: Table, p0, v, skip_sid, reach=None):
     skip_sid : (N,) int array
         Scatterer each ray departs from; its (0,0) image is excluded so
         rounding cannot produce a zero-length hit.
-    reach : float, optional
-        Search horizon; defaults to the table certificate's l_max.
 
     Returns
     -------
@@ -391,31 +377,27 @@ def first_hit_batch(table: Table, p0, v, skip_sid, reach=None):
         _sector_scan's loose pre-screen finds it near a circle of its
         row.
 
-    Each ray gets its first hit within reach or no hit at all.  It is
-    tested only against its row of Table.sector_candidates(reach),
-    which holds every image a ray from its departure disk in its
-    direction sector can meet within reach.  The rows are padded a
-    little past reach; a hit there is dropped, so the result does not
-    depend on the padding.  At the certificate's l_max, a ray leaving
-    its disk has no hit only if it grazes an image; any other such ray
-    (one aimed into its own disk, say) is outside the proof.
+    Each ray gets its first hit within the certificate's l_max or no
+    hit at all.  It is tested only against its row of
+    Table.sector_candidates(), which holds every image a ray from its
+    departure disk in its direction sector can meet within l_max.  The
+    rows reach a little past l_max; a hit there is dropped, so the
+    result does not depend on the padding.  A ray leaving its disk has
+    no hit only if it grazes an image; any other such ray (one aimed
+    into its own disk, say) is outside the proof.
     billiard_map.collide_cartesian censors those at departure and
     raises NoCollisionError for any other flight without a hit.
     """
     p0 = np.atleast_2d(np.asarray(p0, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
     skip_sid = np.asarray(skip_sid, dtype=np.int64).reshape(-1)
-    if reach is None:
-        if table.certificate is None:
-            raise InvalidArgumentError("table has no horizon certificate; pass reach")
-        reach = table.certificate.l_max
-    t, sid, off, maybe_graze = _sector_scan(table, p0, v, skip_sid, reach)
-    far = np.flatnonzero(~(t <= reach))
+    t, sid, off, maybe_graze = _sector_scan(table, p0, v, skip_sid)
+    far = np.flatnonzero(~(t <= table.certificate.l_max))
     t[far], sid[far], off[far] = np.inf, -1, 0.0
-    return t, sid, off, _graze_recheck(table, p0, v, t, maybe_graze, reach)
+    return t, sid, off, _graze_recheck(table, p0, v, t, maybe_graze)
 
 
-def _sector_scan(table, p0, v, skip_sid, reach):
+def _sector_scan(table, p0, v, skip_sid):
     """Column-by-column scan of each ray's sector candidate row.
 
     A ray retires once its best flight is no longer than the next
@@ -423,7 +405,7 @@ def _sector_scan(table, p0, v, skip_sid, reach):
     rays still in the scan are compacted only once at least half of
     them have retired; hits go straight into the result arrays by ray
     index.  Returns (t, sid, offset, maybe_graze): each ray's first hit
-    among its row, which may lie a little past reach, and the loose
+    among its row, which may lie a little past l_max, and the loose
     graze pre-screen flag that _graze_recheck settles.
 
     The arithmetic is the textbook quadratic's with b = 2*hb, which
@@ -432,7 +414,7 @@ def _sector_scan(table, p0, v, skip_sid, reach):
     -hb - sqrt(hb*hb - cc) hold in floating point too, since they only
     scale by powers of two, so every flight length keeps its bits.
     """
-    img_sid, img_off, cols = table.sector_candidates(reach)
+    img_sid, img_off, cols = table.sector_candidates()
     n = p0.shape[0]
     best_t = np.full(n, np.inf)
     best_img = np.full(n, -1, dtype=np.int64)
@@ -476,21 +458,23 @@ def _sector_scan(table, p0, v, skip_sid, reach):
     return best_t, best_sid, best_off, maybe_graze
 
 
-def _graze_recheck(table, p0, v, best_t, maybe_graze, reach):
+def _graze_recheck(table, p0, v, best_t, maybe_graze):
     """Exact grazing test of the pre-screened rays over every image.
 
     A flagged ray grazes if it has no hit, or if it passes within
     GRAZE_TOLERANCE of an image's circle at a closest approach strictly
     between _T_EPS and its hit (the hit's own chord midpoint lies beyond
-    it).  Flagged rays are tested against all images at once, in blocks
-    of _GRAZE_BLOCK rays.
+    it).  Flagged rays are tested against all reachable_images at
+    search_reach() at once, in blocks of _GRAZE_BLOCK rays.
     """
-    offs, sids, _ = table.image_candidates(reach)
+    grazed = np.zeros(len(best_t), dtype=bool)
+    flagged = np.flatnonzero(maybe_graze)
+    if not flagged.size:
+        return grazed
+    sids, offs = reachable_images(table, table.centers, table.radii, table.search_reach())
     cx = table.centers[sids, 0] + offs[:, 0]
     cy = table.centers[sids, 1] + offs[:, 1]
     rho = table.radii[sids]
-    grazed = np.zeros(len(best_t), dtype=bool)
-    flagged = np.flatnonzero(maybe_graze)
     for lo in range(0, flagged.size, _GRAZE_BLOCK):
         idx = flagged[lo:lo + _GRAZE_BLOCK]
         tb = best_t[idx, None]
@@ -556,7 +540,7 @@ def _lines_ahead(table, sid, theta, radius):
     valid marks the real ones.  Returns (rho (N,1), ahead, off, r,
     valid), each (N,K) but rho.
     """
-    offs, ids, _ = table.image_candidates(radius)
+    ids, offs = reachable_images(table, table.centers, table.radii, radius)
     cx = table.centers[ids, 0] + offs[:, 0]
     cy = table.centers[ids, 1] + offs[:, 1]
     rho = table.radii[sid][:, None]

@@ -159,10 +159,11 @@ class EnsembleResult:
     survivors, escaped, censored are cumulative counts indexed by step,
     length n_steps+1, satisfying survivors[k] + escaped[k] + censored[k]
     == n at every k.  final_state holds the surviving states at the
-    last step and final_* their (sid, r, phi); alive_index maps them
-    back to initial-particle indices.  escape_step[i] is the kill index
-    of particle i (-1 if it never escaped); captures maps requested
-    steps to survivor (sid, r, phi) triples.
+    last step, on table, and final_* their (sid, r, phi), computed on
+    first read; alive_index maps them back to initial-particle indices.
+    escape_step[i] is the kill index of particle i (-1 if it never
+    escaped); captures maps requested steps to survivor (sid, r, phi)
+    triples.
     """
 
     convention: str
@@ -172,12 +173,18 @@ class EnsembleResult:
     escaped: np.ndarray
     censored: np.ndarray
     final_state: _bmap.State
-    final_sid: np.ndarray
-    final_r: np.ndarray
-    final_phi: np.ndarray
     alive_index: np.ndarray
     escape_step: np.ndarray
+    table: object = field(repr=False)
     captures: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def _final_phase(self):
+        return _bmap.phase_of(self.table, self.final_state)
+
+    final_sid = property(lambda self: self._final_phase[0])
+    final_r = property(lambda self: self._final_phase[1])
+    final_phi = property(lambda self: self._final_phase[2])
 
 
 def evolve_ensemble(table, hole, state, n_steps: int,
@@ -241,7 +248,6 @@ def evolve_ensemble(table, hole, state, n_steps: int,
             state = arrivals.take(drop(k, cens, esc))
         record(k)
 
-    final_sid, final_r, final_phi = _bmap.phase_of(table, state)
     return EnsembleResult(
         convention=convention,
         n=n,
@@ -250,10 +256,8 @@ def evolve_ensemble(table, hole, state, n_steps: int,
         escaped=escaped,
         censored=censored,
         final_state=state,
-        final_sid=final_sid,
-        final_r=final_r,
-        final_phi=final_phi,
         alive_index=alive,
         escape_step=escape_step,
+        table=table,
         captures=captures,
     )

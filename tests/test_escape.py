@@ -151,6 +151,19 @@ def test_survivor_distribution_runs(table):
         )
 
 
+def test_survivor_distribution_checks_bins_before_evolving(table, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the ensemble was evolved")
+
+    monkeypatch.setattr(open_dynamics, "evolve_ensemble", no_run)
+    hole = holes.type_i_hole(table, 0, 0.25, 0.35)
+    for r_bins, phi_bins in ((0, 8), (8, -1)):
+        with pytest.raises(InvalidArgumentError, match="bin counts"):
+            escape.survivor_distribution(
+                table, hole, NU, n_particles=1000, n_steps=10, r_bins=r_bins,
+                phi_bins=phi_bins, master_seed=99)
+
+
 def test_sweep_structure_and_determinism(table):
     kw = dict(
         density=NU, n_particles=20_000, n_max=30, window=(5, 25),

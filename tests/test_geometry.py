@@ -13,6 +13,7 @@ from leakybilliards import geometry, measures
 from leakybilliards.errors import (
     ConfigError,
     InfiniteHorizonError,
+    InvalidArgumentError,
     NoCollisionError,
     OverlappingScatterersError,
 )
@@ -128,8 +129,15 @@ def _exit_rays(table, sid, theta, n):
     return p0, np.tile(u, (n, 1)), np.full(n, sid)
 
 
+def _with_l_max(table, l_max):
+    """A fresh copy of table whose certificate claims l_max."""
+    out = geometry.Table(table.scatterers)
+    out.certificate = dataclasses.replace(table.certificate, l_max=l_max)
+    return out
+
+
 def _longest_flight(table, p0, v, sid):
-    t, hit, _, grazed = geometry.first_hit_batch(table, p0, v, sid, reach=8.0)
+    t, hit, _, grazed = geometry.first_hit_batch(_with_l_max(table, 8.0), p0, v, sid)
     ok = (hit >= 0) & ~grazed
     assert ok.mean() > 0.999
     return float(t[ok].max())
@@ -264,10 +272,10 @@ def _full_scan(table, p0, v, skip_sid, reach):
     search the sector scan replaced, kept as its oracle.
 
     Returns (t, sid, offset, maybe_graze): the first hit of each ray
-    among image_candidates(reach), possibly beyond reach, and the loose
-    graze pre-screen flag that _graze_recheck settles.
+    among _loop_image_candidates(reach), possibly beyond reach, and the
+    loose graze pre-screen flag that _graze_recheck settles.
     """
-    offs, sids, lbs = table.image_candidates(reach)
+    offs, sids, lbs = _loop_image_candidates(table, reach)
     centers, radii = table.centers, table.radii
     n = p0.shape[0]
 
@@ -324,11 +332,12 @@ def _full_scan(table, p0, v, skip_sid, reach):
 def test_sector_scan_is_bit_identical_to_full_scan(table, which):
     if which == "four-disk":
         table = _four_disk_table()
-    for reach in (table.certificate.l_max, 0.4):
+    for searched in (table, _with_l_max(table, 0.4)):
+        reach = searched.certificate.l_max
         p0, v, sid = _tangent_and_random_rays(table, reach, 100_000, 5)
-        t, hit, off, grazed = geometry.first_hit_batch(table, p0, v, sid, reach=reach)
+        t, hit, off, grazed = geometry.first_hit_batch(searched, p0, v, sid)
         ft, fhit, foff, maybe = _full_scan(table, p0, v, sid, reach)
-        fgrazed = geometry._graze_recheck(table, p0, v, ft, maybe, reach)
+        fgrazed = geometry._graze_recheck(searched, p0, v, ft, maybe)
         # the oracle's hit within reach, bit for bit; past reach, none
         near = ft <= reach
         for got, want in ((t, ft), (hit, fhit), (off, foff), (grazed, fgrazed)):
@@ -347,7 +356,7 @@ def test_first_hit_lies_within_reach_or_is_none(table, reach):
     # one, and not always the nearest
     sid, r, phi = measures.sample_nu(table, 20_000, stream(13, "within-reach"))
     p0, v = _rays(table, sid, r, phi)
-    t, hit, off, _ = geometry.first_hit_batch(table, p0, v, sid, reach=reach)
+    t, hit, off, _ = geometry.first_hit_batch(_with_l_max(table, reach), p0, v, sid)
     none = hit < 0
     assert np.all(t[~none] <= reach)
     assert np.all(np.isinf(t[none])) and np.all(off[none] == 0.0)
@@ -372,8 +381,9 @@ def test_broken_certificate_fails_on_every_flight_without_a_hit(table):
 
 
 def _loop_image_candidates(table, reach):
-    """The image loop image_candidates replaced: images in (kx, ky, id)
-    order, math.hypot bounds clamped at 0, a stable sort by bound."""
+    """Scatterer images within reach by a scalar loop: images in
+    (kx, ky, id) order, math.hypot bounds clamped at 0, a stable sort by
+    bound.  Returns (offsets, ids, bounds)."""
     d0 = math.sqrt(0.5) + float(table.radii.max())
     kmax = int(math.ceil(reach + d0 + 1.0))
     offs, sids, lbs = [], [], []
@@ -394,21 +404,33 @@ def _loop_image_candidates(table, reach):
 
 @pytest.mark.parametrize("which", ["default", "four-disk"])
 def test_image_candidates_match_the_image_loop(table, which):
+    # reachable_images keeps the loop's images, in image_lattice order
     if which == "four-disk":
         table = _four_disk_table()
     for reach in (0.4, 1.0, table.certificate.l_max, 8.0, 16.0):
-        got = table.image_candidates(reach)
-        want = _loop_image_candidates(table, reach)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.shape == w.shape
-            assert g.tobytes() == w.tobytes()
+        ids, offs = geometry.reachable_images(table, table.centers, table.radii, reach)
+        assert ids.dtype == np.int64 and offs.shape == (len(ids), 2)
+        got = list(zip(offs[:, 0].tolist(), offs[:, 1].tolist(), ids.tolist()))
+        w_offs, w_ids, _ = _loop_image_candidates(table, reach)
+        want = zip(w_offs[:, 0].tolist(), w_offs[:, 1].tolist(), w_ids.tolist())
+        assert got == sorted(got) and len(set(got)) == len(got)
+        assert set(got) == set(want)
 
 
-def _old_sector_scan(table, p0, v, sid, reach):
+def test_search_needs_a_certificate(table):
+    bare = geometry.Table(table.scatterers)
+    p0, v = _rays(table, np.array([0]), np.array([0.1]), np.array([0.2]))
+    with pytest.raises(InvalidArgumentError, match="no horizon certificate"):
+        geometry.first_hit_batch(bare, p0, v, np.array([0]))
+    with pytest.raises(InvalidArgumentError, match="no horizon certificate"):
+        bare.disk_rows((0.5, 0.0), 0.05)
+
+
+def _old_sector_scan(table, p0, v, sid):
     """The sector scan with the full scan's b = 2*(f.v) arithmetic and its
     graze pre-screen |imp - rho| < 1e-9, kept as the oracle of the
     half-b scan.  Returns (t, image index, pre-screen flags)."""
-    img_sid, _, cols = table.sector_candidates(reach)
+    img_sid, _, cols = table.sector_candidates()
     key = geometry.sector_keys(sid, v)
     bt = np.full(len(sid), np.inf)
     bi = np.full(len(sid), -1)
@@ -445,9 +467,9 @@ def test_graze_pre_screen_flags_what_the_impact_parameter_test_flags(table, whic
     vx, vy = v[:n_tan, 0].copy(), v[:n_tan, 1].copy()
     v[:n_tan, 0] = np.cos(eps) * vx - np.sin(eps) * vy
     v[:n_tan, 1] = np.sin(eps) * vx + np.cos(eps) * vy
-    t, hit, _, flags = geometry._sector_scan(table, p0, v, sid, reach)
-    want_t, want_img, want_flags = _old_sector_scan(table, p0, v, sid, reach)
-    img_sid, _, _ = table.sector_candidates(reach)
+    t, hit, _, flags = geometry._sector_scan(table, p0, v, sid)
+    want_t, want_img, want_flags = _old_sector_scan(table, p0, v, sid)
+    img_sid, _, _ = table.sector_candidates()
     assert t.tobytes() == want_t.tobytes()
     assert np.array_equal(hit, np.where(want_img >= 0, img_sid[want_img], -1))
     assert want_flags.sum() > 500
@@ -455,8 +477,9 @@ def test_graze_pre_screen_flags_what_the_impact_parameter_test_flags(table, whic
 
 
 def _graze_recheck_oracle(table, p0, v, best_t, maybe_graze, reach):
-    """The scalar loop geometry._graze_recheck replaced, kept as its oracle."""
-    offs, sids, _ = table.image_candidates(reach)
+    """The scalar loop geometry._graze_recheck replaced, kept as its
+    oracle, over the images within reach."""
+    offs, sids, _ = _loop_image_candidates(table, reach)
     centers, radii = table.centers, table.radii
     grazed = np.zeros(len(best_t), dtype=bool)
     for idx in np.flatnonzero(maybe_graze):
@@ -483,8 +506,8 @@ def _graze_recheck_oracle(table, p0, v, best_t, maybe_graze, reach):
 def test_graze_recheck_matches_scalar_oracle(table):
     reach = table.certificate.l_max
     p0, v, sid = _tangent_and_random_rays(table, reach, 100_000, 5)
-    t, _, _, maybe = geometry._sector_scan(table, p0, v, sid, reach)
-    got = geometry._graze_recheck(table, p0, v, t, maybe, reach)
+    t, _, _, maybe = geometry._sector_scan(table, p0, v, sid)
+    got = geometry._graze_recheck(table, p0, v, t, maybe)
     want = _graze_recheck_oracle(table, p0, v, t, maybe, reach)
     assert got.tobytes() == want.tobytes()
     assert want.sum() > 500 and maybe.sum() > want.sum()

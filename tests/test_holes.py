@@ -381,10 +381,14 @@ def test_holes_sharing_a_center_get_their_own_masks(table):
 
 
 @pytest.mark.parametrize("l_max", [1.4, 3.0])
-def test_replaced_certificate_gets_rows_for_its_reach(table, l_max):
+def test_replaced_certificate_gets_rows_for_its_reach(table, nu_states, l_max):
+    # the first-hit rows and the hole rows both follow the certificate
+    sid, r, phi = (a[:20_000] for a in nu_states)
+    p0, v = _rays(table, sid, r, phi)
     t = geometry.Table(table.scatterers)
     t.certificate = table.certificate
     _, first_counts = t.disk_rows((0.5, 0.0), 0.05)
+    first_rows = t.sector_candidates()[2]
     t.certificate = dataclasses.replace(table.certificate, l_max=l_max)
     fresh = geometry.Table(table.scatterers)
     fresh.certificate = t.certificate
@@ -394,6 +398,13 @@ def test_replaced_certificate_gets_rows_for_its_reach(table, l_max):
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert np.array_equal(got_counts, want_counts)
+    rows = t.sector_candidates()[2]
+    assert rows.lb.tobytes() != first_rows.lb.tobytes()
+    for a, b in zip(rows, fresh.sector_candidates()[2]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    for a, b in zip(geometry.first_hit_batch(t, p0, v, sid),
+                    geometry.first_hit_batch(fresh, p0, v, sid)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_no_hole_holds_no_state(table, nu_states, monkeypatch):

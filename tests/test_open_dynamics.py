@@ -98,6 +98,27 @@ def test_captures_and_final_state_agree(table):
     assert np.array_equal(cphi, res.final_phi)
 
 
+def test_final_phase_is_computed_once_on_first_read(table, monkeypatch):
+    hole = holes.type_i_hole(table, 0, 0.2, 0.5)
+    state = _sample(table, 2000, "lazy-phase")
+    calls = []
+    phase_of = bmap.phase_of
+
+    def counted(*args):
+        calls.append(len(args[1].sid))
+        return phase_of(*args)
+
+    monkeypatch.setattr(bmap, "phase_of", counted)
+    res = open_dynamics.evolve_ensemble(table, hole, state, 10)
+    assert calls == []
+    sid = res.final_sid
+    assert calls == [res.survivors[-1]]
+    want = phase_of(table, res.final_state)
+    for got, ref in zip((sid, res.final_r, res.final_phi), want):
+        assert got.tobytes() == ref.tobytes()
+    assert len(calls) == 1
+
+
 def test_initial_state_in_hole_escapes_at_zero(table):
     hole = holes.type_i_hole(table, 0, 0.2, 0.5)
     state = bmap.state_from_phase(table, [0, 0], [0.3, 1.5], [0.0, 0.0])

@@ -404,27 +404,29 @@ def test_norms_hand_case(gold):
 def cross_branch_lip_norm(f):
     """The recursive scan lip_norm replaced: at each itinerary node, the
     largest difference between one branch's max and another branch's
-    min, over beta^time of the node."""
+    min, over beta^time of the node.  It runs on Python lists and ints:
+    the values are exact either way, and numpy scalars per node are slow."""
     tw, beta = f.tower, f.tower.beta
-    counts = tw.depth_tables(f.depth).counts
+    counts = tw.depth_tables(f.depth).counts.tolist()
+    returns = [int(x) for x in tw.returns]
+    targets = [[int(i) for i in t] for t in tw.targets]
 
     def scan(col, d, base_time, v):
-        # (vmin, vmax, lip) of the subtree over the value slice v
+        # (vmin, vmax, lip) of the subtree over the value list v
         if d == 0 or len(v) == 1:
-            return float(v.min()), float(v.max()), 0.0
+            return min(v), max(v), 0.0
         mins, maxs, lips = [], [], []
         off = 0
-        for i in tw.targets[col]:
-            sub = v[off:off + counts[d - 1, i]]
-            off += counts[d - 1, i]
-            mn, mx, lp = scan(i, d - 1, base_time + int(tw.returns[i]), sub)
+        for i in targets[col]:
+            sub = v[off:off + counts[d - 1][i]]
+            off += counts[d - 1][i]
+            mn, mx, lp = scan(i, d - 1, base_time + returns[i], sub)
             mins.append(mn)
             maxs.append(mx)
             lips.append(lp)
         lip = max(lips)
         if len(mins) > 1:
-            order = np.argsort(mins)
-            m0, m1 = order[0], order[1]
+            m0, m1 = sorted(range(len(mins)), key=mins.__getitem__)[:2]
             cross = 0.0
             for ci in range(len(mins)):
                 other_min = mins[m1] if ci == m0 else mins[m0]
@@ -435,7 +437,7 @@ def cross_branch_lip_norm(f):
     best = 0.0
     for (l, j), v in f.values.items():
         if len(v) > 1:
-            _, _, lip = scan(j, f.depth, int(tw.returns[j]) - l, v)
+            _, _, lip = scan(j, f.depth, returns[j] - l, v.tolist())
             best = max(best, beta ** l * lip)
     return best
 
