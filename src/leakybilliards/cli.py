@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import traceback
+from dataclasses import asdict, astuple, fields
 from functools import partial
 
 import numpy as np
@@ -29,7 +30,7 @@ from . import measures as _measures
 from . import open_dynamics as _od
 from . import tower as _tower
 from .errors import (ArtifactIOError, ConfigError, ConfigReader,
-                     InvalidArgumentError, LeakyBilliardsError)
+                     LeakyBilliardsError)
 from .streams import stream
 
 _EXIT_CONFIG = 2
@@ -263,18 +264,12 @@ def _run_validate_geometry(cfg, seed, threads, base, meta):
     make_table = _read_table(cfg)
     cfg.close()
     table = make_table()
-    cert = table.certificate
     base.update({
         "status": "ok",
         "n_scatterers": len(table),
         "total_perimeter": table.total_perimeter,
     })
-    if cert is not None:
-        base.update({
-            "l_max": cert.l_max,
-            "q_checked": cert.q_checked,
-            "intervals_tested": cert.intervals_tested,
-        })
+    base.update(asdict(table.certificate))
     return RunArtifact(base)
 
 
@@ -314,10 +309,7 @@ def _run_escape_rate(cfg, seed, threads, base, meta):
     n_max = cfg.integer("n_max")
     window = cfg.numbers("window", (int, int))
     cfg.close()
-    lo, hi = window
-    if not 0 <= lo < hi <= n_max:
-        raise InvalidArgumentError(
-            f"window [{lo},{hi}] outside the recorded range [0,{n_max}]")
+    _, hi = _escape.check_window(window, n_max)
     table = make_table()
     hole = make_hole(table) if make_hole else None
     if estimator == "direct":
@@ -325,7 +317,8 @@ def _run_escape_rate(cfg, seed, threads, base, meta):
             table, hole, density, n, n_max, window, seed,
             convention=convention, threads=threads,
         )
-        base["predicted_survivors_at_end"] = est.predicted_survivors_at_end
+        base["predicted_survivors_at_end"] = _escape.predicted_survivors(
+            table, hole, n, hi)
         counts = _counts_csv(res, meta)
         censored_final = int(res.censored[-1])
     else:
@@ -337,7 +330,7 @@ def _run_escape_rate(cfg, seed, threads, base, meta):
                 for k in range(len(fv.eff_counts))]
         counts = _csv_render(["step", "eff_survivors", "ratio"], rows, meta)
         censored_final = fv.n_censored
-    base.update(est.to_json())
+    base.update(asdict(est))
     base.update({
         "estimator": estimator,
         "n_particles": n,
@@ -410,15 +403,10 @@ def _run_small_hole_sweep(cfg, seed, threads, base, meta):
         r_bins, phi_bins, seed, kind=kind, offset=offset,
         convention=convention, threads=threads,
     )
-    body = _csv_render(
-        ["h", "theta_hat", "stderr", "distance_to_nu", "noise_floor",
-         "survivors_at_step"],
-        [(r.h, r.theta_hat, r.stderr, r.distance_to_nu, r.noise_floor,
-          r.survivors_at_step) for r in rows],
-        meta,
-    )
+    body = _csv_render([f.name for f in fields(_escape.SweepRow)],
+                       [astuple(r) for r in rows], meta)
     base.update({
-        "rows": [r.to_json() for r in rows],
+        "rows": [asdict(r) for r in rows],
         "sweep_csv_path": "sweep.csv",
     })
     return RunArtifact(base, {"sweep.csv": body})
@@ -488,8 +476,8 @@ def _run_tower_bound(cfg, seed, threads, base, meta):
     tails = _tower.tail_mass_check(tw, h, theta)
     base.update({
         "theta_star": theta,
-        "lower_bound": lb.to_json(),
-        "tails": tails.to_json(),
+        "lower_bound": asdict(lb),
+        "tails": asdict(tails),
     })
     return RunArtifact(base)
 

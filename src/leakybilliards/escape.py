@@ -19,7 +19,7 @@ Two estimators:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,8 +49,6 @@ class EscapeEstimate:
     variability of the slope rather than the (much smaller) scatter of
     the points around one realized curve; stderr_ols and
     stderr_binomial expose the two ingredients.
-    estimate_escape_rate also records predicted_survivors_at_end, its
-    pre-flight prediction of survivors_at_end.
     """
 
     theta_hat: float
@@ -61,19 +59,19 @@ class EscapeEstimate:
     window: tuple[int, int]
     n_points: int
     survivors_at_end: float
-    predicted_survivors_at_end: float | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "theta_hat": self.theta_hat,
-            "log_slope": self.log_slope,
-            "stderr": self.stderr,
-            "stderr_ols": self.stderr_ols,
-            "stderr_binomial": self.stderr_binomial,
-            "window": [self.window[0], self.window[1]],
-            "n_points": self.n_points,
-            "survivors_at_end": self.survivors_at_end,
-        }
+
+def check_window(window, n_steps: int) -> tuple[int, int]:
+    """The fit window (lo, hi) as ints; it must lie in the recorded
+    steps 0..n_steps and hold at least 3 points."""
+    lo, hi = int(window[0]), int(window[1])
+    if not 0 <= lo < hi <= n_steps:
+        raise InvalidArgumentError(
+            f"window [{lo},{hi}] outside the recorded range [0,{n_steps}]"
+        )
+    if hi - lo < 2:
+        raise InvalidArgumentError("window needs at least 3 points")
+    return lo, hi
 
 
 def censor_corrected_counts(survivors, censored=None):
@@ -117,7 +115,7 @@ def fit_escape_rate(survivors, window, censored=None,
                     min_tail: int = _MIN_TAIL, at_risk=None) -> EscapeEstimate:
     """Fit log of censor-corrected survival counts over a step window.
 
-    window = (lo, hi), inclusive, needs at least 3 points.  Raises
+    window = (lo, hi), inclusive, is checked by check_window.  Raises
     AllEscapedError if the ensemble dies inside the window and
     StarvedSampleError if fewer than min_tail remain at hi.
 
@@ -127,14 +125,8 @@ def fit_escape_rate(survivors, window, censored=None,
     since its ratio estimates stay at full sample size even though the
     effective curve decays.
     """
-    lo, hi = int(window[0]), int(window[1])
     s = np.asarray(survivors, dtype=float)
-    if not (0 <= lo < hi < len(s)):
-        raise InvalidArgumentError(
-            f"window [{lo},{hi}] outside the recorded range [0,{len(s)-1}]"
-        )
-    if hi - lo < 2:
-        raise InvalidArgumentError("window needs at least 3 points")
+    lo, hi = check_window(window, len(s) - 1)
     if s[hi] <= 0:
         raise AllEscapedError(
             f"no survivors at step {hi}; shrink the window or the hole"
@@ -203,18 +195,18 @@ def estimate_escape_rate(table, hole, density, n_particles: int, n_max: int,
     Raises StarvedSampleError before simulating when predicted_survivors
     at the window's end is 10x below _MIN_TAIL.
     """
-    predicted = predicted_survivors(table, hole, n_particles, int(window[1]))
+    _, hi = check_window(window, n_max)
+    predicted = predicted_survivors(table, hole, n_particles, hi)
     if 10.0 * predicted < _MIN_TAIL:
         raise StarvedSampleError(
-            f"about {predicted:.3g} survivors predicted at step {int(window[1])} "
+            f"about {predicted:.3g} survivors predicted at step {hi} "
             f"(< {_MIN_TAIL}/10 from the hole mass); increase n_particles"
         )
     rng = stream(master_seed, "initial")
     state = _measures.sample_initial(table, density, n_particles, rng)
     res = _od.evolve_ensemble(table, hole, state, n_max,
                               convention=convention, threads=threads)
-    est = fit_escape_rate(res.survivors, window, censored=res.censored)
-    return replace(est, predicted_survivors_at_end=predicted), res
+    return fit_escape_rate(res.survivors, window, censored=res.censored), res
 
 
 def survivor_distribution(table, hole, density, n_particles: int,
@@ -297,7 +289,8 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
     """
     if n_steps <= 0:
         raise InvalidArgumentError("n_steps must be positive")
-    capture = set(int(c) for c in capture)
+    check_window(window, n_steps)
+    capture = _od.capture_steps(capture, n_steps)
     captures: dict = {}
     rng_init = stream(master_seed, "initial")
     state = _measures.sample_initial(table, density, n_particles, rng_init)
@@ -386,16 +379,6 @@ class SweepRow:
     noise_floor: float
     survivors_at_step: int
 
-    def to_json(self) -> dict:
-        return {
-            "h": self.h,
-            "theta_hat": self.theta_hat,
-            "stderr": self.stderr,
-            "distance_to_nu": self.distance_to_nu,
-            "noise_floor": self.noise_floor,
-            "survivors_at_step": self.survivors_at_step,
-        }
-
 
 def small_hole_sweep(table, anchor, h_list, density, n_particles: int,
                      n_max: int, window, measure_step: int, r_bins: int,
@@ -414,6 +397,7 @@ def small_hole_sweep(table, anchor, h_list, density, n_particles: int,
         raise InvalidArgumentError("h_list must be nonempty")
     if not 0 < measure_step <= n_max:
         raise InvalidArgumentError("measure_step must lie in [1, n_max]")
+    check_window(window, n_max)
     # checks the bin counts before any particle is drawn
     ref = _measures.nu_measure(table, r_bins, phi_bins)
     rng = stream(master_seed, "initial")

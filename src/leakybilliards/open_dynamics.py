@@ -187,6 +187,17 @@ class EnsembleResult:
     final_phi = property(lambda self: self._final_phase[2])
 
 
+def capture_steps(capture, n_steps: int) -> set:
+    """The requested snapshot steps as a set; each must lie in
+    0..n_steps, or no snapshot of it would ever be taken."""
+    steps = set(int(c) for c in capture)
+    outside = sorted(c for c in steps if not 0 <= c <= n_steps)
+    if outside:
+        raise InvalidArgumentError(
+            f"capture steps {outside} outside the run's steps [0,{n_steps}]")
+    return steps
+
+
 def evolve_ensemble(table, hole, state, n_steps: int,
                     convention: str = "arrival", threads: int = 1,
                     capture=()) -> EnsembleResult:
@@ -207,7 +218,7 @@ def evolve_ensemble(table, hole, state, n_steps: int,
     n = len(state.sid)
     alive = np.arange(n)
     escape_step = np.full(n, -1, dtype=np.int64)
-    capture = set(int(c) for c in capture)
+    capture = capture_steps(capture, n_steps)
     captures: dict = {}
 
     survivors = np.zeros(n_steps + 1, dtype=np.int64)

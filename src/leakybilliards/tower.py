@@ -347,35 +347,21 @@ class TowerFunction:
     vec holds every cylinder value in one float vector laid out by the
     tower's depth-k layout: cell by cell in tower.cells order, each in
     tree-lexicographic order.  values maps each cell (level, column) to
-    a writable view of its slice.  Hole cells are pinned to zero when a
-    function is built (the function space is the subspace vanishing on
-    the hole).
+    a writable view of its slice.  The function takes vec (it is not
+    copied) and pins the hole cells to zero (the function space is the
+    subspace vanishing on the hole).
     """
 
-    def __init__(self, tower: Tower, depth: int, values=None):
-        self._adopt(tower, depth,
-                    np.zeros(tower.depth_tables(depth).size))
-        for cell, view in self.values.items():
-            if values is None or cell not in values:
-                continue
-            arr = np.asarray(values[cell], dtype=float)
-            if arr.shape != view.shape:
-                raise InvalidArgumentError(
-                    f"cell {cell}: expected {len(view)} cylinder values, "
-                    f"got {arr.shape}"
-                )
-            if cell not in tower.holes:
-                view[:] = arr
-
-    def _adopt(self, tower: Tower, depth: int, vec: np.ndarray):
-        """Take ownership of a laid-out vector, pinning the hole to zero."""
+    def __init__(self, tower: Tower, depth: int, vec: np.ndarray):
         self.tower = tower
         self.depth = depth
         self.layout = tower.depth_tables(depth)
+        if vec.shape != (self.layout.size,):
+            raise InvalidArgumentError(
+                f"expected {self.layout.size} cylinder values, got {vec.shape}")
         self.vec = vec
         for sl in self.layout.holes:
             vec[sl] = 0.0
-        return self
 
     @functools.cached_property
     def values(self) -> dict:
@@ -392,7 +378,7 @@ class TowerFunction:
                 d = max(self.depth, other.depth)
                 return self.refined(d)._binary(other.refined(d), op)
             other = other.vec
-        return _function(self.tower, self.depth, op(self.vec, other))
+        return TowerFunction(self.tower, self.depth, op(self.vec, other))
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -430,7 +416,7 @@ class TowerFunction:
                 out.vec[start:start + rt * n].reshape(rt, n)[:, trunc[j]].ravel()
                 for j, (start, n, rt) in enumerate(out.layout.columns)
             ])
-            out = _function(self.tower, d, vec)
+            out = TowerFunction(self.tower, d, vec)
         return out
 
     def coarsened(self, depth: int) -> "TowerFunction":
@@ -455,7 +441,7 @@ class TowerFunction:
                         f"depth-{d - 1} cylinders; representation depth exhausted"
                     )
                 vec.append(agg_max.ravel())
-            out = _function(self.tower, d - 1, np.concatenate(vec))
+            out = TowerFunction(self.tower, d - 1, np.concatenate(vec))
         return out
 
     def sup_norm(self) -> float:
@@ -502,16 +488,11 @@ class TowerFunction:
         return self.sup_norm() + self.lip_norm()
 
 
-def _function(tower: Tower, depth: int, vec: np.ndarray) -> TowerFunction:
-    """The function whose laid-out vector is vec (taken, not copied)."""
-    return TowerFunction.__new__(TowerFunction)._adopt(tower, depth, vec)
-
-
 def tower_constant(tower: Tower, value: float = 1.0,
                    depth: int = 0) -> TowerFunction:
     """Constant function (zero on the hole), at the requested depth."""
     size = tower.depth_tables(depth).size
-    return _function(tower, depth, np.full(size, float(value)))
+    return TowerFunction(tower, depth, np.full(size, float(value)))
 
 
 def tower_cell_indicator(tower: Tower, cell: tuple[int, int],
@@ -532,7 +513,7 @@ def tower_random(tower: Tower, depth: int, rng) -> TowerFunction:
     (then zeroed), so the draws do not depend on where the hole is.
     """
     size = tower.depth_tables(depth).size
-    return _function(tower, depth,
+    return TowerFunction(tower, depth,
                      _RANDOM_LOW + (_RANDOM_HIGH - _RANDOM_LOW) * rng.random(size))
 
 
@@ -570,7 +551,7 @@ def transfer_apply(tower: Tower, rho: TowerFunction) -> TowerFunction:
         acc.take(index, out=out[base], mode="clip")
     for sl in lay.killed:
         out[sl] = 0.0
-    return _function(tower, rho.depth, out)
+    return TowerFunction(tower, rho.depth, out)
 
 
 # -- spectral data -------------------------------------------------------------

@@ -1,11 +1,15 @@
 import json
 import math
 import os
+from dataclasses import fields
 
 import pytest
 
 from leakybilliards import cli
 from leakybilliards.errors import ConfigError
+from leakybilliards.escape import EscapeEstimate, SweepRow
+from leakybilliards.geometry import HorizonCertificate
+from leakybilliards.tower import LowerBoundReport, TailReport
 
 
 def write_cfg(tmp_path, name, cfg):
@@ -27,6 +31,14 @@ def read_results(out):
         return json.load(fh)
 
 
+# every run's results.json starts from these keys
+RUN_KEYS = ["config_hash", "master_seed", "seed", "subcommand"]
+
+
+def field_names(cls):
+    return [f.name for f in fields(cls)]
+
+
 def test_validate_geometry(tmp_path, capsys):
     code, out = run(tmp_path, "validate-geometry", {"seed": 1})
     assert code == 0
@@ -38,6 +50,9 @@ def test_validate_geometry(tmp_path, capsys):
     assert math.isclose(res["l_max"], 1.5095308362599174, rel_tol=1e-9)
     assert res["intervals_tested"] == 624
     assert res["master_seed"] == 1
+    assert sorted(res) == sorted(
+        RUN_KEYS + ["status", "n_scatterers", "total_perimeter"]
+        + field_names(HorizonCertificate))
     assert len(res["config_hash"]) == 64
     paths = capsys.readouterr().out.strip().splitlines()
     assert paths == [str(out / "results.json")]
@@ -78,6 +93,10 @@ def test_escape_rate_contract(tmp_path):
         assert key in res
     assert 0.8 < res["theta_hat"] < 1.0
     assert res["window"] == [5, 25]
+    assert sorted(res) == sorted(
+        RUN_KEYS + field_names(EscapeEstimate)
+        + ["estimator", "n_particles", "censored_final", "counts_csv_path",
+           "predicted_survivors_at_end"])
     assert res["counts_csv_path"] == "counts.csv"
     assert (out / "counts.csv").exists()
 
@@ -118,6 +137,10 @@ def test_fleming_viot_estimator(tmp_path):
     assert code == 0
     res = read_results(out)
     assert 0.8 < res["theta_hat"] < 1.0
+    # the direct estimator's prediction is not a field of the estimate
+    assert sorted(res) == sorted(
+        RUN_KEYS + field_names(EscapeEstimate)
+        + ["estimator", "n_particles", "censored_final", "counts_csv_path"])
 
 
 def test_survivor_measure(tmp_path):
@@ -146,8 +169,10 @@ def test_small_hole_sweep(tmp_path):
     res = read_results(out)
     assert len(res["rows"]) == 2
     assert res["rows"][1]["theta_hat"] > res["rows"][0]["theta_hat"]
+    for row in res["rows"]:
+        assert sorted(row) == sorted(field_names(SweepRow))
     sweep = (out / "sweep.csv").read_text().splitlines()
-    assert sweep[2].startswith("h,theta_hat,")
+    assert sweep[2].split(",") == field_names(SweepRow)
 
 
 def test_singularity_diag(tmp_path):
@@ -194,6 +219,8 @@ def test_tower_bound_json_spec(tmp_path):
     assert res["lower_bound"]["satisfied"]
     assert res["tails"]["ok"]
     assert abs(res["theta_star"] - 0.99) < 1e-9
+    assert sorted(res["lower_bound"]) == sorted(field_names(LowerBoundReport))
+    assert sorted(res["tails"]) == sorted(field_names(TailReport))
 
 
 def test_exit_code_config_errors(tmp_path, capsys):
@@ -670,7 +697,7 @@ def test_bad_bin_counts_fail_before_simulating(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("estimator", ["direct", "fleming-viot"])
-@pytest.mark.parametrize("window", [[10, 70], [-1, 20], [20, 20]])
+@pytest.mark.parametrize("window", [[10, 70], [-1, 20], [20, 20], [5, 6]])
 def test_window_outside_the_run_fails_before_simulating(
         tmp_path, capsys, probes, monkeypatch, estimator, window):
     from leakybilliards import escape
@@ -686,7 +713,9 @@ def test_window_outside_the_run_fails_before_simulating(
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config.bad_argument"
     lo, hi = window
-    assert err["message"] == f"window [{lo},{hi}] outside the recorded range [0,60]"
+    assert err["message"] == (
+        "window needs at least 3 points" if 0 <= lo < hi <= 60
+        else f"window [{lo},{hi}] outside the recorded range [0,60]")
     # no table was built, so no horizon probe ran
     assert probes == []
     assert not (out / "results.json").exists()

@@ -72,6 +72,23 @@ def test_fit_window_validation():
         escape.fit_escape_rate(survivors, (5, 6))
 
 
+@pytest.mark.parametrize("window,n_max", [((5, 6), 20), ((25, 40), 30)])
+def test_bad_window_fails_before_any_particle_is_drawn(table, monkeypatch,
+                                                       window, n_max):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("particles were drawn")
+
+    monkeypatch.setattr(measures, "sample_initial", no_draw)
+    hole = holes.type_i_hole(table, 0, 0.2, 0.5)
+    with pytest.raises(InvalidArgumentError, match="window"):
+        escape.estimate_escape_rate(table, hole, NU, 1000, n_max, window, 1)
+    with pytest.raises(InvalidArgumentError, match="window"):
+        escape.fleming_viot_evolve(table, hole, NU, 1000, n_max, window, 1)
+    with pytest.raises(InvalidArgumentError, match="window"):
+        escape.small_hole_sweep(table, (0, 0.3), [0.08], NU, 1000, n_max,
+                                window, 10, 8, 8, 1, kind="I")
+
+
 def test_fit_failure_modes():
     dead = np.array([100.0, 50.0, 10.0, 0.0, 0.0])
     with pytest.raises(AllEscapedError):
@@ -179,7 +196,7 @@ def test_sweep_structure_and_determinism(table):
         assert row.noise_floor > 0
         assert np.isfinite(row.distance_to_nu)
     rows2 = escape.small_hole_sweep(table, (0, 0.3), [0.08, 0.02], **kw)
-    assert [r.to_json() for r in rows2] == [r.to_json() for r in rows]
+    assert rows2 == rows
     with pytest.raises(InvalidArgumentError):
         escape.small_hole_sweep(table, (0, 0.3), [], **kw)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from leakybilliards import billiard_map as bmap
-from leakybilliards import holes, measures, open_dynamics
+from leakybilliards import escape, holes, measures, open_dynamics
 from leakybilliards.errors import InvalidArgumentError
 from leakybilliards.streams import stream
 
@@ -96,6 +96,22 @@ def test_captures_and_final_state_agree(table):
     assert np.array_equal(csid, res.final_sid)
     assert np.array_equal(cr, res.final_r)
     assert np.array_equal(cphi, res.final_phi)
+
+
+def test_capture_steps_outside_the_run_fail_before_any_step(table, monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(open_dynamics, "open_step_batch", no_step)
+    monkeypatch.setattr(open_dynamics, "hole_membership", no_step)
+    hole = holes.type_i_hole(table, 0, 0.2, 0.5)
+    state = _sample(table, 200, "capture-range")
+    for capture in ((9, -1), (6,), (-1,)):
+        with pytest.raises(InvalidArgumentError, match="capture steps"):
+            open_dynamics.evolve_ensemble(table, hole, state, 5, capture=capture)
+    with pytest.raises(InvalidArgumentError, match="capture steps"):
+        escape.fleming_viot_evolve(table, hole, measures.DensitySpec(), 200, 5,
+                                   (1, 4), 1, capture=(9,))
 
 
 def test_final_phase_is_computed_once_on_first_read(table, monkeypatch):

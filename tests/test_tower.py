@@ -378,9 +378,10 @@ def test_function_arithmetic_and_lifting(gold):
 
 
 def test_hole_cells_pinned_to_zero(gold):
-    vals = {cell: np.ones(1) for cell in gold.cells}
-    f = tower.TowerFunction(gold, 0, vals)
+    f = tower.TowerFunction(gold, 0, np.ones(len(gold.cells)))
     assert np.all(f.values[(0, 0)] == 0.0)
+    with pytest.raises(InvalidArgumentError):
+        tower.TowerFunction(gold, 1, np.ones(len(gold.cells)))
     ind = tower.tower_cell_indicator(gold, (0, 0))
     assert ind.integrate() == 0.0
     with pytest.raises(InvalidArgumentError):
@@ -392,7 +393,7 @@ def test_norms_hand_case(gold):
     # cell (0,1) separate after one return, so lip = 1/beta
     f = tower.tower_constant(gold, 0.0, depth=1)
     f.values[(0, 1)][:] = [1.0, 0.0]
-    g = tower.TowerFunction(gold, 1, f.values)
+    g = tower.TowerFunction(gold, 1, f.vec.copy())
     assert g.sup_norm() == 1.0
     assert abs(g.lip_norm() - 1.0 / gold.beta) < 1e-12
     assert abs(g.norm() - (1.0 + 1.25)) < 1e-12
@@ -525,10 +526,8 @@ def test_tail_check_flat_and_geometric(gold):
 def test_tail_check_rejects_heavy_tails():
     # a density piling up mass along the levels breaks the envelope
     t = tower.build_tower(geometric_tail_spec())
-    vals = {
-        (l, j): np.full(1, 3.0 ** l) for (l, j) in t.cells
-    }
-    fat = tower.TowerFunction(t, 0, vals)
+    # depth 0 holds one value per cell, in t.cells order
+    fat = tower.TowerFunction(t, 0, np.array([3.0 ** l for (l, j) in t.cells]))
     with pytest.raises(BadTailError):
         tower.tail_mass_check(t, h=fat)
 
