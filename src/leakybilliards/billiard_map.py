@@ -82,8 +82,8 @@ class CollisionBatch(NamedTuple):
     start: np.ndarray       # (N,2) unfolded launch points
     direction: np.ndarray   # (N,2) unit directions of the flights
     censored: np.ndarray    # near-tangency or grazing, not resolved
-    departure_id: np.ndarray  # scatterer each flight leaves from: the sid
-                              # argument itself, not a copy
+    row: np.ndarray         # cell of each flight, geometry.row_keys of
+                            # its departure
     r: np.ndarray | None = None    # arrival (r, phi), filled in by the
     phi: np.ndarray | None = None  # (r, phi) wrappers only
 
@@ -152,7 +152,8 @@ def collide_cartesian(table, sid, normal, velocity) -> CollisionBatch:
     vx, vy = velocity[:, 0], velocity[:, 1]
     p0 = _geo.launch_points(table, sid, normal)
     cens = vx * nx + vy * ny < _COS_GUARD
-    t, hit, off, grazed = _geo.first_hit_batch(table, p0, velocity, skip_sid=sid)
+    row = _geo.row_keys(sid, normal, velocity)
+    t, hit, off, grazed = _geo.first_hit_batch(table, p0, velocity, row)
     nohit = hit < 0
     if nohit.any():
         bad = nohit & ~(cens | grazed)
@@ -180,7 +181,7 @@ def collide_cartesian(table, sid, normal, velocity) -> CollisionBatch:
         t[nohit] = np.inf
         d[nohit] = normal[nohit]
         v1[nohit] = velocity[nohit]
-    return CollisionBatch(hit, d, v1, t, p0, velocity, cens, sid)
+    return CollisionBatch(hit, d, v1, t, p0, velocity, cens, row)
 
 
 def collide_batch(table, sid, r, phi) -> CollisionBatch:

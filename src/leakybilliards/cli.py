@@ -398,6 +398,7 @@ def _run_small_hole_sweep(cfg, seed, threads, base, meta):
     phi_bins = cfg.integer("phi_bins", 64)
     convention = cfg.choice("convention", _CONVENTIONS, "arrival")
     cfg.close()
+    _escape.check_sweep(h_list, n_max, window, measure_step)
     rows = _escape.small_hole_sweep(
         make_table(), anchor, h_list, density, n, n_max, window, measure_step,
         r_bins, phi_bins, seed, kind=kind, offset=offset,

@@ -74,6 +74,16 @@ def check_window(window, n_steps: int) -> tuple[int, int]:
     return lo, hi
 
 
+def check_sweep(h_list, n_max: int, window, measure_step: int) -> None:
+    """The small-hole sweep's argument rules, which need no table: a
+    nonempty h_list, measure_step in 1..n_max and check_window."""
+    if not h_list:
+        raise InvalidArgumentError("h_list must be nonempty")
+    if not 0 < measure_step <= n_max:
+        raise InvalidArgumentError("measure_step must lie in [1, n_max]")
+    check_window(window, n_max)
+
+
 def censor_corrected_counts(survivors, censored=None):
     """Effective survival curve with censored particles removed.
 
@@ -393,11 +403,7 @@ def small_hole_sweep(table, anchor, h_list, density, n_particles: int,
     step-measure_step survivor histogram to the stationary reference,
     and a sampling noise floor computed at the matching survivor count.
     """
-    if not h_list:
-        raise InvalidArgumentError("h_list must be nonempty")
-    if not 0 < measure_step <= n_max:
-        raise InvalidArgumentError("measure_step must lie in [1, n_max]")
-    check_window(window, n_max)
+    check_sweep(h_list, n_max, window, measure_step)
     # checks the bin counts before any particle is drawn
     ref = _measures.nu_measure(table, r_bins, phi_bins)
     rng = stream(master_seed, "initial")

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import billiard_map as _bmap
-from . import geometry as _geo
 from .errors import (
     BadScattererIdError,
     HoleTooLargeError,
@@ -203,17 +202,15 @@ def flight_crosses_hole(table, hole: HoleSpec, flight):
     flight is a CollisionBatch.  The test is an OR over images of a
     strict < on the squared distance from the image center to the
     segment, so grazing the closed disk does not count.  collide_cartesian
-    ends every uncensored flight within l_max, and such a flight leaving
-    departure_id in its direction's sector can only cross images in its
-    row of table.disk_rows, so testing the row gives the result over
-    every image; so does testing any further image.  Column 0 is
-    therefore tested on every flight, row padding included, and column k
-    only on the flights whose row is longer than k.  A censored flight
-    may have no hit (length inf); its entry means nothing, and callers
-    mask it out.
+    ends every uncensored flight within l_max, and such a flight can
+    only cross images in the row of its cell, flight.row, of
+    table.disk_rows, so testing the row gives the result over every
+    image.  Column k is tested on the flights whose row is longer than
+    k.  A censored flight may have no hit (length inf); its entry means
+    nothing, and callers mask it out.
     """
     rows, counts = table.disk_rows(hole.center, hole.radius)
-    key = _geo.sector_keys(flight.departure_id, flight.direction)
+    key = flight.row
     sx, sy = flight.start[:, 0], flight.start[:, 1]
     vx, vy = flight.direction[:, 0], flight.direction[:, 1]
     t = flight.flight_length
@@ -227,9 +224,9 @@ def flight_crosses_hole(table, hole: HoleSpec, flight):
         dy = wy - tp * vy[sel]
         return dx * dx + dy * dy < r2
 
-    out = column(0, slice(None))
-    count = counts[key]
-    for k in range(1, len(rows.idx)):
+    out = np.zeros(len(key), dtype=bool)
+    count = counts.take(key)
+    for k in range(len(rows.idx)):
         sel = np.flatnonzero(count > k)
         out[sel] |= column(k, sel)
     return out

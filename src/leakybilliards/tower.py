@@ -635,14 +635,6 @@ class LowerBoundReport:
     theta_star: float | None
     satisfied: bool | None
 
-    def to_json(self) -> dict:
-        return {
-            "bound": self.bound,
-            "vacuous": self.vacuous,
-            "theta_star": self.theta_star,
-            "satisfied": self.satisfied,
-        }
-
 
 def theta_lower_bound(tower: Tower, theta_star: float | None = None) -> LowerBoundReport:
     """Closed-form eigenvalue lower bound from the weighted hole mass.
@@ -898,14 +890,6 @@ class TailReport:
     envelope_ratio: float
     bound: float
     ok: bool
-
-    def to_json(self) -> dict:
-        return {
-            "rows": [[int(l), float(t)] for l, t in self.rows],
-            "envelope_ratio": self.envelope_ratio,
-            "bound": self.bound,
-            "ok": self.ok,
-        }
 
 
 def tail_mass_check(tower: Tower, h: TowerFunction | None = None,

@@ -185,7 +185,8 @@ def _collide_by_angles(table, sid, r, phi):
     cphi, sphi = np.cos(phi), np.sin(phi)
     v = np.stack([cphi * nx - sphi * ny, cphi * ny + sphi * nx], axis=1)
     cens = np.abs(phi) > (math.pi / 2 - bmap.TANGENCY_GUARD)
-    t, hit, off, grazed = geometry.first_hit_batch(table, p0, v, skip_sid=sid)
+    t, hit, off, grazed = geometry.first_hit_batch(
+        table, p0, v, geometry.row_keys(sid, np.stack([nx, ny], axis=1), v))
     nohit = hit < 0
     cens = cens | grazed | nohit
     sid1 = np.where(nohit, sid, hit)

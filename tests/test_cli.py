@@ -719,3 +719,26 @@ def test_window_outside_the_run_fails_before_simulating(
     # no table was built, so no horizon probe ran
     assert probes == []
     assert not (out / "results.json").exists()
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"window": [25, 40]}, "window [25,40] outside the recorded range [0,30]"),
+    ({"measure_step": 0}, "measure_step must lie in [1, n_max]"),
+    ({"measure_step": 31}, "measure_step must lie in [1, n_max]"),
+], ids=["window", "measure_step-0", "measure_step-31"])
+def test_sweep_arguments_fail_before_the_table_is_built(
+        tmp_path, capsys, probes, change, message):
+    cfg = {
+        "table": {"scatterers": [{"center": [0.0, 0.0], "radius": 0.4},
+                                 {"center": [0.5, 0.5], "radius": 0.2}]},
+        "hole_family": {"anchor": [0, 0.3], "h_list": [0.08], "kind": "I"},
+        "n_particles": 1000, "n_max": 30, "window": [5, 25],
+        "measure_step": 10, "r_bins": 16, "phi_bins": 16, "seed": 7,
+    }
+    code, out = run(tmp_path, "small-hole-sweep", dict(cfg, **change))
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config.bad_argument"
+    assert err["message"] == message
+    assert probes == []
+    assert not (out / "results.json").exists()

@@ -36,6 +36,12 @@ def _rays(table, sid, r, phi):
     return geometry.launch_points(table, state.sid, state.normal), state.velocity
 
 
+def _row_keys(table, p0, v, sid):
+    """geometry.row_keys of rays leaving disks sid at boundary points p0."""
+    normal = (p0 - table.centers[sid]) / table.radii[sid][:, None]
+    return geometry.row_keys(sid, normal, v)
+
+
 def test_horizon_certificate(table):
     cert = table.certificate
     assert cert is not None
@@ -99,7 +105,7 @@ def test_first_hit_within_certificate(table):
     r = rng.random(n) * table.perimeters[sid]
     phi = np.arcsin(2.0 * rng.random(n) - 1.0)
     p0, v = _rays(table, sid, r, phi)
-    t, hit_sid, offset, grazed = geometry.first_hit_batch(table, p0, v, skip_sid=sid)
+    t, hit_sid, offset, grazed = geometry.first_hit_batch(table, p0, v, _row_keys(table, p0, v, sid))
     ok = hit_sid >= 0
     assert ok.mean() > 0.999
     assert np.all(t[ok] <= table.certificate.l_max)
@@ -137,7 +143,8 @@ def _with_l_max(table, l_max):
 
 
 def _longest_flight(table, p0, v, sid):
-    t, hit, _, grazed = geometry.first_hit_batch(_with_l_max(table, 8.0), p0, v, sid)
+    t, hit, _, grazed = geometry.first_hit_batch(_with_l_max(table, 8.0), p0, v,
+                                                 _row_keys(table, p0, v, sid))
     ok = (hit >= 0) & ~grazed
     assert ok.mean() > 0.999
     return float(t[ok].max())
@@ -194,56 +201,48 @@ def test_certified_flight_bound_covers_sampled_flights(which):
     assert _longest_flight(table, p0, v, sid) <= table.certificate.l_max
 
 
-def test_pie_slice_distance_known_points():
-    a0, a1, radius = 0.0, math.pi / 4, 1.0
-    c8, s8 = math.cos(math.pi / 8), math.sin(math.pi / 8)
-    pts = np.array([
-        (0.5, 0.1),            # inside
-        (2.0, 0.0),            # beyond the arc, on the lower edge's line
-        (3 * c8, 3 * s8),      # beyond the arc, on the bisector
-        (0.5, -0.3),           # below the lower edge
-        (-1.0, 0.0),           # behind the apex
-        (1.5, -0.5),           # nearest to the lower edge's far end
-        (0.0, 0.0),            # the apex itself
-    ])
-    want = [0.0, 1.0, 2.0, 0.3, 1.0, math.hypot(0.5, 0.5), 0.0]
-    got = geometry.pie_slice_distance(pts[:, 0], pts[:, 1], a0, a1, radius)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+def bin_edge_departures(rng, m):
+    """m departures (normal (m,2), v (m,2)) along the axes whose offset
+    s = n_y*v_x - n_x*v_y lies exactly on an offset-bin edge or 1 ulp
+    to either side; s = +-1 are tangent departures.
 
-
-def test_pie_slice_distance_matches_dense_sampling():
-    rng = stream(11, "pie-slice")
-    a0 = rng.uniform(-math.pi, math.pi)
-    a1 = a0 + rng.uniform(0.05, 3.0)
-    radius = 1.3
-    t, a = np.meshgrid(np.linspace(0.0, radius, 201), np.linspace(a0, a1, 401))
-    sx, sy = (t * np.cos(a)).ravel(), (t * np.sin(a)).ravel()
-    px, py = rng.uniform(-3.0, 3.0, (2, 200))
-    brute = np.hypot(px[:, None] - sx, py[:, None] - sy).min(axis=1)
-    got = geometry.pie_slice_distance(px, py, a0, a1, radius)
-    # every point of the slice is within half a grid-cell diagonal,
-    # 0.5 * hypot(1.3/200, 3.0*1.3/400) < 0.006, of a sample
-    assert np.all(got <= brute + 1e-12)
-    assert np.all(brute - got < 0.006)
+    s = n_y along v = (1, 0), and quarter turns, exact in floating
+    point, keep s and put v on the other axes.  They depart outward: one
+    aimed inward within 1e-8 of tangent grazes its own disk, which no
+    row holds (collide_cartesian censors that departure), while the
+    full scan's pre-screen counts it.
+    """
+    s = -1.0 + 2.0 * rng.integers(0, geometry.N_OFF + 1, m) / geometry.N_OFF
+    s = np.nextafter(s, s + rng.integers(-1, 2, m))
+    ray = np.stack([np.ones(m), np.zeros(m), np.sqrt(np.maximum(1.0 - s * s, 0.0)), s], axis=1)
+    for _ in range(3):
+        turn = rng.random(m) < 0.5
+        ray[turn] = np.stack([-ray[turn, 1], ray[turn, 0], -ray[turn, 3], ray[turn, 2]], axis=1)
+    return ray[:, 2:], ray[:, :2]
 
 
 def _tangent_and_random_rays(table, reach, n, seed):
-    """Boundary rays: a third aimed exactly tangent to an image disk,
-    a sixth along sector edges, the rest cosine-law."""
+    """Boundary rays: a third aimed exactly tangent to an image disk, a
+    sixth along direction-sector edges, a twelfth along the axes from
+    departures whose offset s = n_y*v_x - n_x*v_y lies exactly on an
+    offset-bin edge or 1 ulp to either side (s = +-1 among them), a
+    twelfth tangent to their own disk, the rest cosine-law.  Returns
+    (p0, normal, v, sid)."""
     rng = stream(seed, "sector-rays")
     sid = rng.integers(0, len(table), n)
     r = rng.random(n) * table.perimeters[sid]
     phi = np.arcsin(2.0 * rng.random(n) - 1.0)
-    p0, v = _rays(table, sid, r, phi)
+    _, normal, v = bmap.state_from_phase(table, sid, r, phi)
 
     n_tan = n // 3
+    p0 = geometry.launch_points(table, sid[:n_tan], normal[:n_tan])
     k = int(math.ceil(reach)) + 1
     grid = [(dx, dy, j) for dx in range(-k, k + 1) for dy in range(-k, k + 1)
             for j in range(len(table))]
     pick = rng.integers(0, len(grid), n_tan)
     dx, dy, j = (np.array([grid[i][c] for i in pick]) for c in range(3))
-    cx = table.centers[j, 0] + dx - p0[:n_tan, 0]
-    cy = table.centers[j, 1] + dy - p0[:n_tan, 1]
+    cx = table.centers[j, 0] + dx - p0[:, 0]
+    cy = table.centers[j, 1] + dy - p0[:, 1]
     dist = np.hypot(cx, cy)
     rho = table.radii[j]
     side = np.where(rng.random(n_tan) < 0.5, -1.0, 1.0)
@@ -252,10 +251,18 @@ def _tangent_and_random_rays(table, reach, n, seed):
     usable = (dist > rho) & ~((dx == 0) & (dy == 0) & (j == sid[:n_tan]))
     v[:n_tan][usable] = np.stack([np.cos(ang), np.sin(ang)], axis=1)[usable]
 
-    n_edge = n // 6
-    edges = -math.pi + 2.0 * math.pi * rng.integers(0, geometry.N_SECTORS, n_edge) / geometry.N_SECTORS
-    v[n_tan:n_tan + n_edge] = np.stack([np.cos(edges), np.sin(edges)], axis=1)
-    return p0, v, sid
+    lo, hi = n_tan, n_tan + n // 6
+    edges = -math.pi + 2.0 * math.pi * rng.integers(0, geometry.N_DIR + 1, hi - lo) / geometry.N_DIR
+    v[lo:hi] = np.stack([np.cos(edges), np.sin(edges)], axis=1)
+
+    lo, hi = hi, hi + n // 12
+    normal[lo:hi], v[lo:hi] = bin_edge_departures(rng, hi - lo)
+
+    lo, hi = hi, hi + n // 12
+    side = np.where(rng.random(hi - lo) < 0.5, -1.0, 1.0)[:, None]
+    v[lo:hi] = side * np.stack([-normal[lo:hi, 1], normal[lo:hi, 0]], axis=1)
+    p0 = np.concatenate([p0, geometry.launch_points(table, sid[n_tan:], normal[n_tan:])])
+    return p0, normal, v, sid
 
 
 def _four_disk_table():
@@ -265,6 +272,96 @@ def _four_disk_table():
         geometry.Scatterer((0.5, 0.0), 0.1),
         geometry.Scatterer((0.0, 0.5), 0.1),
     ])
+
+
+def _cell_samples(table, sid, m):
+    """Rays over every padded cell of departure disk sid: m directions
+    from edge to edge of the padded sector, m offsets s from edge to
+    edge of the padded bin (clipped to [-1, 1], so s = +-1 is among
+    them), and from each such line both of its points on the disk's
+    boundary, the exit and the entry, whose ray is aimed into its own
+    disk.  Returns (cell key, p0, v), one entry per ray."""
+    nd, no, pad = geometry.N_DIR, geometry.N_OFF, geometry._CELL_PAD
+    w = np.linspace(0.0, 1.0, m)
+    half = math.pi / nd + pad
+    theta = (-math.pi + (np.arange(nd + 1)[:, None] + 0.5) * (2.0 * math.pi / nd)
+             + (2.0 * w - 1.0) * half)
+    s0 = -1.0 + np.arange(no + 1) * (2.0 / no) - pad
+    s = np.clip(s0[:, None] + w * (2.0 / no + 2.0 * pad), -1.0, 1.0)
+    # axes: sector, direction, bin, offset, side
+    ux = np.cos(theta)[:, :, None, None, None]
+    uy = np.sin(theta)[:, :, None, None, None]
+    s = s[None, None, :, :, None]
+    along = np.array([-1.0, 1.0]) * np.sqrt(1.0 - s * s)
+    c, rho = table.centers[sid], table.radii[sid]
+    shape = np.broadcast_shapes(ux.shape, s.shape, along.shape)
+    px = np.broadcast_to(c[0] + rho * (along * ux - s * uy), shape).ravel()
+    py = np.broadcast_to(c[1] + rho * (along * uy + s * ux), shape).ravel()
+    vx, vy = np.broadcast_to(ux, shape).ravel(), np.broadcast_to(uy, shape).ravel()
+    cell = (sid * (nd + 1) + np.arange(nd + 1))[:, None] * (no + 1) + np.arange(no + 1)
+    key = np.broadcast_to(cell[:, None, :, None, None], shape).ravel()
+    return key, np.stack([px, py], axis=1), np.stack([vx, vy], axis=1)
+
+
+def _check_rows_by_sampling(table, rows, centers, radii, own, m):
+    """Sample every cell (_cell_samples) against every disk (centers
+    (J,2), radii (J,)) but those own (S, J) marks for a departure disk:
+    each disk that a sampled ray meets within search_reach(), or passes
+    within 1e-6 of (less 1e-9 for rounding), must be in the cell's row,
+    with a bound no larger than the flight to it.  Returns the number of
+    (ray, disk) meetings checked."""
+    reach = table.search_reach()
+    where = {(x, y): j for j, (x, y) in enumerate(centers.tolist())}
+    bound = np.full((rows.idx.shape[1], len(centers)), np.inf)
+    for k, key in zip(*np.nonzero(np.isfinite(rows.lb[:-1]))):
+        bound[key, where[rows.x[k, key], rows.y[k, key]]] = rows.lb[k, key]
+    grow = radii + 1e-6 - 1e-9
+    checked = 0
+    for sid in range(len(table)):
+        near = np.flatnonzero(np.hypot(*(centers - table.centers[sid]).T)
+                              - table.radii[sid] - grow <= reach + 1e-6)
+        near = near[~own[sid, near]]
+        key, p0, v = _cell_samples(table, sid, m)
+        for lo in range(0, len(key), 8192):
+            fx = centers[near, 0] - p0[lo:lo + 8192, 0, None]
+            fy = centers[near, 1] - p0[lo:lo + 8192, 1, None]
+            tc = fx * v[lo:lo + 8192, 0, None] + fy * v[lo:lo + 8192, 1, None]
+            gap = grow[near] ** 2 - (fx * fx + fy * fy - tc * tc)
+            chord = np.sqrt(np.maximum(gap, 0.0))
+            t_in = np.maximum(tc - chord, 0.0)
+            meet = (gap > 0.0) & (tc + chord >= 0.0) & (t_in <= reach)
+            got = bound[key[lo:lo + 8192, None], near]
+            assert np.all(got[meet] <= t_in[meet] + 1e-12)
+            checked += int(meet.sum())
+    return checked
+
+
+@pytest.mark.parametrize("which", ["default", "four-disk"])
+def test_rows_hold_every_disk_a_sampled_ray_meets(table, which):
+    # the row lemma of geometry.cell_rows, by sampling whole padded
+    # cells: the first-hit rows over the scatterer images, then the
+    # disk rows of a hole
+    if which == "four-disk":
+        table = _four_disk_table()
+    reach = table.search_reach()
+    k = int(math.ceil(reach)) + 2
+    grid = [(dx, dy, j) for dx in range(-k, k + 1) for dy in range(-k, k + 1)
+            for j in range(len(table))]
+    ids = np.array([g[2] for g in grid])
+    offs = np.array([g[:2] for g in grid], dtype=float)
+    centers = table.centers[ids] + offs
+    own = (ids == np.arange(len(table))[:, None]) & np.all(offs == 0.0, axis=1)
+    checked = _check_rows_by_sampling(
+        table, table.sector_candidates()[2], centers, table.radii[ids], own, 6)
+    assert checked > 100_000
+
+    center, radius = {"default": ((0.5, 0.0), 0.05), "four-disk": ((0.25, 0.27), 0.04)}[which]
+    offs = np.array([(dx, dy) for dx in range(-k, k + 1) for dy in range(-k, k + 1)], dtype=float)
+    centers = np.stack([center[0] + offs[:, 0], center[1] + offs[:, 1]], axis=1)
+    checked = _check_rows_by_sampling(
+        table, table.disk_rows(center, radius)[0], centers, np.full(len(offs), radius),
+        np.zeros((len(table), len(offs)), dtype=bool), 6)
+    assert checked > 10_000
 
 
 def _full_scan(table, p0, v, skip_sid, reach):
@@ -334,8 +431,8 @@ def test_sector_scan_is_bit_identical_to_full_scan(table, which):
         table = _four_disk_table()
     for searched in (table, _with_l_max(table, 0.4)):
         reach = searched.certificate.l_max
-        p0, v, sid = _tangent_and_random_rays(table, reach, 100_000, 5)
-        t, hit, off, grazed = geometry.first_hit_batch(searched, p0, v, sid)
+        p0, n, v, sid = _tangent_and_random_rays(table, reach, 100_000, 5)
+        t, hit, off, grazed = geometry.first_hit_batch(searched, p0, v, geometry.row_keys(sid, n, v))
         ft, fhit, foff, maybe = _full_scan(table, p0, v, sid, reach)
         fgrazed = geometry._graze_recheck(searched, p0, v, ft, maybe)
         # the oracle's hit within reach, bit for bit; past reach, none
@@ -356,7 +453,8 @@ def test_first_hit_lies_within_reach_or_is_none(table, reach):
     # one, and not always the nearest
     sid, r, phi = measures.sample_nu(table, 20_000, stream(13, "within-reach"))
     p0, v = _rays(table, sid, r, phi)
-    t, hit, off, _ = geometry.first_hit_batch(_with_l_max(table, reach), p0, v, sid)
+    t, hit, off, _ = geometry.first_hit_batch(_with_l_max(table, reach), p0, v,
+                                              _row_keys(table, p0, v, sid))
     none = hit < 0
     assert np.all(t[~none] <= reach)
     assert np.all(np.isinf(t[none])) and np.all(off[none] == 0.0)
@@ -372,7 +470,8 @@ def test_broken_certificate_fails_on_every_flight_without_a_hit(table):
     state = measures.sample_nu_state(table, 200_000, stream(17, "low-certificate"))
     p0 = geometry.launch_points(low, state.sid, state.normal)
     ft, _, _, _ = _full_scan(low, p0, state.velocity, state.sid, 1.4)
-    _, _, _, grazed = geometry.first_hit_batch(low, p0, state.velocity, state.sid)
+    _, _, _, grazed = geometry.first_hit_batch(
+        low, p0, state.velocity, geometry.row_keys(*state))
     departure = np.sum(state.velocity * state.normal, axis=1) < bmap._COS_GUARD
     want = int(np.sum(~(ft <= 1.4) & ~(departure | grazed)))
     assert want > 1000
@@ -421,20 +520,19 @@ def test_search_needs_a_certificate(table):
     bare = geometry.Table(table.scatterers)
     p0, v = _rays(table, np.array([0]), np.array([0.1]), np.array([0.2]))
     with pytest.raises(InvalidArgumentError, match="no horizon certificate"):
-        geometry.first_hit_batch(bare, p0, v, np.array([0]))
+        geometry.first_hit_batch(bare, p0, v, _row_keys(table, p0, v, np.array([0])))
     with pytest.raises(InvalidArgumentError, match="no horizon certificate"):
         bare.disk_rows((0.5, 0.0), 0.05)
 
 
-def _old_sector_scan(table, p0, v, sid):
-    """The sector scan with the full scan's b = 2*(f.v) arithmetic and its
+def _old_sector_scan(table, p0, v, key):
+    """The row scan with the full scan's b = 2*(f.v) arithmetic and its
     graze pre-screen |imp - rho| < 1e-9, kept as the oracle of the
     half-b scan.  Returns (t, image index, pre-screen flags)."""
     img_sid, _, cols = table.sector_candidates()
-    key = geometry.sector_keys(sid, v)
-    bt = np.full(len(sid), np.inf)
-    bi = np.full(len(sid), -1)
-    flags = np.zeros(len(sid), dtype=bool)
+    bt = np.full(len(key), np.inf)
+    bi = np.full(len(key), -1)
+    flags = np.zeros(len(key), dtype=bool)
     for k in range(len(cols.idx)):
         live = bt > cols.lb[k, key]
         c = cols.idx[k, key]
@@ -459,7 +557,7 @@ def test_graze_pre_screen_flags_what_the_impact_parameter_test_flags(table, whic
     if which == "four-disk":
         table = _four_disk_table()
     reach = table.certificate.l_max
-    p0, v, sid = _tangent_and_random_rays(table, reach, 100_000, 5)
+    p0, n, v, sid = _tangent_and_random_rays(table, reach, 100_000, 5)
     # turn the tangent third by up to 3e-9 rad, which spreads |imp - rho|
     # over the whole band the 1e-9 test flags
     n_tan = len(sid) // 3
@@ -467,8 +565,9 @@ def test_graze_pre_screen_flags_what_the_impact_parameter_test_flags(table, whic
     vx, vy = v[:n_tan, 0].copy(), v[:n_tan, 1].copy()
     v[:n_tan, 0] = np.cos(eps) * vx - np.sin(eps) * vy
     v[:n_tan, 1] = np.sin(eps) * vx + np.cos(eps) * vy
-    t, hit, _, flags = geometry._sector_scan(table, p0, v, sid)
-    want_t, want_img, want_flags = _old_sector_scan(table, p0, v, sid)
+    key = geometry.row_keys(sid, n, v)
+    t, hit, _, flags = geometry._sector_scan(table, p0, v, key)
+    want_t, want_img, want_flags = _old_sector_scan(table, p0, v, key)
     img_sid, _, _ = table.sector_candidates()
     assert t.tobytes() == want_t.tobytes()
     assert np.array_equal(hit, np.where(want_img >= 0, img_sid[want_img], -1))
@@ -505,8 +604,8 @@ def _graze_recheck_oracle(table, p0, v, best_t, maybe_graze, reach):
 
 def test_graze_recheck_matches_scalar_oracle(table):
     reach = table.certificate.l_max
-    p0, v, sid = _tangent_and_random_rays(table, reach, 100_000, 5)
-    t, _, _, maybe = geometry._sector_scan(table, p0, v, sid)
+    p0, n, v, sid = _tangent_and_random_rays(table, reach, 100_000, 5)
+    t, _, _, maybe = geometry._sector_scan(table, p0, v, geometry.row_keys(sid, n, v))
     got = geometry._graze_recheck(table, p0, v, t, maybe)
     want = _graze_recheck_oracle(table, p0, v, t, maybe, reach)
     assert got.tobytes() == want.tobytes()

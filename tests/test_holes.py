@@ -14,6 +14,7 @@ from leakybilliards.errors import (
     ROutOfRangeError,
 )
 from leakybilliards.streams import stream
+from test_geometry import bin_edge_departures
 
 
 def _arc_contains(hole, sid, r):
@@ -269,9 +270,9 @@ def test_hole_image_offsets_match_loop_oracle(table, which, center, radius):
         table = _four_disk_table()
     offsets = _hole_image_offsets_oracle(table, holes.HoleSpec(
         kind="II", center=center, radius=radius))
-    want = geometry.sector_rows(table, np.asarray(center) + offsets,
-                                np.full(len(offsets), radius),
-                                geometry.sector_reach(table.certificate.l_max))
+    want = geometry.cell_rows(table, np.asarray(center) + offsets,
+                              np.full(len(offsets), radius),
+                              geometry.sector_reach(table.certificate.l_max))
     rows, counts = table.disk_rows(center, radius)
     for got, ref in zip(rows, want):
         assert got.shape == ref.shape and got.dtype == ref.dtype
@@ -282,7 +283,10 @@ def test_hole_image_offsets_match_loop_oracle(table, which, center, radius):
 def _hole_flights(table, hole, n, seed, inverse):
     """n flights from collide_batch (or collide_inverse_batch): a third
     aimed exactly tangent to a hole image, the rest from cosine-law
-    boundary states."""
+    boundary states; then n // 10 from collide_cartesian (or
+    collide_inverse_cartesian) along direction-sector edges and n // 10
+    from bin_edge_departures, the inverse ones within rounding of
+    these."""
     centers = np.asarray(hole.center) + _hole_image_offsets_oracle(table, hole)
     rng = stream(seed, "hole-flights", int(inverse))
     sid = rng.integers(0, len(table), n)
@@ -309,7 +313,21 @@ def _hole_flights(table, hole, n, seed, inverse):
         flights = bmap.collide_inverse_batch(table, sid, r, -phi)
     else:
         flights = bmap.collide_batch(table, sid, r, phi)
-    assert np.array_equal(flights.departure_id, sid)
+
+    m = n // 10
+    e_sid = rng.integers(0, len(table), 2 * m)
+    edge = -math.pi + 2.0 * math.pi * rng.integers(0, geometry.N_DIR + 1, m) / geometry.N_DIR
+    psi = edge + rng.uniform(-1.5, 1.5, m)
+    normal, v = bin_edge_departures(rng, m)
+    normal = np.concatenate([np.stack([np.cos(psi), np.sin(psi)], axis=1), normal])
+    v = np.concatenate([np.stack([np.cos(edge), np.sin(edge)], axis=1), v])
+    if inverse:
+        edges = bmap.collide_inverse_cartesian(table, e_sid, normal, bmap.reverse(normal, v))
+    else:
+        edges = bmap.collide_cartesian(table, e_sid, normal, v)
+    flights = bmap.CollisionBatch(*(np.concatenate(a) for a in zip(flights[:8], edges[:8])))
+    cells = (geometry.N_DIR + 1) * (geometry.N_OFF + 1)
+    assert np.array_equal(flights.row // cells, np.concatenate([sid, e_sid]))
     return flights, usable.sum()
 
 
@@ -402,8 +420,9 @@ def test_replaced_certificate_gets_rows_for_its_reach(table, nu_states, l_max):
     assert rows.lb.tobytes() != first_rows.lb.tobytes()
     for a, b in zip(rows, fresh.sector_candidates()[2]):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    for a, b in zip(geometry.first_hit_batch(t, p0, v, sid),
-                    geometry.first_hit_batch(fresh, p0, v, sid)):
+    row = geometry.row_keys(sid, (p0 - table.centers[sid]) / table.radii[sid][:, None], v)
+    for a, b in zip(geometry.first_hit_batch(t, p0, v, row),
+                    geometry.first_hit_batch(fresh, p0, v, row)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
