@@ -227,14 +227,10 @@ def run_experiment(subcommand: str, cfg: dict) -> RunArtifact:
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     f = ConfigReader(cfg, "config")
-    seed = f.integer("seed", 0)
-    if seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
-    threads = f.integer("threads", None)
+    seed = f.integer("seed", 0, minimum=0)
+    threads = f.integer("threads", None, minimum=1)
     if threads is None:
         threads = _od.default_threads()
-    if threads < 1:
-        raise ConfigError("threads must be a positive integer")
     chash = config_hash(cfg)
     base = {
         "subcommand": subcommand,
@@ -277,8 +273,8 @@ def _run_simulate(cfg, seed, threads, base, meta):
     make_table, make_hole = _read_table(cfg), _read_hole(cfg)
     density = _measures.density_from_json(cfg.object("density", {}))
     convention = cfg.choice("convention", _CONVENTIONS, "arrival")
-    n = cfg.integer("n_particles")
-    n_max = cfg.integer("n_max")
+    n = cfg.integer("n_particles", minimum=1)
+    n_max = cfg.integer("n_max", minimum=0)
     cfg.close()
     table = make_table()
     hole = make_hole(table) if make_hole else None
@@ -305,8 +301,8 @@ def _run_escape_rate(cfg, seed, threads, base, meta):
                             else ("arrival",), "arrival")
     make_table, make_hole = _read_table(cfg), _read_hole(cfg)
     density = _measures.density_from_json(cfg.object("density", {}))
-    n = cfg.integer("n_particles")
-    n_max = cfg.integer("n_max")
+    n = cfg.integer("n_particles", minimum=1)
+    n_max = cfg.integer("n_max", minimum=0)
     window = cfg.numbers("window", (int, int))
     cfg.close()
     _, hi = _escape.check_window(window, n_max)
@@ -344,11 +340,11 @@ def _run_survivor_measure(cfg, seed, threads, base, meta):
     make_table, make_hole = _read_table(cfg), _read_hole(cfg)
     density = _measures.density_from_json(cfg.object("density", {}))
     convention = cfg.choice("convention", _CONVENTIONS, "arrival")
-    n = cfg.integer("n_particles")
-    n_steps = cfg.integer("n_steps")
+    n = cfg.integer("n_particles", minimum=1)
+    n_steps = cfg.integer("n_steps", minimum=0)
     r_bins = cfg.integer("r_bins", 64)
     phi_bins = cfg.integer("phi_bins", 64)
-    min_survivors = cfg.integer("min_survivors", 1000)
+    min_survivors = cfg.integer("min_survivors", 1000, minimum=0)
     cfg.close()
     table = make_table()
     hole = make_hole(table) if make_hole else None
@@ -390,8 +386,8 @@ def _run_small_hole_sweep(cfg, seed, threads, base, meta):
     h_list = family.numbers("h_list", float)
     offset = family.number("offset", 0.0)
     family.close()
-    n = cfg.integer("n_particles")
-    n_max = cfg.integer("n_max")
+    n = cfg.integer("n_particles", minimum=1)
+    n_max = cfg.integer("n_max", minimum=0)
     window = cfg.numbers("window", (int, int))
     measure_step = cfg.integer("measure_step")
     r_bins = cfg.integer("r_bins", 64)
@@ -417,11 +413,11 @@ def _run_singularity_diag(cfg, seed, threads, base, meta):
     make_table, make_hole = _read_table(cfg), _read_hole(cfg)
     if make_hole is None:
         raise ConfigError("singularity-diag requires a hole")
-    k_steps = cfg.integer("k_steps")
-    n = cfg.integer("n_particles")
+    k_steps = cfg.integer("k_steps", minimum=0)
+    n = cfg.integer("n_particles", minimum=1)
     convention = cfg.choice("convention", _CONVENTIONS, "arrival")
-    n_backcheck = cfg.integer("n_backcheck", 2000)
-    k_backcheck = cfg.integer("k_backcheck", 10)
+    n_backcheck = cfg.integer("n_backcheck", 2000, minimum=0)
+    k_backcheck = cfg.integer("k_backcheck", 10, minimum=0)
     cfg.close()
     table = make_table()
     diag = _escape.singularity_diagnostic(
@@ -445,7 +441,7 @@ def _run_tower_eig(cfg, seed, threads, base, meta):
         ), set(f.numbers("hole_cells", int, ()))
         f.close()
     tol = cfg.number("tol", 1e-13)
-    max_iter = cfg.integer("max_iter", 100000)
+    max_iter = cfg.integer("max_iter", 100000, minimum=1)
     cfg.close()
     tw = _tower.build_tower(spec, enforce_hole_condition=enforce)
     theta, h, rep = _tower.leading_eigenpair(tw, tol=tol, max_iter=max_iter)

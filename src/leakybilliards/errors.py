@@ -72,9 +72,10 @@ class ConfigReader:
     Each read names a field and its JSON type and returns its value, or
     the default when the field is absent; a read without a default makes
     the field required.  Nothing is coerced: integer() takes a JSON
-    integer (never a bool), number() a finite number (returned as a
-    float), numbers() a list of them, choice() one of the given strings,
-    object() any value, for the reader of that object.  close() rejects
+    integer (never a bool), at least minimum if one is given, number()
+    a finite number (returned as a float), numbers() a list of them,
+    choice() one of the given strings, object() any value, for the
+    reader of that object.  close() rejects
     every key that no read asked for, so a misspelt field is an error,
     never a default.
     """
@@ -92,8 +93,11 @@ class ConfigReader:
             raise ConfigError(f"{self._where} is missing required field {key!r}")
         return default
 
-    def integer(self, key: str, default=_REQUIRED):
-        return self._get(key, default, check_number, int)
+    def integer(self, key: str, default=_REQUIRED, minimum=None):
+        value = self._get(key, default, check_number, int)
+        if minimum is not None and value is not None and value < minimum:
+            raise ConfigError(f"{self._where}.{key} must be at least {minimum}, got {value}")
+        return value
 
     def number(self, key: str, default=_REQUIRED):
         return self._get(key, default, check_number, float)

@@ -90,10 +90,6 @@ class Scatterer:
     center: tuple[float, float]
     radius: float
 
-    @property
-    def perimeter(self) -> float:
-        return 2.0 * math.pi * self.radius
-
 
 @dataclass(frozen=True)
 class HorizonCertificate:
@@ -166,90 +162,75 @@ class Table:
         # radius < 1/2 already makes every disk disjoint from its own images
 
     def search_reach(self) -> float:
-        """Reach of the first-hit and disk rows: sector_reach of the
-        certificate's l_max, and the key of both row caches, so a
+        """Reach of the first-hit and disk rows: the certificate's l_max
+        rounded to six decimals plus 1e-6, so every l_max that rounds
+        alike lies below it, and the key of both row caches, so a
         replaced certificate gets rows of its own.  Raises
         InvalidArgumentError if the table has no horizon certificate."""
         if self.certificate is None:
             raise InvalidArgumentError("table has no horizon certificate")
-        return sector_reach(self.certificate.l_max)
+        return round(float(self.certificate.l_max), 6) + 1e-6
+
+    def _image_rows(self, centers, radii):
+        """reachable_images of disks (centers (M,2), radii (M,)) at
+        search_reach() and their cell_rows at that reach.  Returns (ids
+        (K,), offsets (K,2), CellRows over the K translates)."""
+        reach = self.search_reach()
+        ids, offs = reachable_images(self, centers, radii, reach)
+        return ids, offs, cell_rows(self, centers[ids] + offs, radii[ids], reach)
 
     def sector_candidates(self):
-        """Per-cell first-hit candidates.
-
-        cell_rows over every scatterer image at search_reach(), with
-        each departure disk's own (0,0) image left out: a ray leaving a
-        disk's boundary meets nothing outside its row within reach.
+        """Per-cell first-hit candidates: the rows of every scatterer's
+        reachable_images.  A ray leaving a disk's boundary meets nothing
+        outside its row within reach; the disk's own (0,0) image, at
+        distance 0, is in no row of its own.
 
         Returns (ids (M+1,), offsets (M+1,2), CellRows over the first M
         images): the last image is a sentinel, id -1 and offset 0, and
-        the index of the rows' padding.
+        the index of the rows' padding.  Cached per search_reach().
         """
         reach = self.search_reach()
-        if reach in self._sectors:
-            return self._sectors[reach]
-        n = len(self.scatterers)
-        kmax = int(math.ceil(reach + 2.0 * float(self.radii.max()) + 1.0 + _CELL_MARGIN))
-        kx, ky, sid = image_lattice(kmax, n)
-        centers = np.stack([self.centers[sid, 0] + kx, self.centers[sid, 1] + ky], axis=1)
-        radii = self.radii[sid]
-        own = (sid == np.arange(n)[:, None]) & (kx == 0.0) & (ky == 0.0)
-        out = (np.append(sid, -1), np.stack([np.append(kx, 0.0), np.append(ky, 0.0)], axis=1),
-               cell_rows(self, centers, radii, reach, exclude=own))
-        self._sectors[reach] = out
-        return out
+        if reach not in self._sectors:
+            ids, offs, rows = self._image_rows(self.centers, self.radii)
+            self._sectors[reach] = (np.append(ids, -1), np.append(offs, [[0.0, 0.0]], axis=0), rows)
+        return self._sectors[reach]
 
     def disk_rows(self, center, radius: float):
-        """Per-cell images of a disk.
-
-        The disk's reachable_images at search_reach(), put through
-        cell_rows at that reach.  Returns (rows, counts): row key of the
-        CellRows lists nearest first the images a flight of cell key
-        (row_keys) can meet, and counts[key] is its length; entries past
-        it are padding.  Cached per center, radius and search_reach().
+        """Per-cell images of a disk, the rows of its reachable_images.
+        Returns (rows, counts): row key of the CellRows lists nearest
+        first the images a flight of cell key (row_keys) can meet, and
+        counts[key] is its length; entries past it are padding.  Cached
+        per center, radius and search_reach().  The disk must clear every
+        scatterer, as a Type II hole does: an image centred on a
+        departure centre is in no row.
         """
         cx, cy, radius = float(center[0]), float(center[1]), float(radius)
-        reach = self.search_reach()
-        key = (cx, cy, radius, reach)
-        if key in self._disks:
-            return self._disks[key]
-        _, offs = reachable_images(self, np.array([[cx, cy]]), np.array([radius]), reach)
-        centers = np.stack([cx + offs[:, 0], cy + offs[:, 1]], axis=1)
-        rows = cell_rows(self, centers, np.full(len(centers), radius), reach)
-        out = (rows, np.count_nonzero(np.isfinite(rows.lb), axis=0))
-        self._disks[key] = out
-        return out
-
-
-def image_lattice(kmax: int, n: int = 1):
-    """Integer offsets (kx, ky) in [-kmax, kmax]^2, each repeated for ids
-    0..n-1, kx slowest and id fastest.  Returns (kx, ky, ids) as flat
-    arrays, the offsets as floats."""
-    ks = np.arange(-kmax, kmax + 1, dtype=float)
-    return tuple(a.ravel() for a in np.meshgrid(ks, ks, np.arange(n), indexing="ij"))
+        key = (cx, cy, radius, self.search_reach())
+        if key not in self._disks:
+            _, _, rows = self._image_rows(np.array([[cx, cy]]), np.array([radius]))
+            self._disks[key] = (rows, np.count_nonzero(np.isfinite(rows.lb), axis=0))
+        return self._disks[key]
 
 
 def reachable_images(table: Table, centers, radii, reach: float):
     """Integer translates of disks (centers (M,2), radii (M,)) that a
     flight of length at most reach, launched from a scatterer boundary
-    in the unit cell, can meet.
+    in the unit cell, can meet: the one list of translates that the
+    first-hit rows, the disk rows, the graze recheck and the flight
+    certificate search.
 
     Launch points lie within d0 = sqrt(2)/2 + r_max of the cell
     midpoint, so a translate is kept when its distance from the
     midpoint, less its radius and d0, is within reach.  Returns (ids
-    (K,), offsets (K,2)) in image_lattice order.
+    (K,), offsets (K,2) as floats) in (kx, ky, id) order.
     """
     d0 = math.sqrt(0.5) + float(table.radii.max())
-    kx, ky, ids = image_lattice(int(math.ceil(reach + float(radii.max()) + d0 + 1.0)), len(radii))
+    kmax = int(math.ceil(reach + float(radii.max()) + d0 + 1.0))
+    ks = np.arange(-kmax, kmax + 1, dtype=float)
+    kx, ky, ids = (a.ravel() for a in np.meshgrid(ks, ks, np.arange(len(radii)), indexing="ij"))
     keep = np.flatnonzero(np.hypot(centers[ids, 0] + kx - 0.5, centers[ids, 1] + ky - 0.5)
                           - radii[ids] - d0 <= reach)
     return ids[keep], np.stack([kx[keep], ky[keep]], axis=1)
-
-
-def sector_reach(reach: float) -> float:
-    """Reach of the first-hit and disk rows for a search reach: every
-    reach that rounds to the same six decimals lies below it."""
-    return round(float(reach), 6) + 1e-6
 
 
 def row_keys(sid, normal, v):
@@ -276,9 +257,9 @@ class CellRows(NamedTuple):
     Each field is a (K, cells) array whose field[k] holds column k of
     every row as one contiguous vector, which a scan reads with
     field[k].take(key).  idx is the disk index, x and y its center and
-    rho2 its squared radius.  lb, (K+1, cells), is the flight lower
-    bound: inf past the end of a row and in the extra last column.
-    Padding has idx one past the last disk, center 0 and rho2 -inf.
+    rho2 its squared radius.  lb is the flight lower bound, inf past
+    the end of a row.  Padding has idx one past the last disk, center 0
+    and rho2 -inf.
     """
 
     idx: np.ndarray
@@ -288,7 +269,7 @@ class CellRows(NamedTuple):
     lb: np.ndarray
 
 
-def cell_rows(table: Table, centers, radii, reach: float, exclude=None):
+def cell_rows(table: Table, centers, radii, reach: float):
     """Disks a flight can meet, per cell of row_keys, as CellRows.
 
     A cell of departure disk (center c, radius rho) holds the flights
@@ -303,8 +284,8 @@ def cell_rows(table: Table, centers, radii, reach: float, exclude=None):
     a + d*delta + r + rho >= 0, and its flight to it is at least
     max(d - rho - r, a - d*delta - rho*sqrt(1 - s_min^2) - r), s_min
     the least |s| in the bin, which must be within reach.  Each row
-    lists those disks, less any that exclude (S, M) marks for its
-    departure disk, sorted by that bound, padded to one width K.
+    lists those disks but one at d = 0, the departure disk itself,
+    sorted by that bound, padded to one width K.
     """
     theta = -np.pi + (np.arange(N_DIR + 1) + 0.5) * (2.0 * np.pi / N_DIR)
     delta = np.pi / N_DIR + _CELL_PAD
@@ -313,13 +294,11 @@ def cell_rows(table: Table, centers, radii, reach: float, exclude=None):
     s_min = np.where(s0 * s1 < 0.0, 0.0, np.minimum(np.abs(s0), np.abs(s1)))
     across = np.sqrt(1.0 - s_min * s_min)
     r = radii + _CELL_MARGIN
-    if exclude is None:
-        exclude = np.zeros((len(table), len(centers)), dtype=bool)
     parts = []
-    for c, rho, out in zip(table.centers, table.radii, exclude):
+    for c, rho in zip(table.centers, table.radii):
         dx, dy = centers[:, 0] - c[0], centers[:, 1] - c[1]
         d = np.hypot(dx, dy)
-        m = np.flatnonzero((d - rho - r <= reach) & ~out)
+        m = np.flatnonzero((d - rho - r <= reach) & (d > 0.0))
         dx, dy, d, rm = dx[m], dy[m], d[m], r[m]
         slack = rm + d * delta
         # axes: direction sector, offset bin, disk near the departure
@@ -334,7 +313,8 @@ def cell_rows(table: Table, centers, radii, reach: float, exclude=None):
             bound = np.maximum(d - rho - rm, a - d * delta - rho * across - rm)
             member = ((o >= rho * s0 - slack) & (o <= rho * s1 + slack)
                       & (a + d * delta + rm + rho >= 0.0) & (bound <= reach))
-            lb = np.where(member, bound, np.inf).reshape(-1, len(m))
+            # no -1: a departure disk may have no disk within reach
+            lb = np.where(member, bound, np.inf).reshape(len(ux) * (N_OFF + 1), len(m))
             order = np.argsort(lb, axis=1, kind="stable")[:, :member.sum(axis=2).max()]
             lb = np.take_along_axis(lb, order, axis=1)
             parts.append((lb, np.where(np.isfinite(lb), m[order], len(centers))))
@@ -342,8 +322,7 @@ def cell_rows(table: Table, centers, radii, reach: float, exclude=None):
     pads = [((0, 0), (0, width - lb.shape[1])) for lb, _ in parts]
     lb = np.concatenate([np.pad(lb, w, constant_values=np.inf) for (lb, _), w in zip(parts, pads)])
     idx = np.concatenate([np.pad(i, w, constant_values=len(centers)) for (_, i), w in zip(parts, pads)])
-    idx = np.ascontiguousarray(idx.T)
-    lb = np.concatenate([lb.T, np.full((1, len(lb)), np.inf)])
+    idx, lb = np.ascontiguousarray(idx.T), np.ascontiguousarray(lb.T)
     return CellRows(idx, np.append(centers[:, 0], 0.0)[idx], np.append(centers[:, 1], 0.0)[idx],
                     np.append(radii * radii, -np.inf)[idx], lb)
 
@@ -482,14 +461,16 @@ def _graze_recheck(table, p0, v, best_t, maybe_graze):
     A flagged ray grazes if it has no hit, or if it passes within
     GRAZE_TOLERANCE of an image's circle at a closest approach strictly
     between _T_EPS and its hit (the hit's own chord midpoint lies beyond
-    it).  Flagged rays are tested against all reachable_images at
-    search_reach() at once, in blocks of _GRAZE_BLOCK rays.
+    it).  Flagged rays are tested against every image of
+    Table.sector_candidates() but the sentinel at once, in blocks of
+    _GRAZE_BLOCK rays.
     """
     grazed = np.zeros(len(best_t), dtype=bool)
     flagged = np.flatnonzero(maybe_graze)
     if not flagged.size:
         return grazed
-    sids, offs = reachable_images(table, table.centers, table.radii, table.search_reach())
+    sids, offs, _ = table.sector_candidates()
+    sids, offs = sids[:-1], offs[:-1]
     cx = table.centers[sids, 0] + offs[:, 0]
     cy = table.centers[sids, 1] + offs[:, 1]
     rho = table.radii[sids]
@@ -553,10 +534,10 @@ def _lines_ahead(table, sid, theta, radius):
     |x| <= rho.  Image j (center C, radius r) enters as ahead = (C - c).u
     and off = (C - c).n, where n is u turned by +90 degrees; kept are the
     images ahead (ahead > 0) whose shadow |x - off| < r meets the
-    departure disk's and whose disk comes within radius of it.  The own
-    (0,0) image is left out.  Columns are packed into one width K;
-    valid marks the real ones.  Returns (rho (N,1), ahead, off, r,
-    valid), each (N,K) but rho.
+    departure disk's and whose disk comes within radius of it; the own
+    (0,0) image, at ahead = 0, is not ahead.  Columns are packed into
+    one width K; valid marks the real ones.  Returns (rho (N,1), ahead,
+    off, r, valid), each (N,K) but rho.
     """
     ids, offs = reachable_images(table, table.centers, table.radii, radius)
     cx = table.centers[ids, 0] + offs[:, 0]
@@ -568,8 +549,7 @@ def _lines_ahead(table, sid, theta, radius):
     ahead = dx * ux + dy * uy
     off = dy * ux - dx * uy
     r = table.radii[ids]
-    own = (ids == sid[:, None]) & (offs[:, 0] == 0.0) & (offs[:, 1] == 0.0)
-    keep = ((ahead > 0.0) & (np.abs(off) < rho + r) & ~own
+    keep = ((ahead > 0.0) & (np.abs(off) < rho + r)
             & (np.hypot(dx, dy) - rho - r <= radius))
     cols = np.argsort(~keep, axis=1, kind="stable")[:, :max(int(keep.sum(axis=1).max()), 1)]
     ahead, off, valid = (np.take_along_axis(a, cols, axis=1) for a in (ahead, off, keep))

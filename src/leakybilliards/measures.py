@@ -147,14 +147,6 @@ class EmpiricalMeasure:
     weights: np.ndarray  # shape (n_scatterers, r_bins, phi_bins)
 
     @property
-    def r_bins(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def phi_bins(self) -> int:
-        return self.weights.shape[2]
-
-    @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
 

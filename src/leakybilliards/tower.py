@@ -670,7 +670,7 @@ class DFunctionalReport:
 
 
 def d_functional(tower: Tower, rho: TowerFunction,
-                 theta_star: float | None = None, n_terms: int = 60) -> DFunctionalReport:
+                 theta_star: float, n_terms: int = 60) -> DFunctionalReport:
     """Survival functional d(rho): limit of theta^{-n} * surviving mass.
 
     The sequence theta_star^{-n} * integral of the n-step open transfer
@@ -679,12 +679,11 @@ def d_functional(tower: Tower, rho: TowerFunction,
     the terms.  When rho is nonnegative and strictly positive on a cell
     whose climb returns to an unharmed base cell, the limit must be
     positive; violating that raises, as does failure to stabilize.
-    The normalizing base is the leading eigenvalue itself.
+    theta_star, the normalizing base, is the leading eigenvalue as
+    leading_eigenpair returns it.
     """
     if n_terms < 8:
         raise InvalidArgumentError("n_terms must be at least 8")
-    if theta_star is None:
-        theta_star, _, _ = leading_eigenpair(tower)
     nonneg = bool(np.all(rho.vec >= 0))
     positive_expected = nonneg and any(
         tower.cell_survives_to_base(l, j) and np.all(rho.vec[sl] > 0)
@@ -898,10 +897,12 @@ def tail_mass_check(tower: Tower, h: TowerFunction | None = None,
 
     Reports the mass above each level and checks the successive-tail
     ratio against theta0/beta plus _TAIL_SLACK.  Flat towers have zero tails
-    and pass trivially.
+    and pass trivially.  h defaults to the leading eigenfunction;
+    theta_star is never read, and stays because callers pass it by
+    position after h.
     """
     if h is None:
-        theta_star, h, _ = leading_eigenpair(tower)
+        _, h, _ = leading_eigenpair(tower)
     level_mass = {}
     for (_, l, _), m in zip(h.layout.cells, h.cell_masses()):
         level_mass[l] = level_mass.get(l, 0.0) + m

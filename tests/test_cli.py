@@ -496,6 +496,41 @@ def test_config_numbers_are_checked(tmp_path, capsys, monkeypatch, sub, path,
     assert probes == []
 
 
+@pytest.mark.parametrize("sub,change,field,minimum", [
+    ("escape-rate", {"n_particles": -5}, "n_particles", 1),
+    ("singularity-diag", {"n_backcheck": -3, "k_backcheck": -2}, "n_backcheck", 0),
+    ("tower-eig", {"max_iter": 0}, "max_iter", 1),
+    ("survivor-measure", {"min_survivors": -7}, "min_survivors", 0),
+    ("singularity-diag", {"k_backcheck": -2}, "k_backcheck", 0),
+    ("singularity-diag", {"k_steps": -1}, "k_steps", 0),
+    ("simulate", {"n_particles": 0}, "n_particles", 1),
+    ("simulate", {"n_max": -1}, "n_max", 0),
+    ("survivor-measure", {"n_steps": -2}, "n_steps", 0),
+    ("small-hole-sweep", {"n_particles": 0}, "n_particles", 1),
+    ("simulate", {"seed": -1}, "seed", 0),
+    ("simulate", {"threads": 0}, "threads", 1),
+])
+def test_sizes_out_of_range_fail_before_any_build(tmp_path, capsys, monkeypatch,
+                                                   sub, change, field, minimum):
+    from leakybilliards import geometry, tower
+
+    def build(*args, **kwargs):
+        raise AssertionError("a table or tower was built")
+
+    monkeypatch.setattr(geometry, "finite_horizon_probe", build)
+    monkeypatch.setattr(tower, "build_tower", build)
+    cfg = dict(json.loads(json.dumps(BASE_CFGS[sub])), **change)
+    if sub != "tower-eig":
+        cfg["table"] = TABLE
+    code, out = run(tmp_path, sub, cfg)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config.invalid"
+    assert err["message"] == (
+        f"config.{field} must be at least {minimum}, got {change[field]}")
+    assert not (out / "results.json").exists()
+
+
 def test_module_entry_point_stderr_is_one_json_line(tmp_path):
     import subprocess
     import sys

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import time
+import types
 
 import numpy as np
 import pytest
@@ -313,7 +314,7 @@ def _check_rows_by_sampling(table, rows, centers, radii, own, m):
     reach = table.search_reach()
     where = {(x, y): j for j, (x, y) in enumerate(centers.tolist())}
     bound = np.full((rows.idx.shape[1], len(centers)), np.inf)
-    for k, key in zip(*np.nonzero(np.isfinite(rows.lb[:-1]))):
+    for k, key in zip(*np.nonzero(np.isfinite(rows.lb))):
         bound[key, where[rows.x[k, key], rows.y[k, key]]] = rows.lb[k, key]
     grow = radii + 1e-6 - 1e-9
     checked = 0
@@ -362,6 +363,52 @@ def test_rows_hold_every_disk_a_sampled_ray_meets(table, which):
         table, table.disk_rows(center, radius)[0], centers, np.full(len(offs), radius),
         np.zeros((len(table), len(offs)), dtype=bool), 6)
     assert checked > 10_000
+
+
+@pytest.mark.parametrize("which", ["default", "four-disk"])
+@pytest.mark.parametrize("l_max", [None, 0.4, 1.4])
+def test_rows_do_not_depend_on_how_images_are_listed(table, which, l_max):
+    # the first-hit rows from reachable_images equal, byte for byte, the
+    # rows of the full image lattice out to kmax with each departure
+    # disk's own (0,0) image left out by a mask
+    if which == "four-disk":
+        table = _four_disk_table()
+    if l_max is not None:
+        table = _with_l_max(table, l_max)
+    reach = table.search_reach()
+    kmax = int(math.ceil(reach + 2.0 * float(table.radii.max()) + 1.0 + geometry._CELL_MARGIN))
+    ks = np.arange(-kmax, kmax + 1, dtype=float)
+    kx, ky, ids = (a.ravel() for a in np.meshgrid(ks, ks, np.arange(len(table)), indexing="ij"))
+    centers = np.stack([table.centers[ids, 0] + kx, table.centers[ids, 1] + ky], axis=1)
+    own = (ids == np.arange(len(table))[:, None]) & (kx == 0.0) & (ky == 0.0)
+    dist = np.hypot(centers[:, 0] - table.centers[:, 0, None],
+                    centers[:, 1] - table.centers[:, 1, None])
+    assert np.array_equal(own, dist == 0.0)
+
+    # one departure disk at a time, each over the lattice less its own
+    # image, padded to one width as cell_rows pads its rows
+    parts = []
+    for i, out in enumerate(own):
+        one = types.SimpleNamespace(centers=table.centers[i:i + 1], radii=table.radii[i:i + 1])
+        rows = geometry.cell_rows(one, centers[~out], table.radii[ids[~out]], reach)
+        parts.append({"lb": rows.lb, "x": rows.x, "y": rows.y, "rho2": rows.rho2,
+                      "sid": np.append(ids[~out], -1)[rows.idx],
+                      "kx": np.append(kx[~out], 0.0)[rows.idx],
+                      "ky": np.append(ky[~out], 0.0)[rows.idx]})
+    width = max(p["lb"].shape[0] for p in parts)
+    fill = {"lb": np.inf, "x": 0.0, "y": 0.0, "rho2": -np.inf, "sid": -1, "kx": 0.0, "ky": 0.0}
+    want = {k: np.concatenate([np.pad(p[k], ((0, width - len(p[k])), (0, 0)), constant_values=v)
+                               for p in parts], axis=1) for k, v in fill.items()}
+
+    img_sid, img_off, rows = table.sector_candidates()
+    r_ids, r_offs = geometry.reachable_images(table, table.centers, table.radii, reach)
+    assert np.array_equal(img_sid, np.append(r_ids, -1))
+    assert img_off.tobytes() == np.append(r_offs, [[0.0, 0.0]], axis=0).tobytes()
+    assert len(img_sid) < len(ids)
+    got = {"lb": rows.lb, "x": rows.x, "y": rows.y, "rho2": rows.rho2,
+           "sid": img_sid[rows.idx], "kx": img_off[rows.idx, 0], "ky": img_off[rows.idx, 1]}
+    for k in fill:
+        assert got[k].shape == want[k].shape and got[k].tobytes() == want[k].tobytes(), k
 
 
 def _full_scan(table, p0, v, skip_sid, reach):
@@ -503,7 +550,7 @@ def _loop_image_candidates(table, reach):
 
 @pytest.mark.parametrize("which", ["default", "four-disk"])
 def test_image_candidates_match_the_image_loop(table, which):
-    # reachable_images keeps the loop's images, in image_lattice order
+    # reachable_images keeps the loop's images, in (kx, ky, id) order
     if which == "four-disk":
         table = _four_disk_table()
     for reach in (0.4, 1.0, table.certificate.l_max, 8.0, 16.0):

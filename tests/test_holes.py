@@ -243,7 +243,7 @@ def _hole_image_offsets_oracle(table, hole):
     """Integer translates of a Type II hole that a flight within the
     certified reach can cross, by a double loop: the oracle of the image
     list in Table.disk_rows."""
-    reach = geometry.sector_reach(table.certificate.l_max)
+    reach = table.search_reach()
     d0 = math.sqrt(0.5) + float(table.radii.max())
     kmax = int(math.ceil(reach + hole.radius + d0 + 1.0))
     cx, cy = hole.center
@@ -272,7 +272,7 @@ def test_hole_image_offsets_match_loop_oracle(table, which, center, radius):
         kind="II", center=center, radius=radius))
     want = geometry.cell_rows(table, np.asarray(center) + offsets,
                               np.full(len(offsets), radius),
-                              geometry.sector_reach(table.certificate.l_max))
+                              table.search_reach())
     rows, counts = table.disk_rows(center, radius)
     for got, ref in zip(rows, want):
         assert got.shape == ref.shape and got.dtype == ref.dtype
@@ -358,6 +358,31 @@ def test_sector_hole_mask_is_bit_identical_to_full_offsets(table, which, center,
         assert got[hit].tobytes() == want.tobytes()
         assert want.sum() > 2000
 
+
+
+DENSE = [((0.0, 0.0), 0.3), ((0.5, 0.5), 0.3), ((0.5, 0.0), 0.15), ((0.0, 0.5), 0.15),
+         ((0.25, 0.25), 0.05), ((0.75, 0.75), 0.05), ((0.25, 0.75), 0.05), ((0.75, 0.25), 0.05)]
+
+
+def test_hole_out_of_reach_of_a_departure_disk():
+    # no image of this hole is within l_max of some of the scatterers:
+    # their rows are empty, and the mask still matches the test over
+    # every image
+    table = geometry.validate_table([geometry.Scatterer(c, rho) for c, rho in DENSE])
+    hole = holes.type_ii_hole(table, (0.8, 0.333), 0.005)
+    _, counts = table.disk_rows(hole.center, hole.radius)
+    per_disk = counts.reshape(len(table), -1).max(axis=1)
+    assert np.any(per_disk == 0) and np.any(per_disk > 0)
+    offsets = _hole_image_offsets_oracle(table, hole)
+    for inverse in (False, True):
+        flights, _ = _hole_flights(table, hole, 20_000, 7, inverse)
+        hit = flights.flight_length <= table.certificate.l_max
+        got = holes.flight_crosses_hole(table, hole, flights)
+        want = _segment_crosses_disk(
+            flights.start[hit], flights.direction[hit], flights.flight_length[hit],
+            hole.center, hole.radius, offsets)
+        assert got[hit].tobytes() == want.tobytes()
+        assert want.sum() > 100
 
 def test_image_offsets_cover_observed_escapes(table):
     # brute-force offsets over a big window agree with the pruned list
