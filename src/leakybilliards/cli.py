@@ -109,12 +109,14 @@ _CONVENTIONS = ("arrival", "departure")
 
 
 def _read_table(cfg: ConfigReader):
-    """The run's table, to build once every field is read (a table
-    config is read before its horizon probe runs)."""
+    """(n_scatterers, make_table): the run's scatterers are read now,
+    and make_table validates and certifies them (the horizon probe)
+    once every field is read."""
     obj = cfg.object("table", None)
     if obj is None:
-        return _geometry.default_table
-    return partial(_geometry.table_from_json, obj)
+        return len(_geometry.DEFAULT_SCATTERERS), _geometry.default_table
+    scatterers = _geometry.scatterers_from_json(obj)
+    return len(scatterers), partial(_geometry.validate_table, scatterers)
 
 
 def _read_anchor(f: ConfigReader):
@@ -123,11 +125,12 @@ def _read_anchor(f: ConfigReader):
     return kind, f.numbers("anchor", (int, float) if kind == "I" else (float, float))
 
 
-def _read_hole(cfg: ConfigReader):
+def _read_hole(cfg: ConfigReader, n_scatterers: int):
     """The hole as a function of the table, or None for a closed system.
 
     A family hole is {kind, anchor, h[, offset]}; an explicit one is
-    {type: I, scatterer, arc} or {type: II, center, radius}.
+    {type: I, scatterer, arc} or {type: II, center, radius}.  What can
+    be checked with the scatterer count alone is checked here.
     """
     obj = cfg.object("hole", None)
     if obj is None:
@@ -135,16 +138,17 @@ def _read_hole(cfg: ConfigReader):
     f = ConfigReader(obj, "hole")
     if "type" in obj and "kind" not in obj:
         if f.choice("type", _KINDS) == "I":
+            sid = _holes.check_scatterer(n_scatterers, f.integer("scatterer"))
             a, b = f.numbers("arc", (float, float))
-            make = partial(_holes.type_i_hole, scatterer_id=f.integer("scatterer"),
-                           a=a, b=b)
+            make = partial(_holes.type_i_hole, scatterer_id=sid, a=a, b=b)
         else:
             make = partial(_holes.type_ii_hole, center=f.numbers("center", (float, float)),
                            radius=f.number("radius"))
     else:
         kind, anchor = _read_anchor(f)
-        make = partial(_holes.hole_family, q0=anchor, h=f.number("h"),
-                       offset=f.number("offset", 0.0), kind=kind)
+        h, offset = f.number("h"), f.number("offset", 0.0)
+        _holes.check_family(n_scatterers, anchor, h, offset, kind)
+        make = partial(_holes.hole_family, q0=anchor, h=h, offset=offset, kind=kind)
     f.close()
     return make
 
@@ -257,7 +261,7 @@ def _counts_csv(res, meta) -> str:
 
 
 def _run_validate_geometry(cfg, seed, threads, base, meta):
-    make_table = _read_table(cfg)
+    _, make_table = _read_table(cfg)
     cfg.close()
     table = make_table()
     base.update({
@@ -270,7 +274,8 @@ def _run_validate_geometry(cfg, seed, threads, base, meta):
 
 
 def _run_simulate(cfg, seed, threads, base, meta):
-    make_table, make_hole = _read_table(cfg), _read_hole(cfg)
+    n_scatterers, make_table = _read_table(cfg)
+    make_hole = _read_hole(cfg, n_scatterers)
     density = _measures.density_from_json(cfg.object("density", {}))
     convention = cfg.choice("convention", _CONVENTIONS, "arrival")
     n = cfg.integer("n_particles", minimum=1)
@@ -278,10 +283,11 @@ def _run_simulate(cfg, seed, threads, base, meta):
     cfg.close()
     table = make_table()
     hole = make_hole(table) if make_hole else None
-    state = _measures.sample_initial(table, density, n, stream(seed, "initial"))
+    # the sample is passed on unnamed, so the run's copy is its only one
     res = _od.evolve_ensemble(
-        table, hole, state, n_max,
-        convention=convention, threads=threads,
+        table, hole,
+        _measures.sample_initial(table, density, n, stream(seed, "initial")),
+        n_max, convention=convention, threads=threads,
     )
     base.update({
         "n_particles": n,
@@ -299,7 +305,8 @@ def _run_escape_rate(cfg, seed, threads, base, meta):
     # the fleming-viot estimator counts escapes on arrival only
     convention = cfg.choice("convention", _CONVENTIONS if estimator == "direct"
                             else ("arrival",), "arrival")
-    make_table, make_hole = _read_table(cfg), _read_hole(cfg)
+    n_scatterers, make_table = _read_table(cfg)
+    make_hole = _read_hole(cfg, n_scatterers)
     density = _measures.density_from_json(cfg.object("density", {}))
     n = cfg.integer("n_particles", minimum=1)
     n_max = cfg.integer("n_max", minimum=0)
@@ -337,18 +344,19 @@ def _run_escape_rate(cfg, seed, threads, base, meta):
 
 
 def _run_survivor_measure(cfg, seed, threads, base, meta):
-    make_table, make_hole = _read_table(cfg), _read_hole(cfg)
+    n_scatterers, make_table = _read_table(cfg)
+    make_hole = _read_hole(cfg, n_scatterers)
     density = _measures.density_from_json(cfg.object("density", {}))
     convention = cfg.choice("convention", _CONVENTIONS, "arrival")
     n = cfg.integer("n_particles", minimum=1)
     n_steps = cfg.integer("n_steps", minimum=0)
     r_bins = cfg.integer("r_bins", 64)
     phi_bins = cfg.integer("phi_bins", 64)
+    _measures.check_bins(r_bins, phi_bins)
     min_survivors = cfg.integer("min_survivors", 1000, minimum=0)
     cfg.close()
     table = make_table()
     hole = make_hole(table) if make_hole else None
-    # checks the bin counts before any particle is drawn
     ref = _measures.nu_measure(table, r_bins, phi_bins)
     m, res = _escape.survivor_distribution(
         table, hole, density, n, n_steps, r_bins, phi_bins, seed,
@@ -379,19 +387,22 @@ def _run_survivor_measure(cfg, seed, threads, base, meta):
 
 
 def _run_small_hole_sweep(cfg, seed, threads, base, meta):
-    make_table = _read_table(cfg)
+    n_scatterers, make_table = _read_table(cfg)
     density = _measures.density_from_json(cfg.object("density", {}))
     family = ConfigReader(cfg.object("hole_family"), "hole_family")
     kind, anchor = _read_anchor(family)
     h_list = family.numbers("h_list", float)
     offset = family.number("offset", 0.0)
     family.close()
+    for h in h_list:
+        _holes.check_family(n_scatterers, anchor, h, offset, kind)
     n = cfg.integer("n_particles", minimum=1)
     n_max = cfg.integer("n_max", minimum=0)
     window = cfg.numbers("window", (int, int))
     measure_step = cfg.integer("measure_step")
     r_bins = cfg.integer("r_bins", 64)
     phi_bins = cfg.integer("phi_bins", 64)
+    _measures.check_bins(r_bins, phi_bins)
     convention = cfg.choice("convention", _CONVENTIONS, "arrival")
     cfg.close()
     _escape.check_sweep(h_list, n_max, window, measure_step)
@@ -410,7 +421,8 @@ def _run_small_hole_sweep(cfg, seed, threads, base, meta):
 
 
 def _run_singularity_diag(cfg, seed, threads, base, meta):
-    make_table, make_hole = _read_table(cfg), _read_hole(cfg)
+    n_scatterers, make_table = _read_table(cfg)
+    make_hole = _read_hole(cfg, n_scatterers)
     if make_hole is None:
         raise ConfigError("singularity-diag requires a hole")
     k_steps = cfg.integer("k_steps", minimum=0)
@@ -441,6 +453,7 @@ def _run_tower_eig(cfg, seed, threads, base, meta):
         ), set(f.numbers("hole_cells", int, ()))
         f.close()
     tol = cfg.number("tol", 1e-13)
+    _tower.check_tol(tol)
     max_iter = cfg.integer("max_iter", 100000, minimum=1)
     cfg.close()
     tw = _tower.build_tower(spec, enforce_hole_condition=enforce)

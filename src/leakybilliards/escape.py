@@ -212,10 +212,12 @@ def estimate_escape_rate(table, hole, density, n_particles: int, n_max: int,
             f"about {predicted:.3g} survivors predicted at step {hi} "
             f"(< {_MIN_TAIL}/10 from the hole mass); increase n_particles"
         )
-    rng = stream(master_seed, "initial")
-    state = _measures.sample_initial(table, density, n_particles, rng)
-    res = _od.evolve_ensemble(table, hole, state, n_max,
-                              convention=convention, threads=threads)
+    # the sample is passed on unnamed, so the run's copy is its only one
+    res = _od.evolve_ensemble(
+        table, hole,
+        _measures.sample_initial(table, density, n_particles,
+                                 stream(master_seed, "initial")),
+        n_max, convention=convention, threads=threads)
     return fit_escape_rate(res.survivors, window, censored=res.censored), res
 
 
@@ -229,13 +231,12 @@ def survivor_distribution(table, hole, density, n_particles: int,
     approximates the limiting conditional measure once n_steps clears
     the transient; raise min_survivors for acceptance-grade precision.
     """
-    # checks the bin counts before any particle is drawn
-    _measures.nu_measure(table, r_bins, phi_bins)
-    rng = stream(master_seed, "initial")
-    state = _measures.sample_initial(table, density, n_particles, rng)
+    _measures.check_bins(r_bins, phi_bins)
     res = _od.evolve_ensemble(
-        table, hole, state, n_steps,
-        convention=convention, threads=threads,
+        table, hole,
+        _measures.sample_initial(table, density, n_particles,
+                                 stream(master_seed, "initial")),
+        n_steps, convention=convention, threads=threads,
     )
     n_surv = len(res.alive_index)
     if n_surv < min_survivors:
@@ -343,8 +344,9 @@ def fleming_viot_evolve(table, hole, density, n_particles: int, n_steps: int,
 
     for k in range(n_steps + 1):
         if k:
-            # dead entries of the arrivals are placeholders, overwritten by clones
-            state, cens, esc = _od.open_step_batch(table, hole, state, threads)
+            # the step overwrites state with the arrivals; dead entries
+            # are placeholders, overwritten by clones
+            cens, esc = _od.open_step_batch(table, hole, state, threads)
         else:
             # index 0: initial states already in the hole; the mask never
             # marks a censored state
@@ -483,11 +485,11 @@ def singularity_diagnostic(table, hole, k_steps: int, n_particles: int,
     amplifies rounding exponentially, so deep inverse orbits stop
     shadowing the forward history and say nothing about it.
     """
-    rng = stream(master_seed, "singularity")
-    state = _measures.sample_nu_state(table, n_particles, rng)
     res = _od.evolve_ensemble(
-        table, hole, state, k_steps,
-        convention=convention, threads=threads,
+        table, hole,
+        _measures.sample_nu_state(table, n_particles,
+                                  stream(master_seed, "singularity")),
+        k_steps, convention=convention, threads=threads,
     )
     at_risk = n_particles - int(res.censored[-1])
     if at_risk <= 0:

@@ -706,20 +706,26 @@ def validate_table(scatterers) -> Table:
     return table
 
 
-def table_from_json(obj) -> Table:
-    """Read a table's scatterers, then validate and certify the table."""
+def scatterers_from_json(obj) -> list[Scatterer]:
+    """A table config's scatterers, read but not yet validated."""
     f = ConfigReader(obj, "table")
     scatterers = [Scatterer(s.numbers("center", (float, float)), s.number("radius"))
                   for s in f.objects("scatterers")]
     f.close()
-    return validate_table(scatterers)
+    return scatterers
+
+
+def table_from_json(obj) -> Table:
+    """Read a table's scatterers, then validate and certify the table."""
+    return validate_table(scatterers_from_json(obj))
+
+
+DEFAULT_SCATTERERS = (Scatterer((0.0, 0.0), 0.4), Scatterer((0.5, 0.5), 0.2))
 
 
 @lru_cache(maxsize=1)
 def _default_table_cached() -> Table:
-    return validate_table(
-        [Scatterer((0.0, 0.0), 0.4), Scatterer((0.5, 0.5), 0.2)]
-    )
+    return validate_table(DEFAULT_SCATTERERS)
 
 
 def default_table() -> Table:

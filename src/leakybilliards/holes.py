@@ -74,6 +74,26 @@ class HoleSpec:
         return (b - a) % perim
 
 
+def check_scatterer(n_scatterers: int, scatterer_id) -> int:
+    """scatterer_id as an int, if a table of n_scatterers has it."""
+    sid = int(scatterer_id)
+    if not 0 <= sid < n_scatterers:
+        raise BadScattererIdError(f"no scatterer with id {scatterer_id}")
+    return sid
+
+
+def check_family(n_scatterers: int, q0, h: float, offset: float, kind: str) -> None:
+    """hole_family's rules that need no more of the table than its
+    scatterer count: h > 0, |offset| < h and, for kind "I", an anchor
+    on an existing scatterer."""
+    if not h > 0:
+        raise InvalidArgumentError("h must be positive")
+    if abs(offset) >= h:
+        raise HoleTooLargeError(f"|offset|={abs(offset)} leaves no room inside h={h}")
+    if kind == "I":
+        check_scatterer(n_scatterers, q0[0])
+
+
 def type_i_hole(table, scatterer_id: int, a: float, b: float) -> HoleSpec:
     """Boundary-arc hole; endpoints are taken mod the perimeter.
 
@@ -83,9 +103,7 @@ def type_i_hole(table, scatterer_id: int, a: float, b: float) -> HoleSpec:
     b - a rounds at the scale of the larger of a, b and the perimeter,
     so that sets the tolerance.
     """
-    sid = int(scatterer_id)
-    if not 0 <= sid < len(table):
-        raise BadScattererIdError(f"no scatterer with id {scatterer_id}")
+    sid = check_scatterer(len(table), scatterer_id)
     perim = table.perimeters[sid]
     a, b = float(a), float(b)
     if abs(math.remainder(b - a, perim)) <= 4.0 * math.ulp(max(abs(a), abs(b), perim)):
@@ -137,17 +155,12 @@ def hole_family(table, q0, h: float, offset: float = 0.0, *,
     letting h shrink gives the shrinking families the estimators sweep
     over.  kind is never inferred: (0, 0.5) is an anchor of either kind.
     """
-    if not h > 0:
-        raise InvalidArgumentError("h must be positive")
-    if abs(offset) >= h:
-        raise HoleTooLargeError(f"|offset|={abs(offset)} leaves no room inside h={h}")
+    check_family(len(table), q0, h, offset, kind)
     half = h - abs(offset)
     if kind not in ("I", "II"):
         raise InvalidArgumentError(f"unknown hole kind {kind!r}")
     if kind == "I":
         sid = int(q0[0])
-        if not 0 <= sid < len(table):
-            raise BadScattererIdError(f"no scatterer with id {sid}")
         perim = table.perimeters[sid]
         r0 = float(q0[1])
         if not 0.0 <= r0 < perim:

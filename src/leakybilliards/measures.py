@@ -157,10 +157,15 @@ class EmpiricalMeasure:
         return EmpiricalMeasure(self.weights / mass)
 
 
-def bin_measure(table, sid, r, phi, r_bins: int, phi_bins: int) -> EmpiricalMeasure:
-    """Histogram phase states; bins are equal in r and in phi."""
+def check_bins(r_bins: int, phi_bins: int) -> None:
+    """A histogram grid needs at least one bin on each axis."""
     if r_bins <= 0 or phi_bins <= 0:
         raise InvalidArgumentError("bin counts must be positive")
+
+
+def bin_measure(table, sid, r, phi, r_bins: int, phi_bins: int) -> EmpiricalMeasure:
+    """Histogram phase states; bins are equal in r and in phi."""
+    check_bins(r_bins, phi_bins)
     sid = np.asarray(sid, dtype=np.int64)
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -178,8 +183,7 @@ def bin_measure(table, sid, r, phi, r_bins: int, phi_bins: int) -> EmpiricalMeas
 
 def nu_measure(table, r_bins: int, phi_bins: int) -> EmpiricalMeasure:
     """Exact bin masses of the stationary measure on the same grid."""
-    if r_bins <= 0 or phi_bins <= 0:
-        raise InvalidArgumentError("bin counts must be positive")
+    check_bins(r_bins, phi_bins)
     edges = np.linspace(-0.5 * np.pi, 0.5 * np.pi, phi_bins + 1)
     phi_mass = np.diff(np.sin(edges))  # integral of cos over each angle cell
     r_mass = table.perimeters / r_bins  # equal cells in arclength
@@ -232,8 +236,10 @@ def pushforward_residual(table, hole, sid, r, phi, r_bins: int, phi_bins: int):
     sid = np.asarray(sid, dtype=np.int64)
     r = np.asarray(r, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    arrivals, cens, esc = _od.open_step_batch(
-        table, hole, _bmap.state_from_phase(table, sid, r, phi))
+    # the step writes the arrivals over its input, and state_from_phase
+    # keeps the sid array it is given: give it a copy
+    arrivals = _bmap.state_from_phase(table, sid.copy(), r, phi)
+    cens, esc = _od.open_step_batch(table, hole, arrivals)
     alive = ~(cens | esc)
     n_cens = int(cens.sum())
     n_risk = len(sid) - n_cens

@@ -24,11 +24,17 @@ hole test through hole_membership.  Both take only the table, the hole
 and the states and leave the hole test to holes, where None, the hole
 of a closed run, holds no state.  Both run on _map_chunks, which
 always works in fixed-size chunks, element by element, so outputs are
-identical byte-for-byte for any worker count.  Before its first worker
-pool, _map_chunks fixes glibc's heap policy for the process (one arena,
-fixed mmap and trim thresholds) so the workers' memory stays resident
-between steps; see _keep_heap.  evolve_ensemble keeps only the
-survivors, packed, with their initial-particle indices.
+identical byte-for-byte for any worker count.  On its first call,
+_map_chunks fixes glibc's heap policy for the process (one arena, fixed
+mmap and trim thresholds) so a step's memory stays resident between
+steps; see _keep_heap.
+
+A step works in place: open_step_batch writes each chunk's arrivals
+over that chunk of its input and returns only the censored and escaped
+masks.  evolve_ensemble copies the caller's ensemble once and carries
+the run in that one buffer, packing the survivors to its front after
+each step, with their initial-particle indices; the caller's arrays
+never change.
 """
 
 from __future__ import annotations
@@ -67,18 +73,17 @@ def default_threads() -> int:
 
 @functools.cache
 def _keep_heap() -> None:
-    """Fix glibc's heap policy, once, before the first worker pool.
+    """Fix glibc's heap policy, once, before the first chunked pass.
 
     By default every worker thread gets its own malloc arena, and glibc
     moves its mmap and trim thresholds with the largest block freed so
-    far, so after each step the workers' per-slice temporaries (about
-    9 MiB a slice) go back to the OS and are faulted in again on the
-    next step: thousands of minor page faults per step at 2 threads.
-    One arena with thresholds fixed above the step's arrays (2 MiB per
-    column at two slices) and above one slice's working set keeps that
-    memory resident.  Single-thread runs never get here: pinned at
-    import, the same settings raised their peak RSS by 2-3%.  Nothing
-    here changes a computed value; where the C library is not glibc, or
+    far, so a step's temporaries (about 9 MiB a slice) go back to the
+    OS after it and are faulted in again by the next step: thousands of
+    minor page faults per step at 2 threads, and up to about 1,800 on
+    some steps at 1 thread.  One arena with thresholds fixed above the
+    step's arrays (2 MiB per column at two slices) and above one
+    slice's working set keeps that memory resident.  Nothing here
+    changes a computed value; where the C library is not glibc, or
     mallopt cannot be reached, the allocator is left alone.
     """
     if platform.libc_ver()[0] != "glibc":
@@ -94,52 +99,51 @@ def _keep_heap() -> None:
         mallopt(param, value)
 
 
-def _join(pieces):
-    if isinstance(pieces[0], _bmap.State):
-        return _bmap.State(*map(np.concatenate, zip(*pieces)))
-    return np.concatenate(pieces)
-
-
 def _map_chunks(fn, state, threads):
     """fn on each CHUNK-sized slice of a billiard_map.State, joined.
 
-    fn returns a tuple of arrays and States, one entry per state of its
-    slice; entries are concatenated across slices once all are done.
-    Slices run in order, or in a pool of threads workers when there are
-    several; which worker runs which slice changes no result.  Writing
-    each slice into preallocated outputs instead was tried: it lets
-    glibc trim the heap between slices and fault it back in on the next
-    one (about 4x the page faults of a 200000-particle run).
+    fn gets views of state's arrays and returns a tuple of arrays, one
+    entry per state of its slice; entries are concatenated across
+    slices once all are done.  Slices run in order, or in a pool of
+    threads workers when there are several; which worker runs which
+    slice changes no result, and a worker that writes to its slice
+    writes to no other.
     """
+    _keep_heap()
     n = len(state.sid)
     parts = [_bmap.State(*(a[lo:lo + CHUNK] for a in state))
              for lo in range(0, max(n, 1), CHUNK)]
     if threads <= 1 or len(parts) == 1:
         parts = [fn(part) for part in parts]
     else:
-        _keep_heap()
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(fn, parts))
     if len(parts) == 1:
         return parts[0]
-    return tuple(map(_join, zip(*parts)))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def open_step_batch(table, hole, state, threads: int = 1):
-    """One step of the open collision map on a billiard_map.State.
+    """One step of the open collision map on a billiard_map.State, in
+    place.
 
-    Returns (arrivals, censored, escaped): the arrival States, and masks
-    of the censored and the escaped flights.  escaped never marks a
-    censored entry, and censored entries hold placeholder states.  Each
-    slice of _map_chunks is collided and masked on its own; both steps
-    work element by element, so the result is the same for any chunking
-    and any thread count.  hole None means a closed step.
+    Each entry of state is overwritten by its arrival; returns
+    (censored, escaped), masks of the censored and the escaped flights.
+    escaped never marks a censored entry, and censored entries hold
+    placeholder states.  Each slice of _map_chunks is collided, masked
+    and then overwritten on its own; every step works element by
+    element, so the result is the same for any chunking and any thread
+    count.  hole None means a closed step.
     """
 
     def step(part):
         batch = _bmap.collide_cartesian(table, *part)
+        # the mask reads batch.direction, a view of part.velocity
         escaped = _holes.arrival_escape_mask(table, hole, batch)
-        return batch.arrivals(), batch.censored, escaped
+        part.sid[:] = batch.scatterer_id
+        part.normal[:] = batch.normal
+        part.velocity[:] = batch.velocity
+        return batch.censored, escaped
 
     return _map_chunks(step, state, threads)
 
@@ -152,6 +156,18 @@ def hole_membership(table, hole, state, threads: int = 1):
         lambda part: _holes.state_in_hole(table, hole, part), state, threads)
 
 
+def _pack(state, keep):
+    """The states at the increasing indices keep, moved to the front of
+    state's own arrays; returns that prefix.  keep[i] >= i, so every
+    state is read before its slot is written.  take buffers its output,
+    so the move goes CHUNK states at a time to keep that buffer small."""
+    m = len(keep)
+    for a in state:
+        for lo in range(0, m, CHUNK):
+            a.take(keep[lo:lo + CHUNK], axis=0, out=a[lo:min(lo + CHUNK, m)])
+    return _bmap.State(*(a[:m] for a in state))
+
+
 @dataclass
 class EnsembleResult:
     """Outcome of an open evolution run.
@@ -159,7 +175,7 @@ class EnsembleResult:
     survivors, escaped, censored are cumulative counts indexed by step,
     length n_steps+1, satisfying survivors[k] + escaped[k] + censored[k]
     == n at every k.  final_state holds the surviving states at the
-    last step, on table, and final_* their (sid, r, phi), computed on
+    last step, on table, as a prefix view of the run's one buffer, and final_* their (sid, r, phi), computed on
     first read; alive_index maps them back to initial-particle indices.
     escape_step[i] is the kill index of particle i (-1 if it never
     escaped); captures maps requested steps to survivor (sid, r, phi)
@@ -212,14 +228,15 @@ def evolve_ensemble(table, hole, state, n_steps: int,
         raise InvalidArgumentError(f"unknown escape convention {convention!r}")
     if n_steps < 0:
         raise InvalidArgumentError("n_steps must be nonnegative")
-    state = _bmap.State(np.asarray(state.sid, dtype=np.int64),
-                        np.asarray(state.normal, dtype=float),
-                        np.asarray(state.velocity, dtype=float))
+    capture = capture_steps(capture, n_steps)
+    captures: dict = {}
+    # the run's one buffer; the caller's arrays are never written
+    state = _bmap.State(np.array(state.sid, dtype=np.int64, order="C"),
+                        np.array(state.normal, dtype=float, order="C"),
+                        np.array(state.velocity, dtype=float, order="C"))
     n = len(state.sid)
     alive = np.arange(n)
     escape_step = np.full(n, -1, dtype=np.int64)
-    capture = capture_steps(capture, n_steps)
-    captures: dict = {}
 
     survivors = np.zeros(n_steps + 1, dtype=np.int64)
     escaped = np.zeros(n_steps + 1, dtype=np.int64)
@@ -240,7 +257,7 @@ def evolve_ensemble(table, hole, state, n_steps: int,
     if convention == "arrival":
         # index-0 escapes: initial states already inside the hole
         mask, cens = hole_membership(table, hole, state, threads)
-        state = state.take(drop(0, cens, mask))
+        state = _pack(state, drop(0, cens, mask))
 
     def record(k):
         survivors[k] = len(alive)
@@ -255,8 +272,8 @@ def evolve_ensemble(table, hole, state, n_steps: int,
     # filling survivors[0..n_steps] takes n_steps+1 collision passes
     for k in range(1 if convention == "arrival" else 0, n_steps + 1):
         if len(alive):
-            arrivals, cens, esc = open_step_batch(table, hole, state, threads)
-            state = arrivals.take(drop(k, cens, esc))
+            cens, esc = open_step_batch(table, hole, state, threads)
+            state = _pack(state, drop(k, cens, esc))
         record(k)
 
     return EnsembleResult(

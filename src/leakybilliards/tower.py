@@ -565,6 +565,12 @@ class EigenReport:
     function_residual: float
 
 
+def check_tol(tol: float) -> None:
+    """leading_eigenpair's stopping tolerance must be positive."""
+    if tol <= 0:
+        raise InvalidArgumentError("tol must be positive")
+
+
 def leading_eigenpair(tower: Tower, tol: float = 1e-13,
                       max_iter: int = 100000, depth: int = 0):
     """Dominant eigenvalue and eigenfunction of the open transfer operator.
@@ -578,8 +584,7 @@ def leading_eigenpair(tower: Tower, tol: float = 1e-13,
     mixing tower with an admissible hole exceeds beta; a smaller result
     means the iteration left the quasi-compact regime and is rejected.
     """
-    if tol <= 0:
-        raise InvalidArgumentError("tol must be positive")
+    check_tol(tol)
     rho = tower_constant(tower, 1.0, depth)
     mass = rho.integrate()
     trace = []

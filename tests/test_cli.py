@@ -531,6 +531,59 @@ def test_sizes_out_of_range_fail_before_any_build(tmp_path, capsys, monkeypatch,
     assert not (out / "results.json").exists()
 
 
+@pytest.mark.parametrize("sub,path,value,error,message", [
+    ("tower-eig", "tol", -1.0, "config.bad_argument", "tol must be positive"),
+    ("tower-eig", "tol", 0.0, "config.bad_argument", "tol must be positive"),
+    ("simulate", "hole", {"kind": "I", "anchor": [0, 0.3], "h": -0.1},
+     "config.bad_argument", "h must be positive"),
+    ("simulate", "hole", {"kind": "II", "anchor": [0.5, 0.0], "h": -0.05},
+     "config.bad_argument", "h must be positive"),
+    ("simulate", "hole", {"kind": "I", "anchor": [0, 0.3], "h": 0.1, "offset": -0.1},
+     "holes.too_large", "|offset|=0.1 leaves no room inside h=0.1"),
+    ("simulate", "hole", {"kind": "I", "anchor": [5, 0.3], "h": 0.1},
+     "geometry.bad_scatterer", "no scatterer with id 5"),
+    ("escape-rate", "hole", {"kind": "I", "anchor": [2, 0.3], "h": 0.1},
+     "geometry.bad_scatterer", "no scatterer with id 2"),
+    ("escape-rate", "hole", {"type": "I", "scatterer": 5, "arc": [0.2, 0.3]},
+     "geometry.bad_scatterer", "no scatterer with id 5"),
+    ("survivor-measure", "r_bins", 0, "config.bad_argument",
+     "bin counts must be positive"),
+    ("small-hole-sweep", "hole_family.h_list", [0.1, -0.05],
+     "config.bad_argument", "h must be positive"),
+    ("small-hole-sweep", "hole_family.anchor", [5, 0.3],
+     "geometry.bad_scatterer", "no scatterer with id 5"),
+])
+@pytest.mark.parametrize("spelled_out", [False, True], ids=["default", "table"])
+def test_hole_bin_and_tol_sizes_fail_before_any_build(
+        tmp_path, capsys, probes, monkeypatch, sub, path, value, error, message,
+        spelled_out):
+    # the scatterer count comes from the table config, or is the default
+    # table's, without building the table
+    from leakybilliards import tower
+
+    builds = []
+
+    def build(*args, **kwargs):
+        builds.append(1)
+        raise AssertionError("a tower was built")
+
+    monkeypatch.setattr(tower, "build_tower", build)
+    cfg = json.loads(json.dumps(BASE_CFGS[sub]))
+    if spelled_out and sub != "tower-eig":
+        cfg["table"] = TABLE
+    *parents, key = path.split(".")
+    obj = cfg
+    for name in parents:
+        obj = obj[name]
+    obj[key] = value
+    code, out = run(tmp_path, sub, cfg)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": error, "message": message}
+    assert probes == [] and builds == []
+    assert not (out / "results.json").exists()
+
+
 def test_module_entry_point_stderr_is_one_json_line(tmp_path):
     import subprocess
     import sys
@@ -557,7 +610,7 @@ def test_explicit_hole_reader(table):
 
     def read(obj):
         cfg = ConfigReader({"hole": obj}, "config")
-        make = cli._read_hole(cfg)
+        make = cli._read_hole(cfg, len(table))
         cfg.close()
         return make
 

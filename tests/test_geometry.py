@@ -275,6 +275,26 @@ def _four_disk_table():
     ])
 
 
+@pytest.mark.parametrize("which", ["default", "four-disk"])
+def test_mean_free_path_is_santalo(table, which):
+    # Santalo: under nu the mean free flight is pi |Q| / |dQ|, with |Q|
+    # the area of the torus outside the disks and |dQ| their perimeter
+    # (0.309734 on the default table); an independent check of every
+    # flight length first_hit_batch returns
+    if which == "four-disk":
+        table = _four_disk_table()
+    area = 1.0 - math.pi * float(np.sum(table.radii ** 2))
+    santalo = math.pi * area / table.total_perimeter
+    if which == "default":
+        assert abs(santalo - 0.309734) < 1e-6
+    n = 200_000
+    state = measures.sample_nu_state(table, n, stream(2718, "santalo", which))
+    out = bmap.collide_cartesian(table, *state)
+    assert not out.censored.any()
+    t = out.flight_length
+    assert abs(t.mean() - santalo) < 4.0 * t.std() / math.sqrt(n)
+
+
 def _cell_samples(table, sid, m):
     """Rays over every padded cell of departure disk sid: m directions
     from edge to edge of the padded sector, m offsets s from edge to
