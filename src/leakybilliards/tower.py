@@ -222,11 +222,13 @@ class Tower:
     # -- cylinder tables ----------------------------------------------------
 
     def depth_tables(self, depth: int) -> _Layout:
-        """The depth-k cylinder table and layout, built once per depth."""
+        """The depth-k cylinder table and layout, built once per depth
+        from the depth-(k-1) one."""
         if depth < 0:
             raise InvalidArgumentError("depth must be nonnegative")
         if depth not in self._depth_cache:
-            self._depth_cache[depth] = _Layout(self, depth)
+            prev = self.depth_tables(depth - 1) if depth else None
+            self._depth_cache[depth] = _Layout(self, depth, prev)
         return self._depth_cache[depth]
 
 
@@ -238,7 +240,7 @@ class _Layout:
     block (all 0 at depth 0), frac[c] each itinerary's mass fraction and
     trunc[c] the index of its prefix one symbol shorter, sorted and
     hitting every prefix.  counts keeps every depth 0..depth; the other
-    tables are this depth's only.
+    tables are this depth's only, built from prev, the depth-(k-1) layout.
 
     Cells follow tower.cells, each a contiguous slice of counts[depth, j]
     values, so a column is a (return_time, count) row-major block.  A
@@ -246,21 +248,22 @@ class _Layout:
     per-column tables cover one level's cylinders.
     """
 
-    def __init__(self, tower: Tower, depth: int):
+    def __init__(self, tower: Tower, depth: int, prev: _Layout | None):
         targets = tower.targets
-        self.counts = np.ones((depth + 1, tower.n_cols), dtype=np.int64)
-        offsets = [np.zeros(len(tgt), np.int64) for tgt in targets]
-        frac = [np.ones(1)] * tower.n_cols
-        trunc = [np.zeros(1, np.int64)] * tower.n_cols
-        for d in range(1, depth + 1):
-            trunc = [np.concatenate([offsets[c][ti] + trunc[i] for ti, i in enumerate(tgt)])
-                     for c, tgt in enumerate(targets)]
-            frac = [np.concatenate([(tower.masses[i] / tower.target_mass[c]) * frac[i]
-                                    for i in tgt]) for c, tgt in enumerate(targets)]
-            sizes = [self.counts[d - 1, list(tgt)] for tgt in targets]
-            self.counts[d] = [s.sum() for s in sizes]
-            offsets = [np.cumsum(s) - s for s in sizes]
-        self.offsets, self.frac, self.trunc = offsets, frac, trunc
+        if prev is None:
+            self.counts = np.ones((1, tower.n_cols), dtype=np.int64)
+            self.offsets = [np.zeros(len(tgt), np.int64) for tgt in targets]
+            self.frac = [np.ones(1)] * tower.n_cols
+            self.trunc = [np.zeros(1, np.int64)] * tower.n_cols
+        else:
+            self.trunc = [np.concatenate([prev.offsets[c][ti] + prev.trunc[i]
+                                          for ti, i in enumerate(tgt)])
+                          for c, tgt in enumerate(targets)]
+            self.frac = [np.concatenate([(tower.masses[i] / tower.target_mass[c]) * prev.frac[i]
+                                         for i in tgt]) for c, tgt in enumerate(targets)]
+            sizes = [prev.counts[-1, list(tgt)] for tgt in targets]
+            self.counts = np.vstack([prev.counts, [s.sum() for s in sizes]])
+            self.offsets = [np.cumsum(s) - s for s in sizes]
         counts = [int(n) for n in self.counts[depth]]
         ends = list(itertools.accumulate(counts[j] for _, j in tower.cells))
         self.size = ends[-1]
@@ -268,6 +271,7 @@ class _Layout:
                       for e, (l, j) in zip(ends, tower.cells)]
         self.starts = np.array([sl.start for sl, _, _ in self.cells])
         self.level_weight = np.array([tower.beta ** l for _, l, _ in self.cells])
+        self.cell_mass = tower.masses[[j for _, _, j in self.cells]]
         where = {(l, j): sl for sl, l, j in self.cells}
         self.columns = [(where[(0, j)].start, counts[j], int(rt))
                         for j, rt in enumerate(tower.returns)]
@@ -280,17 +284,45 @@ class _Layout:
         ]
         # (base slice, prefix index, prefix count, [(start of the source
         # block, jacobian), ...]) per base cell with a surviving source,
-        # source columns ascending: that order fixes the float sums
-        self.gathers = []
+        # source columns ascending: that order fixes the float sums.  The
+        # cells with more sources come first, so each round of the sums
+        # adds into a prefix of the accumulator.
+        fed = []
         for i in range(tower.n_cols):
-            sources = [(where[top].start + int(offsets[j][tgt.index(i)]), tower.jacobians[j])
+            sources = [(where[top].start + int(self.offsets[j][tgt.index(i)]), tower.jacobians[j])
                        for j, tgt in enumerate(targets)
                        if i in tgt and (top := (int(tower.returns[j]) - 1, j)) not in tower.holes]
             if sources:
                 m = int(self.counts[max(depth - 1, 0), i])
-                self.gathers.append((where[(0, i)], trunc[i], m, sources))
+                fed.append((where[(0, i)], self.trunc[i], m, sources))
             else:
                 self.killed.append(where[(0, i)])
+        self.fed = sorted(fed, key=lambda g: -len(g[3]))
+
+    @functools.cached_property
+    def returns(self) -> tuple:
+        """transfer_apply's tables for the returns, built on first use:
+        (src, jac, rounds, size, base, prefix).
+
+        x[src] / jac is every return term, round by round.  Round r,
+        (lo, n) in rounds, holds the r-th source of each fed cell that
+        has one, over that cell's prefixes, and adds into the first n of
+        the size accumulator entries; then vec[base] takes accumulator
+        entry prefix.  The arrays hold one entry per return term (a top
+        cylinder whose first symbol is a fed base cell) and per base
+        cylinder, so a depth that is only refined into never builds them.
+        """
+        at = list(itertools.accumulate((m for _, _, m, _ in self.fed), initial=0))
+        src, jac, rounds, lo = [], [], [], 0
+        for r in range(len(self.fed[0][3])):
+            terms = [(srcs[r], m) for _, _, m, srcs in self.fed if len(srcs) > r]
+            src += [np.arange(s, s + m) for (s, _), m in terms]
+            jac += [np.full(m, jc) for (_, jc), m in terms]
+            rounds.append((lo, at[len(terms)]))
+            lo += at[len(terms)]
+        return (np.concatenate(src), np.concatenate(jac), rounds, at[-1],
+                np.concatenate([np.arange(sl.start, sl.stop) for sl, _, _, _ in self.fed]),
+                np.concatenate([a + index for a, (_, index, _, _) in zip(at, self.fed)]))
 
 
 def build_tower(spec: TowerSpec, enforce_hole_condition: bool = True) -> Tower:
@@ -392,10 +424,19 @@ class TowerFunction:
     __rmul__ = __mul__
 
     def cell_masses(self) -> list[float]:
-        """Integral over each cell, in tower.cells order."""
-        frac, masses = self.layout.frac, self.tower.masses
-        return [masses[j] * float(self.vec[sl] @ frac[j])
-                for sl, _, j in self.layout.cells]
+        """Integral over each cell, in tower.cells order: the column mass
+        times the sum of the cell's values times their mass fractions.
+        The sum runs left to right (a cumulative sum, never a BLAS dot
+        product, whose order follows the installed kernel); at depth 0 it
+        is the one value times 1.0, so a depth-0 function takes one
+        product."""
+        if self.depth == 0:
+            return (self.layout.cell_mass * self.vec).tolist()
+        out = []
+        for j, (start, n, rt) in enumerate(self.layout.columns):
+            block = self.vec[start:start + rt * n].reshape(rt, n) * self.layout.frac[j]
+            out += (self.tower.masses[j] * np.cumsum(block, axis=1)[:, -1]).tolist()
+        return out
 
     def integrate(self) -> float:
         """Integral against the tower measure (cell mass times fraction)."""
@@ -419,29 +460,48 @@ class TowerFunction:
             out = TowerFunction(self.tower, d, vec)
         return out
 
+    def _prefix_range(self) -> list:
+        """Per column, the (min, max) of each depth-(k-1) prefix group of
+        every level, two (return_time, counts[k-1, j]) arrays."""
+        lay, out = self.layout, []
+        for j, (start, n, rt) in enumerate(lay.columns):
+            # trunc is sorted and hits every prefix: one group each
+            starts = np.searchsorted(lay.trunc[j], np.arange(lay.counts[self.depth - 1, j]))
+            block = self.vec[start:start + rt * n].reshape(rt, n)
+            out.append((np.minimum.reduceat(block, starts, axis=1),
+                        np.maximum.reduceat(block, starts, axis=1)))
+        return out
+
     def coarsened(self, depth: int) -> "TowerFunction":
         """Drop itinerary symbols; fails if information would be lost."""
         if depth > self.depth:
             raise InvalidArgumentError("coarsened() cannot raise the depth")
         out = self
         while out.depth > depth:
-            d, lay = out.depth, out.layout
-            vec = []
-            for j, (start, n, rt) in enumerate(lay.columns):
-                # trunc is sorted and hits every prefix: one group each
-                starts = np.searchsorted(lay.trunc[j], np.arange(lay.counts[d - 1, j]))
-                block = out.vec[start:start + rt * n].reshape(rt, n)
-                agg_min = np.minimum.reduceat(block, starts, axis=1)
-                agg_max = np.maximum.reduceat(block, starts, axis=1)
+            ranges = out._prefix_range()
+            for j, (agg_min, agg_max) in enumerate(ranges):
                 scale = np.maximum(np.abs(agg_min), np.abs(agg_max))
                 lossy = np.any(agg_max - agg_min > _COARSEN_RTOL * np.maximum(scale, 1.0), axis=1)
                 if lossy.any():
                     raise DepthExhaustedError(
                         f"cell {(int(np.argmax(lossy)), j)} is not constant on "
-                        f"depth-{d - 1} cylinders; representation depth exhausted"
+                        f"depth-{out.depth - 1} cylinders; representation depth exhausted"
                     )
-                vec.append(agg_max.ravel())
-            out = TowerFunction(self.tower, d - 1, np.concatenate(vec))
+            out = TowerFunction(self.tower, out.depth - 1,
+                                np.concatenate([hi.ravel() for _, hi in ranges]))
+        return out
+
+    def coarsest(self) -> "TowerFunction":
+        """The same function at the smallest depth that holds it exactly:
+        lowered while every prefix group is constant (max == min, no
+        tolerance), so refining the result gives back every bit."""
+        out = self
+        while out.depth > 0:
+            ranges = out._prefix_range()
+            if not all(np.array_equal(lo, hi) for lo, hi in ranges):
+                break
+            out = TowerFunction(self.tower, out.depth - 1,
+                                np.concatenate([hi.ravel() for _, hi in ranges]))
         return out
 
     def sup_norm(self) -> float:
@@ -532,23 +592,27 @@ def transfer_apply(tower: Tower, rho: TowerFunction) -> TowerFunction:
     On the flat vector that is one shifted copy per column (the climbs,
     unit Jacobian), the returns, and zeroing the killed slices.  All
     sources of base cell i share its prefix index trunc[i], so their
-    returns are summed, ascending, on its prefixes and gathered once:
-    per cylinder the same float operations in the same order as one
+    returns are summed on its prefixes and gathered once, and the sums
+    of all base cells run together (_Layout.returns): one take and one
+    divide give every return term, round r adds each fed cell's r-th
+    source into its prefixes, and one gather writes every base cylinder.
+    Per cylinder that is 0.0 + x_1/J_1 + x_2/J_2 + ..., sources
+    ascending: the same float operations in the same order as one
     gather per (base cell, source) block.
     """
     if rho.tower is not tower:
         raise InvalidArgumentError("function lives on a different tower")
-    lay = rho.layout
-    x = rho.vec
+    lay, x = rho.layout, rho.vec
+    src, jac, rounds, size, base, prefix = lay.returns
     out = np.empty_like(x)
     for start, n, rt in lay.columns:
         out[start + n:start + rt * n] = x[start:start + (rt - 1) * n]
-    for base, index, m, sources in lay.gathers:
-        acc = np.zeros(m)
-        for src, jac in sources:
-            acc += x[src:src + m] / jac
-        # index is in range; the default mode="raise" would buffer out
-        acc.take(index, out=out[base], mode="clip")
+    terms = x.take(src)
+    terms /= jac
+    acc = np.zeros(size)
+    for lo, n in rounds:
+        acc[:n] += terms[lo:lo + n]
+    out[base] = acc.take(prefix)
     for sl in lay.killed:
         out[sl] = 0.0
     return TowerFunction(tower, rho.depth, out)
@@ -580,12 +644,18 @@ def leading_eigenpair(tower: Tower, tol: float = 1e-13,
     for three steps and |L rho - ratio rho| <= _RESIDUAL_FACTOR * tol *
     |L rho| (sup norm), since the ratio can settle before the function
     does.  Converged h is normalized to integral 1.
+    The iteration starts from the constant and transfer_apply maps
+    cell-constant functions to cell-constant ones, so it runs at depth 0
+    and h is refined to depth at the end: every depth gives the same
+    theta and, refined, the same h, bit for bit.
     Returns (theta, h, EigenReport).  The dominant eigenvalue of a
     mixing tower with an admissible hole exceeds beta; a smaller result
     means the iteration left the quasi-compact regime and is rejected.
     """
     check_tol(tol)
-    rho = tower_constant(tower, 1.0, depth)
+    if depth < 0:
+        raise InvalidArgumentError("depth must be nonnegative")
+    rho = tower_constant(tower, 1.0)
     mass = rho.integrate()
     trace = []
     theta = None
@@ -630,7 +700,7 @@ def leading_eigenpair(tower: Tower, tol: float = 1e-13,
             f"dominant ratio {theta:.6g} <= beta {tower.beta}; outside the "
             "quasi-compact regime the power iteration is meaningless"
         )
-    return float(theta), h, report
+    return float(theta), h.refined(depth), report
 
 
 @dataclass(frozen=True)
@@ -685,10 +755,12 @@ def d_functional(tower: Tower, rho: TowerFunction,
     whose climb returns to an unharmed base cell, the limit must be
     positive; violating that raises, as does failure to stabilize.
     theta_star, the normalizing base, is the leading eigenvalue as
-    leading_eigenpair returns it.
+    leading_eigenpair returns it.  rho is iterated at rho.coarsest(), the
+    smallest depth that holds it exactly.
     """
     if n_terms < 8:
         raise InvalidArgumentError("n_terms must be at least 8")
+    rho = rho.coarsest()
     nonneg = bool(np.all(rho.vec >= 0))
     positive_expected = nonneg and any(
         tower.cell_survives_to_base(l, j) and np.all(rho.vec[sl] > 0)

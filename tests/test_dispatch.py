@@ -8,7 +8,8 @@ them.  This runs small configs of every ensemble subcommand in fresh
 interpreters with the host's dispatch targets switched off level by
 level (NPY_DISABLE_CPU_FEATURES), and once more with OpenBLAS held to
 an SSE-era kernel (OPENBLAS_CORETYPE; other BLAS builds ignore it), and
-compares every --out file.
+compares every --out file.  Tower integrals are checked the same way
+under a second OpenBLAS kernel.
 """
 
 import json
@@ -68,6 +69,25 @@ print(json.dumps(digests))
 """
 
 
+# integrals of one depth-4 function on a 5-column tower and its d
+# functional terms: dot products through BLAS sum in an order that
+# depends on the kernel OpenBLAS picks for the host
+TOWER_RUNNER = """
+import json
+import numpy as np
+from leakybilliards import tower
+rng = np.random.default_rng(3)
+spec = tower.random_tower_spec(rng)
+while len(spec.columns) < 5:
+    spec = tower.random_tower_spec(rng)
+t = tower.build_tower(spec)
+theta, _, _ = tower.leading_eigenpair(t)
+rho = tower.tower_random(t, 4, rng)
+print(json.dumps([rho.integrate().hex()]
+                 + [x.hex() for x in tower.d_functional(t, rho, theta).terms]))
+"""
+
+
 def _dispatch_levels():
     """The host's dispatch targets, lowest first (X86_V3, X86_V4, ... on
     x86-64 with numpy 2)."""
@@ -78,7 +98,7 @@ def _dispatch_levels():
     return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
 
 
-def _digests(tmp_path, tag, disabled, blas_core=None):
+def _run(script, args=(), disabled=(), blas_core=None):
     env = dict(os.environ)
     for key in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE", "LEAKY_THREADS"):
         env.pop(key, None)
@@ -88,12 +108,20 @@ def _digests(tmp_path, tag, disabled, blas_core=None):
         env["OPENBLAS_CORETYPE"] = blas_core
     src = os.path.dirname(os.path.dirname(os.path.abspath(leakybilliards.__file__)))
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-    root = tmp_path / tag
-    root.mkdir()
-    done = subprocess.run([sys.executable, "-c", RUNNER, str(root), json.dumps(CONFIGS)],
+    done = subprocess.run([sys.executable, "-c", script, *args],
                           env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def _digests(tmp_path, tag, disabled, blas_core=None):
+    root = tmp_path / tag
+    root.mkdir()
+    return _run(RUNNER, (str(root), json.dumps(CONFIGS)), disabled, blas_core)
+
+
+def test_tower_integrals_do_not_depend_on_blas_kernel():
+    assert _run(TOWER_RUNNER, blas_core="Haswell") == _run(TOWER_RUNNER)
 
 
 def test_artifacts_do_not_depend_on_simd_dispatch(tmp_path):

@@ -258,10 +258,32 @@ def test_ratio_stop_waits_for_the_function():
     assert gold_report.iterations == 32
 
 
-def test_eigen_depth_invariance(gold):
-    theta0, _, _ = tower.leading_eigenpair(gold, depth=0)
-    theta2, _, _ = tower.leading_eigenpair(gold, depth=2)
-    assert abs(theta0 - theta2) < 1e-12
+def test_eigen_depth_invariance(gold, monkeypatch):
+    rng = np.random.default_rng(41)
+    towers = [gold] + [tower.build_tower(tower.random_tower_spec(rng)) for _ in range(5)]
+    for t in towers:
+        theta0, h0, _ = tower.leading_eigenpair(t, depth=0)
+        theta2, h2, _ = tower.leading_eigenpair(t, depth=2)
+        assert theta2 == theta0
+        assert h2.depth == 2
+        assert np.array_equal(h2.vec, h0.refined(2).vec)
+    calls = []
+    monkeypatch.setattr(tower, "transfer_apply", lambda *a: calls.append(a))
+    with pytest.raises(InvalidArgumentError):
+        tower.leading_eigenpair(gold, depth=-1)
+    assert calls == []
+
+
+def test_depth_tables_built_once_per_depth(monkeypatch):
+    t = tower.build_tower(tower.golden_tower_spec())
+    built = []
+    layout = tower._Layout
+    monkeypatch.setattr(tower, "_Layout", lambda tw, d, prev: built.append(d) or layout(tw, d, prev))
+    rho = tower.tower_random(t, 1, np.random.default_rng(43)).refined(5)
+    assert built == [0, 1, 2, 3, 4, 5]
+    assert t.depth_tables(5).counts.tolist() == [[1] * 4, [2] * 4, [4] * 4,
+                                                 [8] * 4, [16] * 4, [32] * 4]
+    assert rho.coarsened(1).depth == 1 and built == [0, 1, 2, 3, 4, 5]
 
 
 # -- exact structural identities ------------------------------------------------
@@ -466,6 +488,26 @@ def test_d_functional_linearity(gold):
     d12 = tower.d_functional(gold, r1 * 2.0 + r2 * -0.5,
                              theta_star=theta).value
     assert math.isclose(d12, 2.0 * d1 - 0.5 * d2, rel_tol=1e-7)
+
+
+def test_d_functional_iterates_at_the_exact_depth(gold):
+    theta, h0, _ = tower.leading_eigenpair(gold)
+    bits = tower.d_functional(gold, h0, theta_star=theta).terms.tobytes()
+    assert tower.d_functional(gold, h0.refined(4), theta_star=theta).terms.tobytes() == bits
+    r2 = tower.tower_random(gold, 2, np.random.default_rng(47))
+    assert r2.refined(4).coarsest().depth == 2
+    assert (tower.d_functional(gold, r2.refined(4), theta_star=theta).terms.tobytes()
+            == tower.d_functional(gold, r2, theta_star=theta).terms.tobytes())
+    # a depth-3 function with no coarser form runs at depth 3, as by hand
+    r3 = tower.tower_random(gold, 3, np.random.default_rng(53))
+    assert r3.coarsest() is r3
+    cur, scale, hand = r3, 1.0, [r3.integrate()]
+    for _ in range(60):
+        cur = tower.transfer_apply(gold, cur)
+        scale /= theta
+        hand.append(cur.integrate() * scale)
+    assert cur.depth == 3
+    assert tower.d_functional(gold, r3, theta_star=theta).terms.tobytes() == np.array(hand).tobytes()
 
 
 def test_d_functional_zero_and_bad_theta(gold):
