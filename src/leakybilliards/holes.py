@@ -10,20 +10,20 @@ Two kinds of leak:
   Membership is attributed to the arrival state of that flight, so the
   hole in phase space is the forward image of the crossing set.
 
-Predicates are pure geometry and never mutate state; near-tangential
-inputs propagate the censoring of the underlying collision search.
-They read states in the Cartesian form of billiard_map.State: the arc
-test takes cross products of boundary normals, and a Type II test reads
-the flight's start and direction against the hole images in
-Table.disk_rows, which the table builds once per hole and caches.
-Every membership test takes just (table, hole, ...); hole None is the
-empty hole, in which no state lies.
+A state of either kind is in the hole when its score, a squared
+distance, is below the hole's bound, a squared size: the squared chord
+from the arc's centre normal, or the squared distance from the flight
+to the disk's images in Table.disk_rows, which the table caches.
+Predicates are pure geometry on billiard_map.State's Cartesian form;
+near-tangential inputs propagate the censoring of the collision
+search.  Every membership test takes just (table, hole, ...); hole
+None is the empty hole, in which no state lies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,9 +41,11 @@ from .errors import (
 class HoleSpec:
     """Leak description; kind is "I" (boundary arc) or "II" (domain disk).
 
-    Type I uses scatterer_id and arc=(a, b): the open arc running
+    Type I uses scatterer_id, arc=(a, b): the open arc running
     counterclockwise from a to b (mod perimeter), so a > b wraps through
-    the seam at r = 0.  Type II uses center and radius.
+    the seam at r = 0, and mid, the arc length at the arc's centre,
+    from whose normal the score is measured.  Type II uses center and
+    radius.
     """
 
     kind: str
@@ -51,11 +53,12 @@ class HoleSpec:
     arc: tuple[float, float] | None = None
     center: tuple[float, float] | None = None
     radius: float | None = None
+    mid: float | None = None
 
     def __post_init__(self):
         if self.kind == "I":
-            if self.scatterer_id is None or self.arc is None:
-                raise InvalidArgumentError("Type I hole needs scatterer_id and arc")
+            if self.scatterer_id is None or self.arc is None or self.mid is None:
+                raise InvalidArgumentError("Type I hole needs scatterer_id, arc and mid")
             if self.arc[0] == self.arc[1]:
                 raise InvalidArgumentError("arc endpoints must differ")
         elif self.kind == "II":
@@ -101,7 +104,7 @@ def type_i_hole(table, scatterer_id: int, a: float, b: float) -> HoleSpec:
     rejected before the reduction, which would otherwise turn a full
     turn such as (0.1, 0.1 + perimeter) into an arc a few ulps long.
     b - a rounds at the scale of the larger of a, b and the perimeter,
-    so that sets the tolerance.
+    so that sets the tolerance.  The arc's centre is a + length/2.
     """
     sid = check_scatterer(len(table), scatterer_id)
     perim = table.perimeters[sid]
@@ -110,10 +113,10 @@ def type_i_hole(table, scatterer_id: int, a: float, b: float) -> HoleSpec:
         raise InvalidArgumentError(
             f"arc endpoints {a} and {b} agree mod the perimeter {perim}")
     a, b = float(a % perim), float(b % perim)
-    hole = HoleSpec(kind="I", scatterer_id=sid, arc=(a, b))
-    if hole.arc_length(table) >= perim:
+    length = (b - a) % perim
+    if length >= perim:
         raise HoleTooLargeError("arc covers the whole scatterer")
-    return hole
+    return HoleSpec(kind="I", scatterer_id=sid, arc=(a, b), mid=a + length / 2)
 
 
 def type_ii_hole(table, center, radius: float) -> HoleSpec:
@@ -154,6 +157,7 @@ def hole_family(table, q0, h: float, offset: float = 0.0, *,
     way the hole nests inside the h-neighborhood of the anchor, so
     letting h shrink gives the shrinking families the estimators sweep
     over.  kind is never inferred: (0, 0.5) is an anchor of either kind.
+    Type I members keep the centre r+offset, so they score alike.
     """
     check_family(len(table), q0, h, offset, kind)
     half = h - abs(offset)
@@ -170,33 +174,8 @@ def hole_family(table, q0, h: float, offset: float = 0.0, *,
                 f"arc length {2 * half:.6g} >= perimeter {perim:.6g}"
             )
         c = r0 + offset
-        return type_i_hole(table, sid, c - half, c + half)
+        return replace(type_i_hole(table, sid, c - half, c + half), mid=c)
     return type_ii_hole(table, (float(q0[0]) + offset, float(q0[1])), half)
-
-
-def arc_contains_normal(hole: HoleSpec, table, sid, normal):
-    """Open-arc membership of boundary points given by their unit
-    normals (N,2) on scatterers sid.
-
-    With na and nb the normals at the arc's endpoints, a normal lies on
-    the open counterclockwise arc from na to nb when na x n > 0 and
-    n x nb > 0, for an arc of at most half the perimeter; a longer arc
-    holds every normal off the closed complementary arc, so either
-    cross product being positive will do.  This agrees with the test on
-    arc lengths, a < r < b (a < r or r < b for a wrapped arc), except
-    within rounding of an endpoint.
-    """
-    rho = float(table.radii[hole.scatterer_id])
-    ax, ay = math.cos(hole.arc[0] / rho), math.sin(hole.arc[0] / rho)
-    bx, by = math.cos(hole.arc[1] / rho), math.sin(hole.arc[1] / rho)
-    nx, ny = normal[:, 0], normal[:, 1]
-    after_a = ax * ny - ay * nx > 0.0
-    before_b = nx * by - ny * bx > 0.0
-    if hole.arc_length(table) > math.pi * rho:
-        inside = after_a | before_b
-    else:
-        inside = after_a & before_b
-    return inside & (np.asarray(sid) == hole.scatterer_id)
 
 
 def hole_mass(table, hole: HoleSpec | None) -> float:
@@ -209,25 +188,30 @@ def hole_mass(table, hole: HoleSpec | None) -> float:
     return 2.0 * math.pi * hole.radius / table.total_perimeter
 
 
-def flight_crosses_hole(table, hole: HoleSpec, flight):
-    """Whether each flight passes strictly inside an image of the hole.
+def score(table, hole: HoleSpec, sid, normal, flight):
+    """Squared distance of each state from the hole; a state is in the
+    hole when its score is < bound(table, hole).
 
-    flight is a CollisionBatch.  The test is an OR over images of a
-    strict < on the squared distance from the image center to the
-    segment, so grazing the closed disk does not count.  collide_cartesian
-    ends every uncensored flight within l_max, and such a flight can
-    only cross images in the row of its cell, flight.row, of
-    table.disk_rows, so testing the row gives the result over every
-    image.  Column k is tested on the flights whose row is longer than
-    k.  A censored flight may have no hit (length inf); its entry means
-    nothing, and callers mask it out.
+    Type I reads sid and the unit normals (N,2): the squared chord
+    |n - u0|^2 to the normal u0 at the arc's centre on the hole's
+    scatterer, +inf elsewhere.  Type II reads flight, a CollisionBatch:
+    the least squared distance from the segment to an image of the disk
+    centre in the row of its cell, flight.row, in table.disk_rows (+inf
+    for an empty row); an uncensored flight ends within l_max and comes
+    within the radius of no image outside that row.  A censored flight
+    may have no hit (length inf); its entry means nothing.
     """
+    if hole.kind == "I":
+        rho = float(table.radii[hole.scatterer_id])
+        off = np.where(np.arange(len(table)) == hole.scatterer_id, 0.0, np.inf)
+        dx = normal[:, 0] - math.cos(hole.mid / rho)
+        dy = normal[:, 1] - math.sin(hole.mid / rho)
+        return dx * dx + dy * dy + off.take(sid)
     rows, counts = table.disk_rows(hole.center, hole.radius)
     key = flight.row
     sx, sy = flight.start[:, 0], flight.start[:, 1]
     vx, vy = flight.direction[:, 0], flight.direction[:, 1]
     t = flight.flight_length
-    r2 = hole.radius * hole.radius
 
     def column(k, sel):
         wx = rows.x[k].take(key[sel]) - sx[sel]
@@ -235,14 +219,28 @@ def flight_crosses_hole(table, hole: HoleSpec, flight):
         tp = np.clip(wx * vx[sel] + wy * vy[sel], 0.0, t[sel])
         dx = wx - tp * vx[sel]
         dy = wy - tp * vy[sel]
-        return dx * dx + dy * dy < r2
+        return dx * dx + dy * dy
 
-    out = np.zeros(len(key), dtype=bool)
+    out = np.full(len(key), np.inf)
     count = counts.take(key)
     for k in range(len(rows.idx)):
         sel = np.flatnonzero(count > k)
-        out[sel] |= column(k, sel)
+        d2 = column(k, sel)
+        if k:
+            np.minimum(d2, out[sel], out=d2)
+        out[sel] = d2
     return out
+
+
+def bound(table, hole: HoleSpec) -> float:
+    """Squared size of the hole: for Type I the squared chord
+    (2 sin(half/(2 rho)))^2 from the centre normal to an endpoint
+    normal, half being half the arc length; for Type II the squared
+    radius."""
+    if hole.kind == "II":
+        return hole.radius * hole.radius
+    chord = 2.0 * math.sin(hole.arc_length(table) / (4.0 * table.radii[hole.scatterer_id]))
+    return chord * chord
 
 
 def arrival_escape_mask(table, hole: HoleSpec | None, batch: _bmap.CollisionBatch):
@@ -264,16 +262,16 @@ def in_hole_given_flight(table, hole: HoleSpec | None, sid, normal, flight):
     ended there, run either way: the forward batch that arrived at the
     states, or their inverse collision.  Type I reads only sid and the
     boundary normals, and no hole (None) reads nothing, so flight may be
-    None there.  Returns (inside, undecided): a Type II state is in the
-    hole exactly when its flight crossed the disk, and undecided when
-    that flight was censored.
+    None there.  Returns (inside, undecided): a state is inside when
+    score < bound; a Type II state, whose score is its flight's, is
+    undecided when that flight was censored.
     """
-    if hole is None or hole.kind == "I":
-        inside = (np.zeros(np.shape(sid), dtype=bool) if hole is None
-                  else arc_contains_normal(hole, table, sid, normal))
+    if hole is None:
+        return np.zeros(np.shape(sid), dtype=bool), np.zeros(np.shape(sid), dtype=bool)
+    inside = score(table, hole, sid, normal, flight) < bound(table, hole)
+    if hole.kind == "I":
         return inside, np.zeros(np.shape(sid), dtype=bool)
-    mask = flight_crosses_hole(table, hole, flight)
-    return mask & ~flight.censored, flight.censored
+    return inside & ~flight.censored, flight.censored
 
 
 def state_in_hole(table, hole: HoleSpec | None, state: _bmap.State):

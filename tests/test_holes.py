@@ -18,8 +18,8 @@ from test_geometry import bin_edge_departures
 
 
 def _arc_contains(hole, sid, r):
-    """Open-arc membership on arc lengths r, the oracle for
-    holes.arc_contains_normal."""
+    """Open-arc membership on arc lengths r, the oracle for the Type I
+    score test on boundary normals."""
     a, b = hole.arc
     on = np.asarray(sid) == hole.scatterer_id
     r = np.asarray(r)
@@ -31,7 +31,7 @@ def _arc_contains(hole, sid, r):
 def _segment_crosses_disk(start, direction, length, center, radius, offsets):
     """Whether unfolded segments pass strictly inside a disk image, over
     every integer translate in offsets (K,2): the full-offset test that
-    holes.flight_crosses_hole replaced, kept as its oracle."""
+    the row minimum of holes.score replaced, kept as its oracle."""
     out = np.zeros(len(length), dtype=bool)
     r2 = radius * radius
     for ox, oy in offsets:
@@ -42,6 +42,12 @@ def _segment_crosses_disk(start, direction, length, center, radius, offsets):
         dy = wy - tp * direction[:, 1]
         out |= dx * dx + dy * dy < r2
     return out
+
+
+def _crosses(table, hole, flight):
+    """Whether each flight passes strictly inside an image of a Type II
+    hole, by its score."""
+    return holes.score(table, hole, None, None, flight) < holes.bound(table, hole)
 
 
 def _rays(table, sid, r, phi):
@@ -70,10 +76,12 @@ def test_arc_membership_plain_and_wrapped(table):
     (0, 2.4, 0.1),          # wraps through r = 0
     (1, 0.2, 1.1),          # longer than half the perimeter
     (0, 2.0, 1.6),          # longer than half, and wrapping
+    (0, 0.3 - 1e-6, 0.3 + 1e-6),    # tiny arcs
+    (0, 0.3 - 1e-8, 0.3 + 1e-8),
 ])
 def test_arc_normal_test_matches_arc_contains(table, sid, a, b):
-    # the cross-product test on boundary normals against the r test,
-    # away from rounding at the endpoints
+    # the chord test on boundary normals against the r test, away from
+    # rounding at the endpoints
     hole = holes.type_i_hole(table, sid, a, b)
     rng = stream(31, "arc-normals", sid)
     n = 200_000
@@ -87,7 +95,7 @@ def test_arc_normal_test_matches_arc_contains(table, sid, a, b):
     r[:k] = np.mod(r[:k], table.perimeters[sid])
     psi = r / table.radii[ids]
     normal = np.stack([np.cos(psi), np.sin(psi)], axis=1)
-    got = holes.arc_contains_normal(hole, table, ids, normal)
+    got = holes.in_hole_given_flight(table, hole, ids, normal, None)[0]
     want = _arc_contains(hole, ids, r)
     perim = table.perimeters[sid]
     gap = np.minimum.reduce([np.abs(r - a), np.abs(r - b),
@@ -131,9 +139,9 @@ def test_grazing_flight_does_not_escape(table):
     assert flight.start.tolist() == [[0.4, 0.0]] and not flight.censored[0]
     assert math.isclose(flight.flight_length[0], 0.2)
     hole = holes.HoleSpec(kind="II", center=(0.5, 0.1), radius=0.1)
-    assert not holes.flight_crosses_hole(table, hole, flight)[0]
+    assert not _crosses(table, hole, flight)[0]
     inside = holes.HoleSpec(kind="II", center=(0.5, 0.09), radius=0.1)
-    assert holes.flight_crosses_hole(table, inside, flight)[0]
+    assert _crosses(table, inside, flight)[0]
 
 
 def test_pre_escape_set_is_hole_pullback(table, nu_states):
@@ -186,6 +194,29 @@ def test_hole_family_nests(table):
     rs = np.linspace(small.arc[0] + 1e-9, small.arc[1] - 1e-9, 50)
     assert _arc_contains(small, np.zeros(50, int), rs).all()
     assert _arc_contains(big, np.zeros(50, int), rs).all()
+
+
+@pytest.mark.parametrize("anchor", [(0, 0.1), (0, 0.3)])
+def test_family_members_score_alike_and_nest(table, nu_states, anchor):
+    # at (0, 0.1) the arcs' a + length/2 differ in the last bit between
+    # members; each member still scores from the family's one centre, so
+    # every score is the same float and the holes nest without exception
+    family = [holes.hole_family(table, anchor, h, kind="I") for h in (0.08, 0.04, 0.02, 0.01)]
+    midpoints = {hole.arc[0] + hole.arc_length(table) / 2 for hole in family}
+    assert (len(midpoints) > 1) == (anchor == (0, 0.1))
+    fwd = bmap.collide_batch(table, *nu_states)
+    # crowd every member's endpoints: 4000 states within 1e-9 of one
+    ends = np.array([hole.arc for hole in family]).ravel()
+    r = np.repeat(ends, 500) + stream(47, "family-ends").uniform(-1e-9, 1e-9, 500 * len(ends))
+    sid = np.concatenate([fwd.scatterer_id, np.zeros(len(r), dtype=int)])
+    psi = r / table.radii[0]
+    normal = np.concatenate([fwd.normal, np.stack([np.cos(psi), np.sin(psi)], axis=1)])
+    scores = [holes.score(table, hole, sid, normal, None) for hole in family]
+    assert all(s.tobytes() == scores[0].tobytes() for s in scores)
+    inside = [holes.in_hole_given_flight(table, hole, sid, normal, None)[0] for hole in family]
+    for big, small in zip(inside, inside[1:]):
+        assert not np.any(small & ~big)
+    assert inside[-1].sum() > 400 and np.sum(inside[0] & ~inside[-1]) > 1000
 
 
 def test_hole_family_rejects_bad_inputs(table):
@@ -350,7 +381,7 @@ def test_sector_hole_mask_is_bit_identical_to_full_offsets(table, which, center,
         # a flight without a hit is censored, and its entry means nothing
         hit = flights.flight_length <= table.certificate.l_max
         assert np.all(flights.censored[~hit])
-        got = holes.flight_crosses_hole(table, hole, flights)
+        got = _crosses(table, hole, flights)
         want = _segment_crosses_disk(
             flights.start[hit], flights.direction[hit], flights.flight_length[hit],
             hole.center, hole.radius, offsets)
@@ -377,7 +408,7 @@ def test_hole_out_of_reach_of_a_departure_disk():
     for inverse in (False, True):
         flights, _ = _hole_flights(table, hole, 20_000, 7, inverse)
         hit = flights.flight_length <= table.certificate.l_max
-        got = holes.flight_crosses_hole(table, hole, flights)
+        got = _crosses(table, hole, flights)
         want = _segment_crosses_disk(
             flights.start[hit], flights.direction[hit], flights.flight_length[hit],
             hole.center, hole.radius, offsets)
@@ -412,7 +443,7 @@ def test_holes_sharing_a_center_get_their_own_masks(table):
     ok = ~flights.censored
     masks = []
     for hole in (small, big, small):
-        got = holes.flight_crosses_hole(fresh, hole, flights)[ok]
+        got = _crosses(fresh, hole, flights)[ok]
         want = _segment_crosses_disk(
             flights.start[ok], flights.direction[ok], flights.flight_length[ok],
             hole.center, hole.radius, _hole_image_offsets_oracle(fresh, hole))
