@@ -224,12 +224,17 @@ class Tower:
     def depth_tables(self, depth: int) -> _Layout:
         """The depth-k cylinder table and layout, built once per depth
         from the depth-(k-1) one."""
-        if depth < 0:
-            raise InvalidArgumentError("depth must be nonnegative")
+        check_depth(depth)
         if depth not in self._depth_cache:
             prev = self.depth_tables(depth - 1) if depth else None
             self._depth_cache[depth] = _Layout(self, depth, prev)
         return self._depth_cache[depth]
+
+
+def check_depth(depth) -> None:
+    """A cylinder depth is a Python or numpy integer >= 0, not a bool."""
+    if not (type(depth) is int or isinstance(depth, np.integer)) or depth < 0:
+        raise InvalidArgumentError(f"depth must be an integer >= 0, got {depth!r}")
 
 
 class _Layout:
@@ -243,12 +248,15 @@ class _Layout:
     tables are this depth's only, built from prev, the depth-(k-1) layout.
 
     Cells follow tower.cells, each a contiguous slice of counts[depth, j]
-    values, so a column is a (return_time, count) row-major block.  A
-    tower keeps its tables for life, so none spans every cell: the
-    per-column tables cover one level's cylinders.
+    values, so a column is a (return_time, count) row-major block.  The
+    per-cell tables below are built on first use: a depth that refining
+    only passes through needs the four above and nothing else.  A tower
+    keeps its tables for life, so none spans every cell: the per-column
+    tables cover one level's cylinders.
     """
 
     def __init__(self, tower: Tower, depth: int, prev: _Layout | None):
+        self.tower, self.depth = tower, depth
         targets = tower.targets
         if prev is None:
             self.counts = np.ones((1, tower.n_cols), dtype=np.int64)
@@ -264,40 +272,72 @@ class _Layout:
             sizes = [prev.counts[-1, list(tgt)] for tgt in targets]
             self.counts = np.vstack([prev.counts, [s.sum() for s in sizes]])
             self.offsets = [np.cumsum(s) - s for s in sizes]
-        counts = [int(n) for n in self.counts[depth]]
-        ends = list(itertools.accumulate(counts[j] for _, j in tower.cells))
-        self.size = ends[-1]
-        self.cells = [(slice(e - counts[j], e), l, j)
-                      for e, (l, j) in zip(ends, tower.cells)]
-        self.starts = np.array([sl.start for sl, _, _ in self.cells])
-        self.level_weight = np.array([tower.beta ** l for _, l, _ in self.cells])
-        self.cell_mass = tower.masses[[j for _, _, j in self.cells]]
-        where = {(l, j): sl for sl, l, j in self.cells}
-        self.columns = [(where[(0, j)].start, counts[j], int(rt))
-                        for j, rt in enumerate(tower.returns)]
-        self.holes = [where[c] for c in sorted(tower.holes)]
-        # transfer output that must vanish: the hole, the cells whose
-        # climb starts on it and, added below, each base cell no source feeds
-        self.killed = self.holes + [
-            where[(l + 1, j)] for l, j in sorted(tower.holes)
-            if l + 1 < tower.returns[j]
-        ]
-        # (base slice, prefix index, prefix count, [(start of the source
-        # block, jacobian), ...]) per base cell with a surviving source,
-        # source columns ascending: that order fixes the float sums.  The
-        # cells with more sources come first, so each round of the sums
-        # adds into a prefix of the accumulator.
+
+    @functools.cached_property
+    def cells(self) -> list:
+        """(slice of vec, level, column) per cell, in tower.cells order."""
+        counts = self.counts[-1].tolist()
+        ends = itertools.accumulate(counts[j] for _, j in self.tower.cells)
+        return [(slice(e - counts[j], e), l, j)
+                for e, (l, j) in zip(ends, self.tower.cells)]
+
+    @functools.cached_property
+    def where(self) -> dict:
+        return {(l, j): sl for sl, l, j in self.cells}
+
+    @functools.cached_property
+    def size(self) -> int:
+        return self.cells[-1][0].stop
+
+    @functools.cached_property
+    def starts(self) -> np.ndarray:
+        return np.array([sl.start for sl, _, _ in self.cells])
+
+    @functools.cached_property
+    def level_weight(self) -> np.ndarray:
+        return np.array([self.tower.beta ** l for _, l, _ in self.cells])
+
+    @functools.cached_property
+    def cell_mass(self) -> np.ndarray:
+        return self.tower.masses[[j for _, _, j in self.cells]]
+
+    @functools.cached_property
+    def columns(self) -> list:
+        """(start, count, return time) of each column's block."""
+        return [(self.where[(0, j)].start, int(self.counts[-1, j]), int(rt))
+                for j, rt in enumerate(self.tower.returns)]
+
+    @functools.cached_property
+    def holes(self) -> list:
+        return [self.where[c] for c in sorted(self.tower.holes)]
+
+    @functools.cached_property
+    def fed(self) -> list:
+        """(base slice, prefix index, prefix count, [(start of the source
+        block, jacobian), ...]) per base cell with a surviving source,
+        source columns ascending: that order fixes the float sums.  The
+        cells with more sources come first, so each round of the sums
+        adds into a prefix of the accumulator."""
+        tower, where = self.tower, self.where
         fed = []
         for i in range(tower.n_cols):
             sources = [(where[top].start + int(self.offsets[j][tgt.index(i)]), tower.jacobians[j])
-                       for j, tgt in enumerate(targets)
+                       for j, tgt in enumerate(tower.targets)
                        if i in tgt and (top := (int(tower.returns[j]) - 1, j)) not in tower.holes]
             if sources:
-                m = int(self.counts[max(depth - 1, 0), i])
+                m = int(self.counts[max(self.depth - 1, 0), i])
                 fed.append((where[(0, i)], self.trunc[i], m, sources))
-            else:
-                self.killed.append(where[(0, i)])
-        self.fed = sorted(fed, key=lambda g: -len(g[3]))
+        return sorted(fed, key=lambda g: -len(g[3]))
+
+    @functools.cached_property
+    def killed(self) -> list:
+        """Transfer output that must vanish: the hole, the cells whose
+        climb starts on it and each base cell no source feeds."""
+        tower, where = self.tower, self.where
+        fed = {sl.start for sl, _, _, _ in self.fed}
+        return self.holes + [
+            where[(l + 1, j)] for l, j in sorted(tower.holes) if l + 1 < tower.returns[j]
+        ] + [where[(0, i)] for i in range(tower.n_cols) if where[(0, i)].start not in fed]
 
     @functools.cached_property
     def returns(self) -> tuple:
@@ -446,40 +486,44 @@ class TowerFunction:
         return total
 
     def refined(self, depth: int) -> "TowerFunction":
-        """Same function represented on deeper cylinders (always exact)."""
+        """Same function represented on deeper cylinders (always exact):
+        each depth-k cylinder takes the value of its prefix at this
+        depth, one gather per column.  Per column, the prefix of each
+        itinerary is the trunc tables of the depths in between composed;
+        from depth 0 it is index 0 throughout."""
+        check_depth(depth)
         if depth < self.depth:
             raise InvalidArgumentError("refined() cannot lower the depth")
-        out = self
-        while out.depth < depth:
-            d = out.depth + 1
-            trunc = self.tower.depth_tables(d).trunc
-            vec = np.concatenate([
-                out.vec[start:start + rt * n].reshape(rt, n)[:, trunc[j]].ravel()
-                for j, (start, n, rt) in enumerate(out.layout.columns)
-            ])
-            out = TowerFunction(self.tower, d, vec)
-        return out
-
-    def _prefix_range(self) -> list:
-        """Per column, the (min, max) of each depth-(k-1) prefix group of
-        every level, two (return_time, counts[k-1, j]) arrays."""
-        lay, out = self.layout, []
-        for j, (start, n, rt) in enumerate(lay.columns):
-            # trunc is sorted and hits every prefix: one group each
-            starts = np.searchsorted(lay.trunc[j], np.arange(lay.counts[self.depth - 1, j]))
-            block = self.vec[start:start + rt * n].reshape(rt, n)
-            out.append((np.minimum.reduceat(block, starts, axis=1),
-                        np.maximum.reduceat(block, starts, axis=1)))
-        return out
+        if depth == self.depth:
+            return self
+        anc = [np.arange(n) for n in self.layout.counts[self.depth]]
+        for k in range(self.depth + 1, depth + 1):
+            anc = [a[t] for a, t in zip(anc, self.tower.depth_tables(k).trunc)]
+        lay = self.tower.depth_tables(depth)
+        vec = np.empty(lay.size)
+        for (start, n, rt), (out, m, _), a in zip(self.layout.columns, lay.columns, anc):
+            # every index is in range; mode="clip" lets take write to out unbuffered
+            self.vec[start:start + rt * n].reshape(rt, n).take(
+                a, axis=1, out=vec[out:out + rt * m].reshape(rt, m), mode="clip")
+        return TowerFunction(self.tower, depth, vec)
 
     def coarsened(self, depth: int) -> "TowerFunction":
-        """Drop itinerary symbols; fails if information would be lost."""
+        """Drop itinerary symbols; fails if information would be lost.
+        One level at a time: per column, the (min, max) of each prefix
+        group of every level is one reduceat pair (trunc is sorted and
+        hits every prefix, so each prefix is one group) and the max is
+        the coarser value."""
+        check_depth(depth)
         if depth > self.depth:
             raise InvalidArgumentError("coarsened() cannot raise the depth")
         out = self
         while out.depth > depth:
-            ranges = out._prefix_range()
-            for j, (agg_min, agg_max) in enumerate(ranges):
+            lay, values = out.layout, []
+            for j, (start, n, rt) in enumerate(lay.columns):
+                starts = np.searchsorted(lay.trunc[j], np.arange(lay.counts[out.depth - 1, j]))
+                block = out.vec[start:start + rt * n].reshape(rt, n)
+                agg_min = np.minimum.reduceat(block, starts, axis=1)
+                agg_max = np.maximum.reduceat(block, starts, axis=1)
                 scale = np.maximum(np.abs(agg_min), np.abs(agg_max))
                 lossy = np.any(agg_max - agg_min > _COARSEN_RTOL * np.maximum(scale, 1.0), axis=1)
                 if lossy.any():
@@ -487,22 +531,54 @@ class TowerFunction:
                         f"cell {(int(np.argmax(lossy)), j)} is not constant on "
                         f"depth-{out.depth - 1} cylinders; representation depth exhausted"
                     )
-            out = TowerFunction(self.tower, out.depth - 1,
-                                np.concatenate([hi.ravel() for _, hi in ranges]))
+                values.append(agg_max.ravel())
+            out = TowerFunction(self.tower, out.depth - 1, np.concatenate(values))
         return out
 
     def coarsest(self) -> "TowerFunction":
-        """The same function at the smallest depth that holds it exactly:
-        lowered while every prefix group is constant (max == min, no
-        tolerance), so refining the result gives back every bit."""
-        out = self
-        while out.depth > 0:
-            ranges = out._prefix_range()
-            if not all(np.array_equal(lo, hi) for lo, hi in ranges):
-                break
-            out = TowerFunction(self.tower, out.depth - 1,
-                                np.concatenate([hi.ravel() for _, hi in ranges]))
-        return out
+        """The same function at the smallest depth that holds it exactly.
+
+        Depth k holds it when the cylinders sharing each depth-k prefix
+        hold one value: equal as floats (0.0 and -0.0 match, a NaN
+        matches nothing), no tolerance, so refining the result gives
+        back every bit.  Those depths are closed upward.  So one pass
+        finds the adjacent cylinders whose values differ, and their
+        prefixes are followed down from depth - 1 until two of them
+        meet: the answer is one deeper (a function with no coarser form
+        stops at the first step and comes back as itself).  Each value
+        is the first cylinder of its group.  A group mixing 0.0 and -0.0
+        takes the sign that coarsened's level-by-level maximum.reduceat
+        gives it, which follows numpy's reduction order (under AVX-512 a
+        group of 9, 17, ... zeros does not reduce in order), so a
+        function holding -0.0 is lowered by coarsened.
+        """
+        vec, tower = self.vec, self.tower
+        if np.isnan(vec.max()):  # max is NaN when any value is
+            return self
+        left = []
+        for start, n, rt in self.layout.columns:
+            block = vec[start:start + rt * n].reshape(rt, n)
+            left.append(np.flatnonzero((block[:, 1:] != block[:, :-1]).any(axis=0)))
+        depth = 0
+        if any(len(p) for p in left):
+            right = [p + 1 for p in left]
+            for depth in range(self.depth, 0, -1):
+                trunc = tower.depth_tables(depth).trunc
+                left = [t[p] for t, p in zip(trunc, left)]
+                right = [t[p] for t, p in zip(trunc, right)]
+                if any(np.any(a == b) for a, b in zip(left, right)):
+                    break
+        if depth == self.depth:
+            return self
+        if (vec[np.signbit(vec)] == 0).any():
+            return self.coarsened(depth)
+        values = []
+        for j, (start, n, rt) in enumerate(self.layout.columns):
+            first = np.arange(self.layout.counts[depth, j])
+            for k in range(depth + 1, self.depth + 1):
+                first = np.searchsorted(tower.depth_tables(k).trunc[j], first)
+            values.append(vec[start:start + rt * n].reshape(rt, n)[:, first].ravel())
+        return TowerFunction(tower, depth, np.concatenate(values))
 
     def sup_norm(self) -> float:
         """Level-weighted sup norm: max over levels of beta^l * sup |rho|."""
@@ -653,8 +729,7 @@ def leading_eigenpair(tower: Tower, tol: float = 1e-13,
     means the iteration left the quasi-compact regime and is rejected.
     """
     check_tol(tol)
-    if depth < 0:
-        raise InvalidArgumentError("depth must be nonnegative")
+    check_depth(depth)
     rho = tower_constant(tower, 1.0)
     mass = rho.integrate()
     trace = []

@@ -57,3 +57,15 @@ def test_benchmark_child_runs_each_workload(workload, tmp_path):
             report["checks"]
         assert report["wrappers_left"] == []
     assert plain["digest"] == traced["digest"]
+
+
+def test_benchmark_child_solves_the_full_tower_input(tmp_path):
+    # the small input has no depth-6 tower, so only the full one takes
+    # the child through refining to depth 6 and coarsening back
+    inp = WORKLOADS.make_input("tower-spectral", 1)
+    assert max(t["depth"] for t in inp["towers"]) == 6
+    input_path = tmp_path / "input.json"
+    input_path.write_text(json.dumps(inp))
+    report = _child("tower-spectral", str(input_path), str(tmp_path / "full"), False)
+    assert report["checks"] and all(c["ok"] for c in report["checks"].values()), \
+        report["checks"]

@@ -286,6 +286,140 @@ def test_depth_tables_built_once_per_depth(monkeypatch):
     assert rho.coarsened(1).depth == 1 and built == [0, 1, 2, 3, 4, 5]
 
 
+def level_refined(f, depth):
+    """refined as it was written before: one level at a time, one gather
+    per column through that level's trunc."""
+    out = f
+    while out.depth < depth:
+        d = out.depth + 1
+        trunc = f.tower.depth_tables(d).trunc
+        vec = np.concatenate([
+            out.vec[start:start + rt * n].reshape(rt, n)[:, trunc[j]].ravel()
+            for j, (start, n, rt) in enumerate(out.layout.columns)
+        ])
+        out = tower.TowerFunction(f.tower, d, vec)
+    return out
+
+
+def level_coarsest(f):
+    """coarsest as it was written before: lowered one level at a time
+    while every prefix group's min equals its max, each value the
+    group's maximum.reduceat."""
+    out = f
+    while out.depth > 0:
+        lay, ranges = out.layout, []
+        for j, (start, n, rt) in enumerate(lay.columns):
+            starts = np.searchsorted(lay.trunc[j], np.arange(lay.counts[out.depth - 1, j]))
+            block = out.vec[start:start + rt * n].reshape(rt, n)
+            ranges.append((np.minimum.reduceat(block, starts, axis=1),
+                           np.maximum.reduceat(block, starts, axis=1)))
+        if not all(np.array_equal(lo, hi) for lo, hi in ranges):
+            break
+        out = tower.TowerFunction(f.tower, out.depth - 1,
+                                  np.concatenate([hi.ravel() for _, hi in ranges]))
+    return out
+
+
+def assert_same(a, b):
+    assert a.depth == b.depth
+    assert a.vec.tobytes() == b.vec.tobytes()
+
+
+def nine_column_spec():
+    # full branch over 9 columns: prefix groups of 9, 81 and 729 cylinders,
+    # lengths at which numpy's SIMD maximum.reduceat need not reduce in order
+    return tower.TowerSpec(
+        columns=tuple(tower.TowerColumn(mass=1.0, return_time=1 + (j == 0))
+                      for j in range(9)),
+        beta=0.8, c0=9.0, theta0=0.5, holes=frozenset({(1, 0), (0, 8)}),
+    )
+
+
+def spot_towers(gold, n):
+    """Restricted and full targets, holes on the base and above it,
+    return times 1 to 5."""
+    rng = np.random.default_rng(59)
+    fixed = [tower.build_tower(nine_column_spec(), enforce_hole_condition=False),
+             tower.build_tower(sourceless_base_spec()),
+             tower.build_tower(geometric_tail_spec())]
+    return [gold] + fixed + [tower.build_tower(tower.random_tower_spec(rng)) for _ in range(n)]
+
+
+def test_refined_matches_the_level_walk(gold):
+    rng = np.random.default_rng(61)
+    for t in spot_towers(gold, 8):
+        top = 3 if t.n_cols == 9 else 5
+        for base in (0, 2):
+            f = tower.tower_random(t, base, rng)
+            for k in range(base, top + 1):
+                assert_same(f.refined(k), level_refined(f, k))
+        assert f.refined(2) is f
+
+
+def test_coarsest_matches_the_level_walk(gold):
+    rng = np.random.default_rng(67)
+    for t in spot_towers(gold, 12):
+        top = 3 if t.n_cols == 9 else 5
+        r0, r1, r2 = (tower.tower_random(t, k, rng) for k in range(3))
+        for k in range(top + 1):
+            got = r0.refined(k).coarsest()
+            assert got.depth == 0
+            assert_same(got, level_coarsest(r0.refined(k)))
+        for k in range(2, top + 1):
+            got = r2.refined(k).coarsest()
+            assert got.depth == 2
+            assert_same(got, level_coarsest(r2.refined(k)))
+        # the deepest column sets the depth: one cell holds a depth-2 function
+        f = r1.refined(top)
+        cell = [c for c in t.cells if c not in t.holes][-1]
+        f.values[cell][:] = r2.refined(top).values[cell]
+        assert f.coarsest().depth == 2
+        assert_same(f.coarsest(), level_coarsest(f))
+        # no coarser form: the function itself
+        r3 = tower.tower_random(t, 3, rng)
+        assert r3.coarsest() is r3 and level_coarsest(r3) is r3
+        # zeros of both signs, in random patterns and in whole groups,
+        # everywhere but the hole cells (0.0) or in one cell of a depth-1
+        # function; negative values; zeros of one sign
+        zeros = (tower.tower_random(t, 3, rng) - 1.0) * 0.0
+        mixed = r1.refined(3)
+        mixed.values[cell][:] = zeros.values[cell]
+        for f in (zeros, mixed, r0.refined(3) * -1.0, r2.refined(3) - r2.refined(3)):
+            assert_same(f.coarsest(), level_coarsest(f))
+        assert mixed.coarsest().depth == 1
+    # a NaN equals nothing, not even alone in its group: the cylinder of
+    # itinerary (0, 1) is the only one with prefix (0)
+    t = tower.build_tower(tower.TowerSpec(
+        columns=(tower.TowerColumn(mass=0.5, return_time=1, target=(1,)),
+                 tower.TowerColumn(mass=0.5, return_time=1)),
+        beta=0.8, c0=1.0, theta0=0.5))
+    nan = tower.tower_constant(t, 1.0, 2)
+    nan.values[(0, 1)][0] = np.nan
+    assert nan.coarsest() is nan and level_coarsest(nan) is nan
+
+
+def test_depths_are_integers(gold):
+    rng = np.random.default_rng(71)
+    one = tower.tower_constant(gold, 1.0, 1)
+    bad = [
+        (lambda: one.refined(2.5), "2.5"),
+        (lambda: one.coarsened(0.5), "0.5"),
+        (lambda: tower.leading_eigenpair(gold, depth=1.5), "1.5"),
+        (lambda: tower.tower_constant(gold, 1.0, 2.5), "2.5"),
+        (lambda: tower.tower_random(gold, True, rng), "True"),
+        (lambda: gold.depth_tables(-1), "-1"),
+        (lambda: gold.depth_tables("2"), "'2'"),
+    ]
+    for call, shown in bad:
+        with pytest.raises(InvalidArgumentError, match=f"got {shown}"):
+            call()
+    two = np.int64(2)
+    assert one.refined(two).depth == 2
+    assert tower.leading_eigenpair(gold, depth=two)[1].depth == 2
+    assert tower.tower_random(gold, 1, rng).refined(two).coarsened(np.int64(1)).depth == 1
+    assert tower.tower_constant(gold, 1.0, two).coarsest().depth == 0
+
+
 # -- exact structural identities ------------------------------------------------
 
 
