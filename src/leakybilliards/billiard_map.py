@@ -10,9 +10,13 @@ sends a departure state to the next arrival state.
 The map itself works on the Cartesian form of a state, a State: the
 scatterer id, the unit normal n at the boundary point (pointing away
 from the disk center, into the domain) and the unit velocity v leaving
-it, with cos(phi) = v.n.  collide_cartesian launches from c + rho*n,
-finds the first hit, takes the arrival normal d = (q1 - c1)/|q1 - c1|
-and reflects, v' = v - 2(v.d)d; time reversal is v -> 2(v.n)n - v.
+it, with cos(phi) = v.n.  The map is one kernel in two halves:
+flights launches from c + rho*n and finds the first hit, and arrive
+takes the arrival normal d = (q1 - c1)/|q1 - c1| and reflects,
+v' = v - 2(v.d)d, writing into arrays it is given, which may be the
+departure states themselves (open_dynamics' in-place step).
+collide_cartesian runs both into copies of its inputs; time reversal
+is v -> 2(v.n)n - v.
 That is +, -, *, / and sqrt only, which IEEE 754 rounds the same way on
 every host, so an ensemble kept in this form follows the same
 trajectories whatever SIMD code numpy dispatches to.  (r, phi) are
@@ -130,16 +134,111 @@ def phase_of(table, state: State):
     return state.sid.copy(), arc_coordinate(table, state.sid, state.normal), phi
 
 
-def reverse(normal, velocity):
+def reverse(normal, velocity, out=None):
     """Time reversal of velocities at boundary normals: 2(v.n)n - v,
-    the state (r, -phi)."""
+    the state (r, -phi), into out (N,2), which may be velocity itself,
+    or a new array."""
     w = 2.0 * (velocity[:, 0] * normal[:, 0] + velocity[:, 1] * normal[:, 1])
-    return np.stack([w * normal[:, 0] - velocity[:, 0],
-                     w * normal[:, 1] - velocity[:, 1]], axis=1)
+    if out is None:
+        out = np.empty(np.shape(velocity))
+    tmp = w * normal[:, 0]
+    np.subtract(tmp, velocity[:, 0], out=out[:, 0])
+    np.multiply(w, normal[:, 1], out=tmp)
+    np.subtract(tmp, velocity[:, 1], out=out[:, 1])
+    return out
+
+
+class Flight(NamedTuple):
+    """Free flights of Cartesian states, found but not yet arrived."""
+
+    start: np.ndarray          # (N,2) unfolded launch points
+    direction: np.ndarray      # (N,2) unit directions: the states' velocities
+    flight_length: np.ndarray  # inf for no hit
+    row: np.ndarray            # cell of each flight, geometry.row_keys
+    image: np.ndarray          # the image hit, an index into
+                               # Table.sector_candidates()
+    censored: np.ndarray       # departure guard or graze so far; arrive
+                               # adds the arrival guard
+
+
+def flights(table, sid, normal, velocity) -> Flight:
+    """The first half of the collision map: launch from c + rho*n,
+    censor the departure when v.n < _COS_GUARD, and find the first hit
+    (geometry.first_hit_images).  A flight with no hit within the
+    certified l_max raises NoCollisionError unless it is censored at
+    departure or grazes.  The Flight's direction is velocity itself,
+    not a copy."""
+    sid = np.asarray(sid, dtype=np.int64)
+    p0 = _geo.launch_points(table, sid, normal)
+    row = _geo.row_keys(sid, normal, velocity)
+    t, img, grazed = _geo.first_hit_images(table, p0, velocity, row)
+    cens = velocity[:, 0] * normal[:, 0]
+    cens += velocity[:, 1] * normal[:, 1]
+    cens = cens < _COS_GUARD
+    cens |= grazed
+    bad = np.isinf(t)
+    bad &= ~cens
+    if bad.any():
+        raise NoCollisionError(
+            f"{int(bad.sum())} flights found no scatterer within the certified "
+            "reach; horizon certificate violated"
+        )
+    return Flight(p0, velocity, t, row, img, cens)
+
+
+def arrive(table, flight: Flight, sid, normal, velocity) -> None:
+    """The second half of the collision map: write each flight's
+    arrival into sid, normal and velocity, and add the arrival guard
+    -v.d < _COS_GUARD to flight.censored.
+
+    The arrival normal is d = (q1 - c1)/|q1 - c1|, measured from the
+    centre c1 of the image hit (Table.image_centers), and the velocity
+    reflects, v' = v - 2(v.d)d.  velocity may be flight.direction
+    itself: each row is read before it is written.  A flight without a
+    hit, censored by flights, leaves its row alone, so the departure
+    state stays there as a placeholder.
+    """
+    ids, centers = table.sector_candidates()[0], table.image_centers()
+    img, t = flight.image, flight.flight_length
+    vx, vy = flight.direction[:, 0], flight.direction[:, 1]
+    nohit = np.flatnonzero(np.isinf(t))
+    if nohit.size:
+        departure = (sid[nohit], normal[nohit], velocity[nohit])
+        t[nohit] = 0.0
+    dx = t * vx
+    dx += flight.start[:, 0]
+    dx -= centers[:, 0].take(img)
+    dy = t * vy
+    dy += flight.start[:, 1]
+    dy -= centers[:, 1].take(img)
+    nrm = dx * dx
+    tmp = dy * dy
+    nrm += tmp
+    np.sqrt(nrm, out=nrm)
+    dx /= nrm
+    dy /= nrm
+    w = np.multiply(vx, dx, out=nrm)
+    np.multiply(vy, dy, out=tmp)
+    w += tmp
+    # -w < _COS_GUARD, without the negated copy
+    cens = flight.censored
+    cens |= w > -_COS_GUARD
+    w += w
+    np.multiply(w, dx, out=tmp)
+    np.subtract(vx, tmp, out=velocity[:, 0])
+    np.multiply(w, dy, out=tmp)
+    np.subtract(vy, tmp, out=velocity[:, 1])
+    normal[:, 0] = dx
+    normal[:, 1] = dy
+    sid[:] = ids.take(img)
+    if nohit.size:
+        sid[nohit], normal[nohit], velocity[nohit] = departure
+        t[nohit] = np.inf
 
 
 def collide_cartesian(table, sid, normal, velocity) -> CollisionBatch:
-    """Vectorized collision map on Cartesian states.
+    """Vectorized collision map on Cartesian states: flights, then
+    arrive into copies of the inputs.
 
     Every flight ends at its first hit within the certified l_max.  A
     flight with none raises NoCollisionError unless it is censored at
@@ -148,40 +247,11 @@ def collide_cartesian(table, sid, normal, velocity) -> CollisionBatch:
     entries hold an unusable arrival.
     """
     sid = np.asarray(sid, dtype=np.int64)
-    nx, ny = normal[:, 0], normal[:, 1]
-    vx, vy = velocity[:, 0], velocity[:, 1]
-    p0 = _geo.launch_points(table, sid, normal)
-    cens = vx * nx + vy * ny < _COS_GUARD
-    row = _geo.row_keys(sid, normal, velocity)
-    t, hit, off, grazed = _geo.first_hit_batch(table, p0, velocity, row)
-    nohit = hit < 0
-    if nohit.any():
-        bad = nohit & ~(cens | grazed)
-        if np.any(bad):
-            raise NoCollisionError(
-                f"{int(bad.sum())} flights found no scatterer within the certified "
-                "reach; horizon certificate violated"
-            )
-        hit = np.where(nohit, sid, hit)
-        t = np.where(nohit, 0.0, t)
-    # the arrival point relative to the center of the image it hits
-    c1 = table.centers.take(hit, axis=0)
-    c1 += off
-    dx = p0[:, 0] + t * vx - c1[:, 0]
-    dy = p0[:, 1] + t * vy - c1[:, 1]
-    nrm = np.sqrt(dx * dx + dy * dy)
-    dx /= nrm
-    dy /= nrm
-    w = vx * dx + vy * dy
-    cens |= grazed | (-w < _COS_GUARD)
-    w += w
-    d = np.stack([dx, dy], axis=1)
-    v1 = np.stack([vx - w * dx, vy - w * dy], axis=1)
-    if nohit.any():
-        t[nohit] = np.inf
-        d[nohit] = normal[nohit]
-        v1[nohit] = velocity[nohit]
-    return CollisionBatch(hit, d, v1, t, p0, velocity, cens, row)
+    flight = flights(table, sid, normal, velocity)
+    out = State(sid.copy(), np.array(normal, dtype=float), np.array(velocity, dtype=float))
+    arrive(table, flight, *out)
+    return CollisionBatch(*out, flight.flight_length, flight.start, velocity,
+                          flight.censored, flight.row)
 
 
 def collide_batch(table, sid, r, phi) -> CollisionBatch:
@@ -233,7 +303,8 @@ def collide_inverse_cartesian(table, sid, normal, velocity) -> CollisionBatch:
     scatterer.
     """
     out = collide_cartesian(table, sid, normal, reverse(normal, velocity))
-    return out._replace(velocity=reverse(out.normal, out.velocity))
+    reverse(out.normal, out.velocity, out=out.velocity)
+    return out
 
 
 def collide_inverse_batch(table, sid, r, phi) -> CollisionBatch:

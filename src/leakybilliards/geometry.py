@@ -189,10 +189,21 @@ class Table:
         images): the last image is a sentinel, id -1 and offset 0, and
         the index of the rows' padding.  Cached per search_reach().
         """
+        return self._candidates()[:3]
+
+    def image_centers(self):
+        """Centre of each image of sector_candidates(), (M+1, 2): the
+        centre of its scatterer plus its offset, the sum the collision
+        map's arrival point is measured from.  The sentinel's entry
+        (the last scatterer's centre) means nothing."""
+        return self._candidates()[3]
+
+    def _candidates(self):
         reach = self.search_reach()
         if reach not in self._sectors:
             ids, offs, rows = self._image_rows(self.centers, self.radii)
-            self._sectors[reach] = (np.append(ids, -1), np.append(offs, [[0.0, 0.0]], axis=0), rows)
+            ids, offs = np.append(ids, -1), np.append(offs, [[0.0, 0.0]], axis=0)
+            self._sectors[reach] = (ids, offs, rows, self.centers[ids] + offs)
         return self._sectors[reach]
 
     def disk_rows(self, center, radius: float):
@@ -243,12 +254,24 @@ def row_keys(sid, normal, v):
     2/N_OFF from -1, where rho*s is the signed offset of the flight's
     line from the departure centre.  atan2 = pi and s >= 1 fall in one
     more sector and bin, so no key is clamped.  Cells are padded by
-    _CELL_PAD, so rounding across an edge is harmless.
+    _CELL_PAD, so rounding across an edge is harmless.  atan2 reads
+    contiguous copies of the direction columns, which it takes at half
+    the cost of the strided columns, with the same bits.
     """
     vx, vy = v[:, 0], v[:, 1]
-    sector = ((np.arctan2(vy, vx) + np.pi) * (N_DIR / (2.0 * np.pi))).astype(np.int64)
-    off = ((normal[:, 1] * vx - normal[:, 0] * vy + 1.0) * (0.5 * N_OFF)).astype(np.int64)
-    return (sid * (N_DIR + 1) + sector) * (N_OFF + 1) + off
+    a = vy.copy()
+    np.arctan2(a, np.ascontiguousarray(vx), out=a)
+    a += np.pi
+    a *= N_DIR / (2.0 * np.pi)
+    key = np.multiply(sid, N_DIR + 1, dtype=np.int64)
+    key += a.astype(np.int64)
+    key *= N_OFF + 1
+    np.multiply(normal[:, 1], vx, out=a)
+    a -= normal[:, 0] * vy
+    a += 1.0
+    a *= 0.5 * N_OFF
+    key += a.astype(np.int64)
+    return key
 
 
 class CellRows(NamedTuple):
@@ -353,58 +376,83 @@ def launch_points(table: Table, sid, n):
 
 
 def first_hit_batch(table: Table, p0, v, row):
-    """First intersection of rays with the scatterer image lattice.
+    """first_hit_images of rays p0, v (N,2) of cells row, with each
+    image read as its scatterer id and integer offset: returns (t, sid,
+    offset, grazed), with id -1 and offset 0 where there is no hit."""
+    p0 = np.atleast_2d(np.asarray(p0, dtype=float))
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    row = np.asarray(row, dtype=np.int64).reshape(-1)
+    t, img, grazed = first_hit_images(table, p0, v, row)
+    ids, offs, _ = table.sector_candidates()
+    return t, ids.take(img), offs.take(img, axis=0), grazed
 
-    Parameters
-    ----------
-    p0, v : (N,2) arrays
-        Ray origins and unit directions.  Ray i starts on the boundary
-        of the unit-cell image of the scatterer it departs from.
-    row : (N,) int array
-        Each ray's cell, row_keys of its departure; the departure
-        disk's (0,0) image is in no row of its own, so rounding cannot
-        produce a zero-length hit.
 
-    Returns
-    -------
-    t, sid, offset, grazed
-        Flight lengths (inf for no hit), scatterer ids (-1 for no hit),
-        integer image offsets (N,2; 0 for no hit), and a flag for rays
-        passing within GRAZE_TOLERANCE of a circle they did not hit,
-        ahead of the accepted hit.  A ray without a hit is flagged if
-        _sector_scan's loose pre-screen finds it near a circle of its
-        row.
+def first_hit_images(table: Table, p0, v, row):
+    """First hit of rays p0 + t*v (N,2) of cells row (row_keys of their
+    departure), as (t, image, grazed): flight lengths (inf for no hit),
+    indices into Table.sector_candidates() (the sentinel for no hit),
+    and a flag for rays passing within GRAZE_TOLERANCE of a circle they
+    did not hit, ahead of the accepted hit.  A ray without a hit is
+    flagged if _sector_scan's loose pre-screen finds it near a circle
+    of its row.
 
     Each ray gets its first hit within the certificate's l_max or no
     hit at all.  It is tested only against its row of
     Table.sector_candidates(), which holds every image a ray of its
-    cell can meet within l_max.  The rows reach a little past l_max; a
-    hit there is dropped, so the result does not depend on the
-    padding.  A ray leaving its disk has
+    cell can meet within l_max; the departure disk's (0,0) image is in
+    no row of its own, so rounding cannot produce a zero-length hit.
+    The rows reach a little past l_max; a hit there is dropped, so the
+    result does not depend on the padding.  A ray leaving its disk has
     no hit only if it grazes an image; any other such ray (one aimed
     into its own disk, say) is outside the proof.
     billiard_map.collide_cartesian censors those at departure and
     raises NoCollisionError for any other flight without a hit.
     """
-    p0 = np.atleast_2d(np.asarray(p0, dtype=float))
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    row = np.asarray(row, dtype=np.int64).reshape(-1)
-    t, sid, off, maybe_graze = _sector_scan(table, p0, v, row)
-    far = np.flatnonzero(~(t <= table.certificate.l_max))
-    t[far], sid[far], off[far] = np.inf, -1, 0.0
-    return t, sid, off, _graze_recheck(table, p0, v, t, maybe_graze)
+    t, img, maybe_graze = _sector_scan(table, p0, v, row)
+    far = ~(t <= table.certificate.l_max)
+    np.copyto(t, np.inf, where=far)
+    np.copyto(img, len(table.sector_candidates()[0]) - 1, where=far)
+    return t, img, _graze_recheck(table, p0, v, t, maybe_graze)
+
+
+def _column(cols, k, key, px, py, vx, vy):
+    """The quadratic of rays p + t*v against column k of their rows
+    key: with f = p - C and cc = |f|^2 - rho^2, returns hb = f.v,
+    disc4 = hb*hb - cc and tsm = -hb - sqrt(max(disc4, 0)), each
+    rounded as that expression is written.  tsm is formed as
+    -(hb + sqrt(...)), which rounds alike but may give a zero the other
+    sign; no zero passes the _T_EPS test."""
+    fx = cols.x[k].take(key)
+    np.subtract(px, fx, out=fx)
+    fy = cols.y[k].take(key)
+    np.subtract(py, fy, out=fy)
+    hb = fx * vx
+    tmp = fy * vy
+    hb += tmp
+    np.multiply(fx, fx, out=fx)
+    np.multiply(fy, fy, out=fy)
+    fx += fy
+    fx -= cols.rho2[k].take(key)
+    disc4 = np.multiply(hb, hb, out=fy)
+    disc4 -= fx
+    tsm = np.maximum(disc4, 0.0, out=fx)
+    np.sqrt(tsm, out=tsm)
+    tsm += hb
+    np.negative(tsm, out=tsm)
+    return hb, disc4, tsm
 
 
 def _sector_scan(table, p0, v, key):
     """Column-by-column scan of each ray's candidate row, key.
 
-    A ray retires once its best flight is no longer than the next
-    column's flight lower bound; every ray scans column 0, whose padding
-    never hits or flags (rho2 = -inf).  Retired rays are masked out, and the
-    rays still in the scan are compacted only once at least half of
-    them have retired; hits go straight into the result arrays by ray
-    index.  Returns (t, sid, offset, maybe_graze): each ray's first hit
-    among its row, which may lie a little past l_max, and the loose
+    Every ray scans column 0, whose padding never hits or flags
+    (rho2 = -inf).  A ray retires once its best flight is no longer
+    than the next column's flight lower bound; each later column scans
+    only the rays still in the scan, compacted, and its hits go
+    straight into the result arrays by ray index.  Returns (t, image,
+    maybe_graze): each ray's first hit among its row, which may lie a
+    little past l_max, as its flight length and its index into
+    Table.sector_candidates() (the sentinel for none), and the loose
     graze pre-screen flag that _graze_recheck settles.
 
     The arithmetic is the textbook quadratic's with b = 2*hb, which
@@ -413,46 +461,37 @@ def _sector_scan(table, p0, v, key):
     -hb - sqrt(hb*hb - cc) hold in floating point too, since they only
     scale by powers of two, so every flight length keeps its bits.
     """
-    img_sid, img_off, cols = table.sector_candidates()
-    n = p0.shape[0]
-    best_t = np.full(n, np.inf)
-    best_img = np.full(n, len(img_sid) - 1)
-    maybe_graze = np.zeros(n, dtype=bool)
-
-    idx = np.arange(n)
+    img_sid, _, cols = table.sector_candidates()
     px, py, vx, vy = p0[:, 0], p0[:, 1], v[:, 0], v[:, 1]
-    bt, live = best_t, None
-    for k in range(len(cols.idx)):
-        if k:
-            bt = best_t.take(idx)
-            live = bt > cols.lb[k].take(key)
-            n_live = np.count_nonzero(live)
-            if not n_live:
-                break
-            if 2 * n_live <= len(idx):
-                keep = np.flatnonzero(live)
-                idx, key, px, py, vx, vy, bt = (
-                    a.take(keep) for a in (idx, key, px, py, vx, vy, bt))
-                live = None
-        fx = px - cols.x[k].take(key)
-        fy = py - cols.y[k].take(key)
-        hb = fx * vx + fy * vy
-        cc = fx * fx + fy * fy - cols.rho2[k].take(key)
-        disc4 = hb * hb - cc
-        tsm = -hb - np.sqrt(np.maximum(disc4, 0.0))
+    hb, disc4, tsm = _column(cols, 0, key, px, py, vx, vy)
+    ok = disc4 > 0.0
+    ok &= tsm > _T_EPS
+    # loose pre-screen; the exact grazing test reruns flagged rays
+    maybe_graze = np.abs(disc4, out=disc4) < _GRAZE_SCREEN
+    maybe_graze &= hb < -_T_EPS
+    del hb, disc4
+    best_t = np.where(ok, tsm, np.inf)
+    del tsm
+    best_img = np.where(ok, cols.idx[0].take(key), len(img_sid) - 1)
+    del ok
+
+    idx, bt = None, best_t
+    for k in range(1, len(cols.idx)):
+        keep = np.flatnonzero(bt > cols.lb[k].take(key))
+        if not keep.size:
+            break
+        idx = keep if idx is None else idx.take(keep)
+        key, px, py, vx, vy, bt = (a.take(keep) for a in (key, px, py, vx, vy, bt))
+        hb, disc4, tsm = _column(cols, k, key, px, py, vx, vy)
         ok = (disc4 > 0.0) & (tsm > _T_EPS) & (tsm < bt)
-        # loose pre-screen; the exact grazing test reruns flagged rays
         flag = (np.abs(disc4) < _GRAZE_SCREEN) & (hb < -_T_EPS)
-        if live is not None:
-            ok &= live
-            flag &= live
         sel = np.flatnonzero(ok)
         rays = idx.take(sel)
-        best_t[rays] = tsm.take(sel)
+        bt[sel] = best_t[rays] = tsm.take(sel)
         best_img[rays] = cols.idx[k].take(key.take(sel))
         maybe_graze[idx[flag]] = True
 
-    return best_t, img_sid.take(best_img), img_off.take(best_img, axis=0), maybe_graze
+    return best_t, best_img, maybe_graze
 
 
 def _graze_recheck(table, p0, v, best_t, maybe_graze):

@@ -194,9 +194,11 @@ def score(table, hole: HoleSpec, sid, normal, flight):
 
     Type I reads sid and the unit normals (N,2): the squared chord
     |n - u0|^2 to the normal u0 at the arc's centre on the hole's
-    scatterer, +inf elsewhere.  Type II reads flight, a CollisionBatch:
-    the least squared distance from the segment to an image of the disk
-    centre in the row of its cell, flight.row, in table.disk_rows (+inf
+    scatterer, +inf elsewhere.  Type II reads flight, a CollisionBatch
+    or a billiard_map.Flight, only its start, direction, flight_length
+    and row: the least squared distance from the segment to an image of
+    the disk centre in the row of its cell, flight.row, in
+    table.disk_rows (+inf
     for an empty row); an uncensored flight ends within l_max and comes
     within the radius of no image outside that row.  A censored flight
     may have no hit (length inf); its entry means nothing.
@@ -255,12 +257,19 @@ def arrival_escape_mask(table, hole: HoleSpec | None, batch: _bmap.CollisionBatc
     return inside & ~batch.censored
 
 
+def reads_flight(hole: HoleSpec | None) -> bool:
+    """Whether membership in hole is read off the flight that produced
+    a state (Type II) rather than off the state itself."""
+    return hole is not None and hole.kind == "II"
+
+
 def in_hole_given_flight(table, hole: HoleSpec | None, sid, normal, flight):
     """Phase-space membership of states given the flights that produced them.
 
-    flight is a CollisionBatch holding, per state, the free flight that
-    ended there, run either way: the forward batch that arrived at the
-    states, or their inverse collision.  Type I reads only sid and the
+    flight is a CollisionBatch or billiard_map.Flight holding, per
+    state, the free flight that ended there, run either way: the
+    forward flights that arrive at the states, or their inverse
+    collision.  Type I reads only sid and the
     boundary normals, and no hole (None) reads nothing, so flight may be
     None there.  Returns (inside, undecided): a state is inside when
     score < bound; a Type II state, whose score is its flight's, is

@@ -96,14 +96,22 @@ def _nu_draws(table, n: int, rng):
         np.searchsorted(table.cum_perimeter, u, side="right") - 1,
         0, len(table) - 1,
     ).astype(np.int64)
+    del u
     r = np.mod(rng.random(n) * table.perimeters[sid], table.perimeters[sid])
     return sid, r, 2.0 * rng.random(n) - 1.0
 
 
 def _state(table, sid, r, s):
-    """billiard_map.State of boundary states with sin(phi) = s."""
-    c = np.sqrt((1.0 - s) * (1.0 + s))
-    return _bmap.State(sid, *_geo.boundary_frame(table, sid, r, c, s))
+    """billiard_map.State of boundary states with sin(phi) = s, filled
+    open_dynamics.CHUNK states at a time, so the frame's temporaries
+    are one chunk's."""
+    state = _bmap.State(sid, np.empty((len(sid), 2)), np.empty((len(sid), 2)))
+    for lo in range(0, len(sid), _od.CHUNK):
+        part = slice(lo, lo + _od.CHUNK)
+        c = np.sqrt((1.0 - s[part]) * (1.0 + s[part]))
+        state.normal[part], state.velocity[part] = _geo.boundary_frame(
+            table, sid[part], r[part], c, s[part])
+    return state
 
 
 def sample_nu(table, n: int, rng):

@@ -24,17 +24,24 @@ hole test through hole_membership.  Both take only the table, the hole
 and the states and leave the hole test to holes, where None, the hole
 of a closed run, holds no state.  Both run on _map_chunks, which
 always works in fixed-size chunks, element by element, so outputs are
-identical byte-for-byte for any worker count.  On its first call,
-_map_chunks fixes glibc's heap policy for the process (one arena, fixed
-mmap and trim thresholds) so a step's memory stays resident between
-steps; see _keep_heap.
+identical byte-for-byte for any worker count.  Chunks run in order at
+one thread, or on the process's one pool of worker threads per thread
+count.  On its first call, _map_chunks fixes glibc's heap policy for
+the process (one arena, fixed mmap and trim thresholds) so a step's
+memory stays resident between steps; see _keep_heap.
 
-A step works in place: open_step_batch writes each chunk's arrivals
-over that chunk of its input and returns only the censored and escaped
-masks.  evolve_ensemble copies the caller's ensemble once and carries
-the run in that one buffer, packing the survivors to its front after
-each step, with their initial-particle indices; the caller's arrays
-never change.
+A step works in place: for each chunk, open_step_batch finds the
+flights (billiard_map.flights), tests a Type II hole on them, writes
+the arrivals over that chunk of its input (billiard_map.arrive) and
+tests a Type I hole on those, and returns only the censored and
+escaped masks.  No arrival is built in arrays of its own, so one
+CHUNK-row step peaks at about 81 B/row (Type I) or 87 B/row (Type II)
+of working memory, the launch points, flight lengths, row keys and
+image indices of its flights (40 B/row) and a few columns.
+evolve_ensemble copies the caller's ensemble once and carries the run
+in that one buffer, packing the survivors to its front after each
+step, with their initial-particle indices; the caller's arrays never
+change.
 """
 
 from __future__ import annotations
@@ -77,14 +84,15 @@ def _keep_heap() -> None:
 
     By default every worker thread gets its own malloc arena, and glibc
     moves its mmap and trim thresholds with the largest block freed so
-    far, so a step's temporaries (about 9 MiB a slice) go back to the
-    OS after it and are faulted in again by the next step: thousands of
-    minor page faults per step at 2 threads, and up to about 1,800 on
-    some steps at 1 thread.  One arena with thresholds fixed above the
-    step's arrays (2 MiB per column at two slices) and above one
-    slice's working set keeps that memory resident.  Nothing here
-    changes a computed value; where the C library is not glibc, or
-    mallopt cannot be reached, the allocator is left alone.
+    far, so a step's temporaries (at most 110 B/row, about 7 MiB a
+    CHUNK slice) go back to the OS after it and are faulted in again by
+    the next step: thousands of minor page faults per step at 2
+    threads, and up to about 1,800 on some steps at 1 thread.  One
+    arena with thresholds fixed above the step's arrays (0.5 MiB per
+    column of a slice) and above the two workers' working sets (about
+    11 MiB together) keeps that memory resident.  Nothing here changes
+    a computed value; where the C library is not glibc, or mallopt
+    cannot be reached, the allocator is left alone.
     """
     if platform.libc_ver()[0] != "glibc":
         return
@@ -99,15 +107,21 @@ def _keep_heap() -> None:
         mallopt(param, value)
 
 
+@functools.cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The process's one pool of threads workers, made on first use and
+    kept, so every step runs on the same worker threads."""
+    return ThreadPoolExecutor(max_workers=threads)
+
+
 def _map_chunks(fn, state, threads):
     """fn on each CHUNK-sized slice of a billiard_map.State, joined.
 
     fn gets views of state's arrays and returns a tuple of arrays, one
     entry per state of its slice; entries are concatenated across
-    slices once all are done.  Slices run in order, or in a pool of
-    threads workers when there are several; which worker runs which
-    slice changes no result, and a worker that writes to its slice
-    writes to no other.
+    slices once all are done.  Slices run in order, or on _pool(threads)
+    when there are several; which worker runs which slice changes no
+    result, and a worker that writes to its slice writes to no other.
     """
     _keep_heap()
     n = len(state.sid)
@@ -116,8 +130,7 @@ def _map_chunks(fn, state, threads):
     if threads <= 1 or len(parts) == 1:
         parts = [fn(part) for part in parts]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(fn, parts))
+        parts = list(_pool(threads).map(fn, parts))
     if len(parts) == 1:
         return parts[0]
     return tuple(map(np.concatenate, zip(*parts)))
@@ -130,20 +143,26 @@ def open_step_batch(table, hole, state, threads: int = 1):
     Each entry of state is overwritten by its arrival; returns
     (censored, escaped), masks of the censored and the escaped flights.
     escaped never marks a censored entry, and censored entries hold
-    placeholder states.  Each slice of _map_chunks is collided, masked
-    and then overwritten on its own; every step works element by
-    element, so the result is the same for any chunking and any thread
-    count.  hole None means a closed step.
+    placeholder states.  Each slice of _map_chunks is searched
+    (billiard_map.flights), hole-tested and arrived (billiard_map.arrive)
+    on its own: a Type II score reads the flight before the arrival
+    overwrites its direction, a Type I score reads the arrival.  Every
+    step works element by element, so the result is the same for any
+    chunking and any thread count.  hole None means a closed step.
     """
+    early = _holes.reads_flight(hole)
 
     def step(part):
-        batch = _bmap.collide_cartesian(table, *part)
-        # the mask reads batch.direction, a view of part.velocity
-        escaped = _holes.arrival_escape_mask(table, hole, batch)
-        part.sid[:] = batch.scatterer_id
-        part.normal[:] = batch.normal
-        part.velocity[:] = batch.velocity
-        return batch.censored, escaped
+        flight = _bmap.flights(table, *part)
+        if early:
+            inside, _ = _holes.in_hole_given_flight(table, hole, None, None, flight)
+        _bmap.arrive(table, flight, *part)
+        cens = flight.censored
+        del flight  # its 40 B/row are free before a Type I score
+        if not early:
+            inside, _ = _holes.in_hole_given_flight(table, hole, part.sid, part.normal, None)
+        inside &= ~cens
+        return cens, inside
 
     return _map_chunks(step, state, threads)
 

@@ -266,6 +266,28 @@ def _tangent_and_random_rays(table, reach, n, seed):
     return p0, normal, v, sid
 
 
+def strided_row_keys(sid, normal, v):
+    """geometry.row_keys as it was, atan2 on the strided direction
+    columns and the key in separate passes, kept as its oracle."""
+    vx, vy = v[:, 0], v[:, 1]
+    sector = ((np.arctan2(vy, vx) + np.pi) * (geometry.N_DIR / (2.0 * np.pi))).astype(np.int64)
+    off = ((normal[:, 1] * vx - normal[:, 0] * vy + 1.0) * (0.5 * geometry.N_OFF)).astype(np.int64)
+    return (sid * (geometry.N_DIR + 1) + sector) * (geometry.N_OFF + 1) + off
+
+
+def test_row_keys_match_the_strided_formula(table):
+    _, normal, v, sid = _tangent_and_random_rays(table, table.certificate.l_max, 100_000, 11)
+    nu = measures.sample_nu_state(table, 100_000, stream(11, "row-keys"))
+    sid, normal, v = (np.concatenate(a) for a in zip((sid, normal, v), nu))
+    before = v.tobytes()
+    key = geometry.row_keys(sid, normal, v)
+    assert key.dtype == np.int64
+    assert key.tobytes() == strided_row_keys(sid, normal, v).tobytes()
+    # one row, whose columns are contiguous views: the directions stay put
+    assert geometry.row_keys(sid[:1], normal[:1], v[:1])[0] == key[0]
+    assert v.tobytes() == before
+
+
 def _four_disk_table():
     return geometry.validate_table([
         geometry.Scatterer((0.0, 0.0), 0.3),
@@ -633,11 +655,11 @@ def test_graze_pre_screen_flags_what_the_impact_parameter_test_flags(table, whic
     v[:n_tan, 0] = np.cos(eps) * vx - np.sin(eps) * vy
     v[:n_tan, 1] = np.sin(eps) * vx + np.cos(eps) * vy
     key = geometry.row_keys(sid, n, v)
-    t, hit, _, flags = geometry._sector_scan(table, p0, v, key)
+    t, img, flags = geometry._sector_scan(table, p0, v, key)
     want_t, want_img, want_flags = _old_sector_scan(table, p0, v, key)
     img_sid, _, _ = table.sector_candidates()
     assert t.tobytes() == want_t.tobytes()
-    assert np.array_equal(hit, np.where(want_img >= 0, img_sid[want_img], -1))
+    assert np.array_equal(img_sid[img], np.where(want_img >= 0, img_sid[want_img], -1))
     assert want_flags.sum() > 500
     assert np.all(flags[want_flags])
 
@@ -672,7 +694,7 @@ def _graze_recheck_oracle(table, p0, v, best_t, maybe_graze, reach):
 def test_graze_recheck_matches_scalar_oracle(table):
     reach = table.certificate.l_max
     p0, n, v, sid = _tangent_and_random_rays(table, reach, 100_000, 5)
-    t, _, _, maybe = geometry._sector_scan(table, p0, v, geometry.row_keys(sid, n, v))
+    t, _, maybe = geometry._sector_scan(table, p0, v, geometry.row_keys(sid, n, v))
     got = geometry._graze_recheck(table, p0, v, t, maybe)
     want = _graze_recheck_oracle(table, p0, v, t, maybe, reach)
     assert got.tobytes() == want.tobytes()

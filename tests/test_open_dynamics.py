@@ -4,14 +4,17 @@ import platform
 import statistics
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from leakybilliards import billiard_map as bmap
-from leakybilliards import escape, holes, measures, open_dynamics
-from leakybilliards.errors import InvalidArgumentError
+from leakybilliards import escape, geometry, holes, measures, open_dynamics
+from leakybilliards.errors import InvalidArgumentError, NoCollisionError
 from leakybilliards.streams import stream
+from test_geometry import _tangent_and_random_rays, strided_row_keys
 
 
 def _sample(table, n, *tags):
@@ -380,8 +383,6 @@ def test_a_run_holds_one_ensemble_buffer(table, monkeypatch):
     # the run copies its input once and steps and packs in that copy; a
     # step's temporaries are one chunk's.  Joining every chunk's arrivals
     # and packing them into new arrays peaked at about 4.2 ensembles
-    import tracemalloc
-
     monkeypatch.setattr(open_dynamics, "CHUNK", 4096)
     hole = holes.type_i_hole(table, 0, 0.2, 0.5)
     state = _sample(table, 40_000, "one-buffer")
@@ -411,3 +412,195 @@ def test_runs_leave_the_callers_arrays_alone(table, monkeypatch, threads):
     measures.pushforward_residual(table, hole, sid, r, phi, 8, 8)
     for got, want in zip((*state, sid, r, phi), before):
         assert got.tobytes() == want.tobytes()
+
+
+def _copying_collide(table, sid, normal, velocity):
+    """billiard_map.collide_cartesian as it was before the search, the
+    hole test and the arrival wrote in place: every arrival built in
+    new arrays, kept as the oracle of the in-place kernel."""
+    sid = np.asarray(sid, dtype=np.int64)
+    nx, ny = normal[:, 0], normal[:, 1]
+    vx, vy = velocity[:, 0], velocity[:, 1]
+    p0 = geometry.launch_points(table, sid, normal)
+    cens = vx * nx + vy * ny < bmap._COS_GUARD
+    row = strided_row_keys(sid, normal, velocity)
+    t, hit, off, grazed = geometry.first_hit_batch(table, p0, velocity, row)
+    nohit = hit < 0
+    if nohit.any():
+        bad = nohit & ~(cens | grazed)
+        if np.any(bad):
+            raise NoCollisionError(f"{int(bad.sum())} flights found no scatterer")
+        hit = np.where(nohit, sid, hit)
+        t = np.where(nohit, 0.0, t)
+    c1 = table.centers.take(hit, axis=0)
+    c1 += off
+    dx = p0[:, 0] + t * vx - c1[:, 0]
+    dy = p0[:, 1] + t * vy - c1[:, 1]
+    nrm = np.sqrt(dx * dx + dy * dy)
+    dx /= nrm
+    dy /= nrm
+    w = vx * dx + vy * dy
+    cens |= grazed | (-w < bmap._COS_GUARD)
+    w += w
+    d = np.stack([dx, dy], axis=1)
+    v1 = np.stack([vx - w * dx, vy - w * dy], axis=1)
+    if nohit.any():
+        t[nohit] = np.inf
+        d[nohit] = normal[nohit]
+        v1[nohit] = velocity[nohit]
+    return bmap.CollisionBatch(hit, d, v1, t, p0, velocity, cens, row)
+
+
+def _copying_step(table, hole, part):
+    """The body of open_step_batch as it was: collide into new arrays,
+    mask, then copy the arrivals over the slice."""
+    batch = _copying_collide(table, *part)
+    escaped = holes.arrival_escape_mask(table, hole, batch)
+    part.sid[:] = batch.scatterer_id
+    part.normal[:] = batch.normal
+    part.velocity[:] = batch.velocity
+    return batch.censored, escaped
+
+
+def _hard_states(table):
+    """nu states; test_geometry's boundary rays, among them flights
+    exactly tangent to an image disk, departures tangent to their own
+    disk and flights along cell edges; and nu states turned to aim into
+    their own disk, censored at departure, about 3% of them with no hit
+    (placeholders)."""
+    nu = _sample(table, 20_000, "in-place")
+    _, normal, v, sid = _tangent_and_random_rays(table, table.certificate.l_max, 20_000, 9)
+    inward = _sample(table, 8_000, "in-place-inward")
+    rays = (sid, normal, v), (inward.sid, inward.normal, -inward.velocity)
+    return bmap.State(*(np.concatenate(a) for a in zip(nu, *rays)))
+
+
+def _hole_of_kind(table, kind):
+    if kind is None:
+        return None
+    if kind == "I":
+        return holes.type_i_hole(table, 0, 0.2, 0.6)
+    return holes.type_ii_hole(table, (0.5, 0.0), 0.05)
+
+
+def test_collide_cartesian_matches_the_copying_collide(table):
+    state = _hard_states(table)
+    want = _copying_collide(table, *state)
+    placeholders = ~np.isfinite(want.flight_length)
+    assert placeholders.sum() > 100
+    assert (want.censored & ~placeholders).sum() > 1000
+    grazed = geometry.first_hit_batch(table, want.start, want.direction, want.row)[3]
+    assert grazed.sum() > 200
+    got = bmap.collide_cartesian(table, *state)
+    for field, a, b in zip(want._fields, got, want):
+        if b is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    # the inverse map is time reversal around the same collision
+    back = bmap.collide_inverse_cartesian(table, *state)
+    ref = _copying_collide(table, state.sid, state.normal, bmap.reverse(state.normal, state.velocity))
+    ref = ref._replace(velocity=bmap.reverse(ref.normal, ref.velocity))
+    for field, a, b in zip(ref._fields, back, ref):
+        if b is not None:
+            assert a.tobytes() == b.tobytes(), field
+
+
+@pytest.mark.parametrize("kind", [None, "I", "II"])
+def test_in_place_step_matches_the_copying_step(table, monkeypatch, kind):
+    # arrivals and both masks have the copying step's bytes, placeholder
+    # rows included, at 1 and 2 threads over 9 slices
+    hole = _hole_of_kind(table, kind)
+    state = _hard_states(table)
+    want = bmap.State(*(a.copy() for a in state))
+    want_cens, want_esc = _copying_step(table, hole, want)
+    assert kind is None or want_esc.sum() > 50
+    monkeypatch.setattr(open_dynamics, "CHUNK", 6144)
+    for threads in (1, 2):
+        got = bmap.State(*(a.copy() for a in state))
+        cens, esc = open_dynamics.open_step_batch(table, hole, got, threads)
+        assert cens.tobytes() == want_cens.tobytes()
+        assert esc.tobytes() == want_esc.tobytes()
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["I", "II"])
+def test_departure_runs_match_the_copying_step(table, monkeypatch, kind):
+    hole = _hole_of_kind(table, kind)
+    state = _sample(table, 20_000, "in-place-departure")
+    monkeypatch.setattr(open_dynamics, "CHUNK", 4096)
+    runs = [open_dynamics.evolve_ensemble(table, hole, state, 12, convention="departure",
+                                          threads=threads) for threads in (1, 2)]
+
+    def copying(table, hole, state, threads=1):
+        return open_dynamics._map_chunks(lambda part: _copying_step(table, hole, part),
+                                         state, threads)
+
+    monkeypatch.setattr(open_dynamics, "open_step_batch", copying)
+    want = open_dynamics.evolve_ensemble(table, hole, state, 12, convention="departure")
+    assert want.escaped[-1] > 100
+    for got in runs:
+        for a, b in ((got.survivors, want.survivors), (got.escaped, want.escaped),
+                     (got.censored, want.censored), (got.escape_step, want.escape_step),
+                     (got.alive_index, want.alive_index), *zip(got.final_state, want.final_state)):
+            assert a.tobytes() == b.tobytes()
+
+
+def _peak_per_row(fn, rows):
+    """Peak bytes tracemalloc sees fn allocate, per row."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / rows
+
+
+@pytest.mark.parametrize("kind", ["I", "II"])
+def test_a_step_holds_at_most_110_bytes_a_row(table, kind):
+    # one CHUNK-row step: the search, the hole test and the arrival write
+    # into the slice, so its working set is the flight (launch point,
+    # length, row, image: 40 B/row) and a few columns.  Building every
+    # arrival in new arrays and copying it over peaked at 155 B/row
+    hole = _hole_of_kind(table, kind)
+    state = _sample(table, open_dynamics.CHUNK, "step-bytes", kind)
+    # a first step builds the cached rows
+    open_dynamics.open_step_batch(table, hole, bmap.State(*(a.copy() for a in state)))
+    per_row = _peak_per_row(lambda: open_dynamics.open_step_batch(table, hole, state),
+                            open_dynamics.CHUNK)
+    print(f"Type {kind} step: {per_row:.1f} B/row")
+    assert per_row <= 110
+
+
+def test_type_ii_membership_peak(table):
+    # the index-0 Type II test collides backward into copies of the
+    # states; it peaked at 171 B/row before the collision wrote in place
+    hole = _hole_of_kind(table, "II")
+    state = _sample(table, open_dynamics.CHUNK, "membership-bytes")
+    open_dynamics.hole_membership(table, hole, state)
+    per_row = _peak_per_row(lambda: open_dynamics.hole_membership(table, hole, state),
+                            open_dynamics.CHUNK)
+    print(f"Type II hole_membership: {per_row:.1f} B/row")
+    assert per_row < 171
+
+
+def test_steps_run_on_one_worker_pool(table, monkeypatch):
+    # a pool per step started and joined two new threads every step
+    monkeypatch.setattr(open_dynamics, "CHUNK", 1024)
+    workers = []
+    flights = bmap.flights
+
+    def spy(*args):
+        thread = threading.current_thread()
+        workers[-1].add((threading.get_ident(), thread.name))
+        return flights(*args)
+
+    monkeypatch.setattr(bmap, "flights", spy)
+    state = _sample(table, 9000, "pool")
+    for _ in range(2):
+        workers.append(set())
+        open_dynamics.open_step_batch(table, None, state, threads=2)
+    assert all(workers)
+    assert len(workers[0] | workers[1]) <= 2
+    assert threading.get_ident() not in {ident for ident, _ in workers[0] | workers[1]}
