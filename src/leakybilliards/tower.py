@@ -246,32 +246,45 @@ class _Layout:
     trunc[c] the index of its prefix one symbol shorter, sorted and
     hitting every prefix.  counts keeps every depth 0..depth; the other
     tables are this depth's only, built from prev, the depth-(k-1) layout.
+    counts and offsets are built with the layout, since every deeper
+    layout reads them; trunc and frac on first read, from prev's.  So a
+    depth that refining from depth 0 only passes through holds counts
+    and offsets and nothing else.
 
     Cells follow tower.cells, each a contiguous slice of counts[depth, j]
     values, so a column is a (return_time, count) row-major block.  The
-    per-cell tables below are built on first use: a depth that refining
-    only passes through needs the four above and nothing else.  A tower
-    keeps its tables for life, so none spans every cell: the per-column
-    tables cover one level's cylinders.
+    per-cell tables below are built on first use too.  A tower keeps its
+    tables for life, so none spans every cell: the per-column tables
+    cover one level's cylinders (at depth 0, where a cell is a
+    cylinder, step has one entry per cell).
     """
 
     def __init__(self, tower: Tower, depth: int, prev: _Layout | None):
-        self.tower, self.depth = tower, depth
-        targets = tower.targets
+        self.tower, self.depth, self.prev = tower, depth, prev
         if prev is None:
             self.counts = np.ones((1, tower.n_cols), dtype=np.int64)
-            self.offsets = [np.zeros(len(tgt), np.int64) for tgt in targets]
-            self.frac = [np.ones(1)] * tower.n_cols
-            self.trunc = [np.zeros(1, np.int64)] * tower.n_cols
+            self.offsets = [np.zeros(len(tgt), np.int64) for tgt in tower.targets]
         else:
-            self.trunc = [np.concatenate([prev.offsets[c][ti] + prev.trunc[i]
-                                          for ti, i in enumerate(tgt)])
-                          for c, tgt in enumerate(targets)]
-            self.frac = [np.concatenate([(tower.masses[i] / tower.target_mass[c]) * prev.frac[i]
-                                         for i in tgt]) for c, tgt in enumerate(targets)]
-            sizes = [prev.counts[-1, list(tgt)] for tgt in targets]
+            sizes = [prev.counts[-1, list(tgt)] for tgt in tower.targets]
             self.counts = np.vstack([prev.counts, [s.sum() for s in sizes]])
             self.offsets = [np.cumsum(s) - s for s in sizes]
+
+    @functools.cached_property
+    def trunc(self) -> list:
+        prev, tower = self.prev, self.tower
+        if prev is None:
+            return [np.zeros(1, np.int64)] * tower.n_cols
+        return [np.concatenate([prev.offsets[c][ti] + prev.trunc[i]
+                                for ti, i in enumerate(tgt)])
+                for c, tgt in enumerate(tower.targets)]
+
+    @functools.cached_property
+    def frac(self) -> list:
+        prev, tower = self.prev, self.tower
+        if prev is None:
+            return [np.ones(1)] * tower.n_cols
+        return [np.concatenate([(tower.masses[i] / tower.target_mass[c]) * prev.frac[i]
+                                for i in tgt]) for c, tgt in enumerate(tower.targets)]
 
     @functools.cached_property
     def cells(self) -> list:
@@ -364,6 +377,29 @@ class _Layout:
                 np.concatenate([np.arange(sl.start, sl.stop) for sl, _, _, _ in self.fed]),
                 np.concatenate([a + index for a, (_, index, _, _) in zip(at, self.fed)]))
 
+    @functools.cached_property
+    def step(self) -> tuple:
+        """transfer_apply's tables at depth 0, where a cell is one
+        cylinder: (src, jac, gather), over ext = [x, acc, 0.0].
+
+        Column k of the (1 + rounds, fed cells) tables src and jac is fed
+        cell k: a first row that reads the 0.0 slot, then its sources in
+        order, padded with the 0.0 slot; the jacobian of a pad is 1.0.
+        gather reads each output cell from ext: the cell below it for a
+        climb, its acc entry for a fed base cell, 0.0 for a killed one.
+        """
+        n, fed = self.size, self.fed
+        zero = n + len(fed)
+        src = np.full((len(fed[0][3]) + 1, len(fed)), zero)
+        jac = np.ones(src.shape)
+        for k, (_, _, _, sources) in enumerate(fed):
+            for r, (s, jc) in enumerate(sources, 1):
+                src[r, k], jac[r, k] = s, jc
+        gather = np.arange(-1, n - 1)
+        gather[[sl.start for sl, _, _, _ in fed]] = np.arange(n, zero)
+        gather[[sl.start for sl in self.killed]] = zero
+        return src, jac, gather
+
 
 def build_tower(spec: TowerSpec, enforce_hole_condition: bool = True) -> Tower:
     """Validate a tower spec; see Tower for the checks performed."""
@@ -411,6 +447,12 @@ def _class_periods(adj):
 
 
 # -- functions on the tower --------------------------------------------------
+
+
+def _left_sums(a: np.ndarray):
+    """Sums over the last axis, left to right (an accumulate adds in
+    order; a BLAS product or a pairwise reduce need not)."""
+    return np.add.accumulate(a, axis=-1)[..., -1]
 
 
 class TowerFunction:
@@ -463,10 +505,14 @@ class TowerFunction:
 
     __rmul__ = __mul__
 
+    def __imul__(self, scalar):
+        self.vec *= float(scalar)
+        return self
+
     def cell_masses(self) -> list[float]:
         """Integral over each cell, in tower.cells order: the column mass
         times the sum of the cell's values times their mass fractions.
-        The sum runs left to right (a cumulative sum, never a BLAS dot
+        The sum runs left to right (_left_sums, never a BLAS dot
         product, whose order follows the installed kernel); at depth 0 it
         is the one value times 1.0, so a depth-0 function takes one
         product."""
@@ -475,7 +521,7 @@ class TowerFunction:
         out = []
         for j, (start, n, rt) in enumerate(self.layout.columns):
             block = self.vec[start:start + rt * n].reshape(rt, n) * self.layout.frac[j]
-            out += (self.tower.masses[j] * np.cumsum(block, axis=1)[:, -1]).tolist()
+            out += (self.tower.masses[j] * _left_sums(block)).tolist()
         return out
 
     def integrate(self) -> float:
@@ -490,16 +536,19 @@ class TowerFunction:
         each depth-k cylinder takes the value of its prefix at this
         depth, one gather per column.  Per column, the prefix of each
         itinerary is the trunc tables of the depths in between composed;
-        from depth 0 it is index 0 throughout."""
+        from depth 0 it is index 0 throughout, and no trunc is read."""
         check_depth(depth)
         if depth < self.depth:
             raise InvalidArgumentError("refined() cannot lower the depth")
         if depth == self.depth:
             return self
-        anc = [np.arange(n) for n in self.layout.counts[self.depth]]
-        for k in range(self.depth + 1, depth + 1):
-            anc = [a[t] for a, t in zip(anc, self.tower.depth_tables(k).trunc)]
         lay = self.tower.depth_tables(depth)
+        if self.depth == 0:
+            anc = [np.zeros(m, np.int64) for m in lay.counts[-1]]
+        else:
+            anc = [np.arange(n) for n in self.layout.counts[self.depth]]
+            for k in range(self.depth + 1, depth + 1):
+                anc = [a[t] for a, t in zip(anc, self.tower.depth_tables(k).trunc)]
         vec = np.empty(lay.size)
         for (start, n, rt), (out, m, _), a in zip(self.layout.columns, lay.columns, anc):
             # every index is in range; mode="clip" lets take write to out unbuffered
@@ -546,11 +595,12 @@ class TowerFunction:
         prefixes are followed down from depth - 1 until two of them
         meet: the answer is one deeper (a function with no coarser form
         stops at the first step and comes back as itself).  Each value
-        is the first cylinder of its group.  A group mixing 0.0 and -0.0
-        takes the sign that coarsened's level-by-level maximum.reduceat
-        gives it, which follows numpy's reduction order (under AVX-512 a
-        group of 9, 17, ... zeros does not reduce in order), so a
-        function holding -0.0 is lowered by coarsened.
+        is the first cylinder of its group, index 0 at depth 0, so a
+        refined depth-0 function reads no trunc table.  A group mixing
+        0.0 and -0.0 takes the sign that coarsened's level-by-level
+        maximum.reduceat gives it, which follows numpy's reduction order
+        (under AVX-512 a group of 9, 17, ... zeros does not reduce in
+        order), so a function holding -0.0 is lowered by coarsened.
         """
         vec, tower = self.vec, self.tower
         if np.isnan(vec.max()):  # max is NaN when any value is
@@ -575,7 +625,7 @@ class TowerFunction:
         values = []
         for j, (start, n, rt) in enumerate(self.layout.columns):
             first = np.arange(self.layout.counts[depth, j])
-            for k in range(depth + 1, self.depth + 1):
+            for k in range(depth + 1, self.depth + 1) if depth else ():
                 first = np.searchsorted(tower.depth_tables(k).trunc[j], first)
             values.append(vec[start:start + rt * n].reshape(rt, n)[:, first].ravel())
         return TowerFunction(tower, depth, np.concatenate(values))
@@ -665,20 +715,29 @@ def transfer_apply(tower: Tower, rho: TowerFunction) -> TowerFunction:
     The integral of the output equals the integral of the input over
     the set surviving one step, exactly.
 
-    On the flat vector that is one shifted copy per column (the climbs,
-    unit Jacobian), the returns, and zeroing the killed slices.  All
-    sources of base cell i share its prefix index trunc[i], so their
-    returns are summed on its prefixes and gathered once, and the sums
-    of all base cells run together (_Layout.returns): one take and one
-    divide give every return term, round r adds each fed cell's r-th
-    source into its prefixes, and one gather writes every base cylinder.
-    Per cylinder that is 0.0 + x_1/J_1 + x_2/J_2 + ..., sources
-    ascending: the same float operations in the same order as one
-    gather per (base cell, source) block.
+    All sources of base cell i share its prefix index trunc[i], so their
+    returns are summed on its prefixes and gathered once.  Per base
+    cylinder that is 0.0 + x_1/J_1 + x_2/J_2 + ..., sources ascending:
+    the same float operations in the same order as one gather per (base
+    cell, source) block.  At depth 0 a step is a fixed handful of array
+    calls (_Layout.step): one take and one divide give every return
+    term, np.add.accumulate down the rounds adds them (an accumulate
+    adds in order, where a reduce need not), and one gather over
+    [x, acc, 0.0] writes every cell.
+    Deeper, the tables of _Layout.returns run the same sums in one add
+    per round, each column's climbs are one shifted-slice copy and each
+    killed slice is zeroed.
     """
     if rho.tower is not tower:
         raise InvalidArgumentError("function lives on a different tower")
     lay, x = rho.layout, rho.vec
+    if rho.depth == 0:
+        src, jac, gather = lay.step
+        ext = np.concatenate((x, np.zeros(src.shape[1] + 1)))
+        terms = ext.take(src)
+        terms /= jac
+        ext[x.size:-1] = np.add.accumulate(terms)[-1]
+        return TowerFunction(tower, 0, ext.take(gather))
     src, jac, rounds, size, base, prefix = lay.returns
     out = np.empty_like(x)
     for start, n, rt in lay.columns:
@@ -711,57 +770,65 @@ def check_tol(tol: float) -> None:
         raise InvalidArgumentError("tol must be positive")
 
 
-def leading_eigenpair(tower: Tower, tol: float = 1e-13,
-                      max_iter: int = 100000, depth: int = 0):
-    """Dominant eigenvalue and eigenfunction of the open transfer operator.
+def _power_iteration(step, mass, norm, rho, tol, max_iter):
+    """Power iteration with mass normalization, from rho.
 
-    Power iteration with mass normalization; the eigenvalue estimate is
-    the per-step mass ratio.  It stops once the ratio has held to tol
-    for three steps and |L rho - ratio rho| <= _RESIDUAL_FACTOR * tol *
-    |L rho| (sup norm), since the ratio can settle before the function
-    does.  Converged h is normalized to integral 1.
-    The iteration starts from the constant and transfer_apply maps
-    cell-constant functions to cell-constant ones, so it runs at depth 0
-    and h is refined to depth at the end: every depth gives the same
-    theta and, refined, the same h, bit for bit.
-    Returns (theta, h, EigenReport).  The dominant eigenvalue of a
-    mixing tower with an admissible hole exceeds beta; a smaller result
-    means the iteration left the quasi-compact regime and is rejected.
+    The eigenvalue estimate is the per-step mass ratio.  It stops once
+    the ratio has held to tol for three steps and norm(step(rho) - ratio
+    rho) <= _RESIDUAL_FACTOR * tol * norm(step(rho)), since the ratio can
+    settle before the function does.  Returns (theta, rho of mass 1,
+    iterations, ratio per step).
     """
-    check_tol(tol)
-    check_depth(depth)
-    rho = tower_constant(tower, 1.0)
-    mass = rho.integrate()
+    m = mass(rho)
     trace = []
     theta = None
     stable = 0
     for it in range(1, max_iter + 1):
-        nxt = transfer_apply(tower, rho)
-        nmass = nxt.integrate()
+        nxt = step(rho)
+        nmass = mass(nxt)
         if nmass <= 0:
             raise NoConvergenceError(
                 "transfer iteration lost all mass; hole swallows the core"
             )
-        ratio = nmass / mass
+        ratio = nmass / m
         trace.append(ratio)
         if theta is not None and abs(ratio - theta) < tol * max(ratio, 1e-300):
             stable += 1
         else:
             stable = 0
         converged = stable >= 3 and (
-            (nxt - rho * ratio).sup_norm()
-            <= _RESIDUAL_FACTOR * tol * nxt.sup_norm()
+            norm(nxt - rho * ratio) <= _RESIDUAL_FACTOR * tol * norm(nxt)
         )
-        nxt.vec *= 1.0 / nmass
+        nxt *= 1.0 / nmass
         rho = nxt
-        mass = 1.0
+        m = 1.0
         theta = ratio
         if converged:
-            break
-    else:
-        raise NoConvergenceError(
-            f"eigenvalue ratio did not stabilize in {max_iter} iterations"
-        )
+            return theta, rho, it, trace
+    raise NoConvergenceError(
+        f"eigenvalue ratio did not stabilize in {max_iter} iterations"
+    )
+
+
+def leading_eigenpair(tower: Tower, tol: float = 1e-13,
+                      max_iter: int = 100000, depth: int = 0):
+    """Dominant eigenvalue and eigenfunction of the open transfer operator.
+
+    _power_iteration of transfer_apply from the constant, with the sup
+    norm in its residual gate; converged h is normalized to integral 1.
+    transfer_apply maps cell-constant functions to cell-constant ones,
+    so the iteration runs at depth 0 and h is refined to depth at the
+    end: every depth gives the same theta and, refined, the same h, bit
+    for bit.
+    Returns (theta, h, EigenReport).  The dominant eigenvalue of a
+    mixing tower with an admissible hole exceeds beta; a smaller result
+    means the iteration left the quasi-compact regime and is rejected.
+    """
+    check_tol(tol)
+    check_depth(depth)
+    theta, rho, it, trace = _power_iteration(
+        lambda f: transfer_apply(tower, f), TowerFunction.integrate,
+        TowerFunction.sup_norm, tower_constant(tower, 1.0), tol, max_iter)
     h = rho * (1.0 / rho.integrate())
     resid = transfer_apply(tower, h) - h * theta
     report = EigenReport(
@@ -918,13 +985,18 @@ class MarkovOracleResult:
 
 def markov_matrix_oracle(markov_map: MarkovIntervalMap,
                          hole_cells=frozenset()) -> MarkovOracleResult:
-    """Exact spectral data of the open transfer operator by dense eigen.
+    """Spectral data of the open transfer operator from its matrix.
 
     The transfer matrix on piecewise-constant densities has entries
     1/slope_j for each surviving branch j that covers cell i.  Returns
     the dominant eigenvalue with its right eigenfunction (integral 1)
     and the left functional psi normalized so that d(h) = 1; an
     all-hole partition yields the zero matrix, flagged degenerate.
+    np.linalg.eigvals only gates: the dominant eigenvalue must be real
+    and simple in modulus, to 1e-12.  theta, h and psi come from
+    _power_iteration on the surviving matrix and its transpose, with
+    leading_eigenpair's tolerance and stopping rule and every sum taken
+    left to right, so no bit follows the BLAS kernel.
     """
     bp = np.asarray(markov_map.breakpoints, dtype=float)
     if len(bp) < 2 or np.any(np.diff(bp) <= 0):
@@ -963,36 +1035,30 @@ def markov_matrix_oracle(markov_map: MarkovIntervalMap,
         raise ReducibleSurvivingGraphError(
             f"surviving cells split into {n_classes} communicating classes"
         )
-    w, vecs = np.linalg.eig(sub)
-    k = int(np.argmax(np.abs(w)))
-    theta = w[k]
-    if abs(theta.imag) > 1e-12:
+    w = np.linalg.eigvals(sub)
+    order = np.argsort(-np.abs(w))
+    if abs(w[order[0]].imag) > 1e-12:
         raise ReducibleSurvivingGraphError(
             "dominant eigenvalue is not real; surviving dynamics not mixing"
         )
-    theta = float(theta.real)
-    order = np.argsort(-np.abs(w))
     if len(w) > 1 and abs(abs(w[order[0]]) - abs(w[order[1]])) < 1e-12:
         raise ReducibleSurvivingGraphError(
             "dominant eigenvalue is not simple in modulus"
         )
-    v = vecs[:, k].real
-    if v.sum() < 0:
-        v = -v
-    if np.any(v < -1e-10):
-        raise ReducibleSurvivingGraphError("right eigenvector changes sign")
-    wl, vecl = np.linalg.eig(sub.T)
-    kl = int(np.argmin(np.abs(wl - theta)))
-    u = vecl[:, kl].real
-    if u.sum() < 0:
-        u = -u
     sub_len = lengths[surviving]
+
+    def power(a):
+        return _power_iteration(
+            lambda x: _left_sums(a * x), lambda x: float(_left_sums(x * sub_len)),
+            lambda x: float(np.abs(x).max()), np.ones(len(surviving)), 1e-13, 100000)
+
+    theta, v, _, _ = power(sub)
+    _, u, _, _ = power(sub.T)
     h_full = np.zeros(m)
-    h_full[surviving] = v / float(v @ sub_len)
+    h_full[surviving] = v / _left_sums(v * sub_len)
     psi_full = np.zeros(m)
     # scale so that sum(psi * h * len) = 1, giving d(h) = 1
-    uh = float((u * h_full[surviving] * sub_len).sum())
-    psi_full[surviving] = u / uh
+    psi_full[surviving] = u / _left_sums(u * h_full[surviving] * sub_len)
     return MarkovOracleResult(
         theta=theta, h=h_full, psi=psi_full, matrix=mat,
         surviving=surviving, lengths=lengths, degenerate=False,
@@ -1051,10 +1117,14 @@ def tail_mass_check(tower: Tower, h: TowerFunction | None = None,
     ratio against theta0/beta plus _TAIL_SLACK.  Flat towers have zero tails
     and pass trivially.  h defaults to the leading eigenfunction;
     theta_star is never read, and stays because callers pass it by
-    position after h.
+    position after h.  The level masses are those of h.coarsest(), so
+    an h refined from depth 0 (as leading_eigenpair returns it at any
+    depth) takes one product per cell, and h and h.refined(k) give the
+    same rows, bit for bit.
     """
     if h is None:
         _, h, _ = leading_eigenpair(tower)
+    h = h.coarsest()
     level_mass = {}
     for (_, l, _), m in zip(h.layout.cells, h.cell_masses()):
         level_mass[l] = level_mass.get(l, 0.0) + m

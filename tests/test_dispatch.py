@@ -8,8 +8,8 @@ them.  This runs small configs of every ensemble subcommand in fresh
 interpreters with the host's dispatch targets switched off level by
 level (NPY_DISABLE_CPU_FEATURES), and once more with OpenBLAS held to
 an SSE-era kernel (OPENBLAS_CORETYPE; other BLAS builds ignore it), and
-compares every --out file.  Tower integrals are checked the same way
-under a second OpenBLAS kernel.
+compares every --out file, the tower subcommands' included.  Tower
+integrals are checked the same way under a second OpenBLAS kernel.
 """
 
 import json
@@ -38,6 +38,12 @@ CONFIGS = {
         "n_particles": 20000, "n_max": 30, "window": [5, 25], "seed": 11,
         "estimator": "fleming-viot"}),
 }
+# the tower subcommands on the shipped golden config: the matrix oracle's
+# theta is in tower-eig's results
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "configs", "tower_golden.json")) as _fh:
+    _GOLDEN = json.load(_fh)
+CONFIGS.update({"tower-eig": ("tower-eig", _GOLDEN), "tower-bound": ("tower-bound", _GOLDEN)})
 
 # runs every config through cli.main and prints {name: {file: sha256}},
 # plus the fits of 2000 random survival curves: numpy's log and exp

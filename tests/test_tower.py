@@ -143,6 +143,46 @@ def test_golden_matrix_oracle_agrees():
     assert abs(res.d_of(np.ones(4)) - D_ONE_GOLD) < 1e-12
 
 
+def eig_oracle(markov_map, holes):
+    """theta, h and psi of the surviving matrix from np.linalg.eig, with
+    the oracle's normalizations: integral of h 1 and d(h) = 1."""
+    res = tower.markov_matrix_oracle(markov_map, holes)
+    sub = res.matrix[np.ix_(res.surviving, res.surviving)]
+    lengths = res.lengths[res.surviving]
+    w, vr = np.linalg.eig(sub)
+    k = int(np.argmax(np.abs(w)))
+    wl, vl = np.linalg.eig(sub.T)
+    h = np.abs(vr[:, k].real)
+    h /= h @ lengths
+    psi = np.abs(vl[:, int(np.argmax(np.abs(wl)))].real)
+    psi /= psi @ (h * lengths)
+    return res, w[k].real, h, psi
+
+
+def test_matrix_oracle_matches_dense_eigen():
+    # random Markov interval maps: each cell covers a run of cells
+    rng = np.random.default_rng(83)
+    checked = 0
+    for _ in range(40):
+        m = int(rng.integers(3, 8))
+        bp = np.concatenate([[0.0], np.sort(rng.random(m - 1)), [1.0]])
+        lo = rng.integers(0, m - 1, size=m)
+        hi = np.minimum(lo + rng.integers(1, m + 1, size=m), m)
+        markov_map = tower.MarkovIntervalMap(tuple(bp), tuple(bp[lo]), tuple(bp[hi]))
+        holes = {int(rng.integers(0, m))} if rng.random() < 0.5 else set()
+        try:
+            res, theta, h, psi = eig_oracle(markov_map, holes)
+        except ReducibleSurvivingGraphError:
+            continue
+        checked += 1
+        # the power iteration stops on leading_eigenpair's rule: theta
+        # was within 4e-14 and h within 1e-9 of eig on these maps
+        assert abs(res.theta - theta) < 1e-12 * theta
+        assert np.allclose(res.h[res.surviving], h, rtol=1e-8, atol=0)
+        assert np.allclose(res.psi[res.surviving], psi, rtol=1e-8, atol=0)
+    assert checked >= 10
+
+
 def test_golden_d_functional(gold):
     theta, h, _ = tower.leading_eigenpair(gold)
     dh = tower.d_functional(gold, h, theta_star=theta)
@@ -504,6 +544,44 @@ def test_transfer_apply_matches_per_block_gather():
     assert not tower.transfer_apply(t, rho).values[(0, 2)].any()
 
 
+def rounds_transfer(tower_, rho):
+    """transfer_apply as it was written before the depth-0 step: one
+    shifted copy per column, one add per round of the returns and one
+    zeroing per killed slice, at every depth."""
+    lay, x = rho.layout, rho.vec
+    src, jac, rounds, size, base, prefix = lay.returns
+    out = np.empty_like(x)
+    for start, n, rt in lay.columns:
+        out[start + n:start + rt * n] = x[start:start + (rt - 1) * n]
+    terms = x.take(src)
+    terms /= jac
+    acc = np.zeros(size)
+    for lo, n in rounds:
+        acc[:n] += terms[lo:lo + n]
+    out[base] = acc.take(prefix)
+    for sl in lay.killed:
+        out[sl] = 0.0
+    return out
+
+
+def test_transfer_apply_matches_the_rounds_step(gold):
+    # signed values with zeros of both signs, so a change in the order
+    # of the sums, in the sign of a zero or in a killed cell shows
+    rng = np.random.default_rng(2027)
+    towers = [gold, tower.build_tower(sourceless_base_spec())]
+    towers += [tower.build_tower(tower.random_tower_spec(rng)) for _ in range(5)]
+    for t in towers:
+        for depth in range(4):
+            size = t.depth_tables(depth).size
+            vec = rng.standard_normal(size)
+            vec[rng.random(size) < 0.2] = -0.0
+            vec[rng.random(size) < 0.1] = 0.0
+            for rho in (tower.TowerFunction(t, depth, vec),
+                        tower.tower_constant(t, -0.0, depth)):
+                want = rounds_transfer(t, rho)
+                assert tower.transfer_apply(t, rho).vec.tobytes() == want.tobytes()
+
+
 def test_refine_coarsen_roundtrip(gold):
     rho = tower.tower_random(gold, 1, np.random.default_rng(13))
     back = rho.refined(4).coarsened(1)
@@ -706,6 +784,38 @@ def test_tail_check_rejects_heavy_tails():
     fat = tower.TowerFunction(t, 0, np.array([3.0 ** l for (l, j) in t.cells]))
     with pytest.raises(BadTailError):
         tower.tail_mass_check(t, h=fat)
+
+
+def test_tails_do_not_depend_on_the_depth_of_h(gold):
+    rng = np.random.default_rng(73)
+    towers = [gold, tower.build_tower(geometric_tail_spec())]
+    towers += [tower.build_tower(tower.random_tower_spec(rng)) for _ in range(4)]
+    for t in towers:
+        theta, h, _ = tower.leading_eigenpair(t)
+        rows = np.array(tower.tail_mass_check(t, h, theta).rows)
+        for k in range(5):
+            got = np.array(tower.tail_mass_check(t, h.refined(k), theta).rows)
+            assert got.tobytes() == rows.tobytes()
+
+
+def test_solves_read_no_itinerary_table_above_depth_0():
+    # leading_eigenpair refines the depth-0 h, and tail_mass_check and
+    # d_functional lower it again, so no layout deeper than 0 needs its
+    # trunc or frac table
+    rng = np.random.default_rng(79)
+    spec = tower.random_tower_spec(rng)
+    while len(spec.columns) < 5:
+        spec = tower.random_tower_spec(rng)
+    t = tower.build_tower(spec)
+    theta, h, _ = tower.leading_eigenpair(t, depth=6)
+    tower.tail_mass_check(t, h, theta)
+    tower.d_functional(t, h, theta)
+    assert sorted(t._depth_cache) == list(range(7))
+    for depth in range(1, 7):
+        held = vars(t.depth_tables(depth))
+        assert "trunc" not in held and "frac" not in held, depth
+    # read, they are built from the depth below
+    assert t.depth_tables(2).frac[0].size == t.depth_tables(2).counts[2, 0]
 
 
 # -- the induced doubling tower -------------------------------------------------
