@@ -219,10 +219,6 @@ class BadTailError(LeakyBilliardsError):
     code = "tower.bad_tail"
 
 
-class DepthExhaustedError(LeakyBilliardsError):
-    code = "tower.depth_exhausted"
-
-
 class NoConvergenceError(LeakyBilliardsError):
     code = "tower.no_convergence"
 

@@ -32,7 +32,6 @@ from .errors import (
     BadTailError,
     ConfigError,
     ConfigReader,
-    DepthExhaustedError,
     HoleTooBigError,
     InvalidArgumentError,
     NoConvergenceError,
@@ -45,9 +44,6 @@ from .errors import (
 
 _TAIL_TOL = 1e-12
 _BALANCE_RTOL = 1e-9
-# coarsened() calls a cell constant on a cylinder when its values agree
-# to this relative tolerance
-_COARSEN_RTOL = 1e-12
 # d_functional's relative spread bound over the last quarter of its terms
 _D_RTOL = 1e-8
 # tail_mass_check's allowance over theta0/beta
@@ -254,9 +250,9 @@ class _Layout:
     Cells follow tower.cells, each a contiguous slice of counts[depth, j]
     values, so a column is a (return_time, count) row-major block.  The
     per-cell tables below are built on first use too.  A tower keeps its
-    tables for life, so none spans every cell: the per-column tables
-    cover one level's cylinders (at depth 0, where a cell is a
-    cylinder, step has one entry per cell).
+    tables for life, so the per-column tables cover one level's
+    cylinders, and only step, built by the first transfer at a depth,
+    has one entry per cylinder of the whole tower.
     """
 
     def __init__(self, tower: Tower, depth: int, prev: _Layout | None):
@@ -328,9 +324,7 @@ class _Layout:
     def fed(self) -> list:
         """(base slice, prefix index, prefix count, [(start of the source
         block, jacobian), ...]) per base cell with a surviving source,
-        source columns ascending: that order fixes the float sums.  The
-        cells with more sources come first, so each round of the sums
-        adds into a prefix of the accumulator."""
+        source columns ascending: that order fixes the float sums."""
         tower, where = self.tower, self.where
         fed = []
         for i in range(tower.n_cols):
@@ -340,7 +334,7 @@ class _Layout:
             if sources:
                 m = int(self.counts[max(self.depth - 1, 0), i])
                 fed.append((where[(0, i)], self.trunc[i], m, sources))
-        return sorted(fed, key=lambda g: -len(g[3]))
+        return fed
 
     @functools.cached_property
     def killed(self) -> list:
@@ -353,51 +347,35 @@ class _Layout:
         ] + [where[(0, i)] for i in range(tower.n_cols) if where[(0, i)].start not in fed]
 
     @functools.cached_property
-    def returns(self) -> tuple:
-        """transfer_apply's tables for the returns, built on first use:
-        (src, jac, rounds, size, base, prefix).
-
-        x[src] / jac is every return term, round by round.  Round r,
-        (lo, n) in rounds, holds the r-th source of each fed cell that
-        has one, over that cell's prefixes, and adds into the first n of
-        the size accumulator entries; then vec[base] takes accumulator
-        entry prefix.  The arrays hold one entry per return term (a top
-        cylinder whose first symbol is a fed base cell) and per base
-        cylinder, so a depth that is only refined into never builds them.
-        """
-        at = list(itertools.accumulate((m for _, _, m, _ in self.fed), initial=0))
-        src, jac, rounds, lo = [], [], [], 0
-        for r in range(len(self.fed[0][3])):
-            terms = [(srcs[r], m) for _, _, m, srcs in self.fed if len(srcs) > r]
-            src += [np.arange(s, s + m) for (s, _), m in terms]
-            jac += [np.full(m, jc) for (_, jc), m in terms]
-            rounds.append((lo, at[len(terms)]))
-            lo += at[len(terms)]
-        return (np.concatenate(src), np.concatenate(jac), rounds, at[-1],
-                np.concatenate([np.arange(sl.start, sl.stop) for sl, _, _, _ in self.fed]),
-                np.concatenate([a + index for a, (_, index, _, _) in zip(at, self.fed)]))
-
-    @functools.cached_property
     def step(self) -> tuple:
-        """transfer_apply's tables at depth 0, where a cell is one
-        cylinder: (src, jac, gather), over ext = [x, acc, 0.0].
+        """transfer_apply's tables, (src, jac, gather), over
+        ext = [x, acc, 0.0]; built by the first transfer at this depth.
 
-        Column k of the (1 + rounds, fed cells) tables src and jac is fed
-        cell k: a first row that reads the 0.0 slot, then its sources in
-        order, padded with the 0.0 slot; the jacobian of a pad is 1.0.
-        gather reads each output cell from ext: the cell below it for a
-        climb, its acc entry for a fed base cell, 0.0 for a killed one.
+        acc has one entry per prefix (one symbol shorter) of each fed
+        base cell, cells in fed order.  Column p of the (1 + rounds,
+        prefixes) tables src and jac is one such entry: a first row that
+        reads the 0.0 slot, then the top cylinder each source sends to
+        that prefix, in order, padded with the 0.0 slot; the jacobian of
+        a pad is 1.0.  gather reads each output cylinder from ext: a
+        climb its index minus its column's count (the cylinder one level
+        below), a fed base cylinder the acc entry of its prefix, a
+        killed one 0.0.  At depth 0 a cell is one cylinder and has one
+        prefix.
         """
         n, fed = self.size, self.fed
-        zero = n + len(fed)
-        src = np.full((len(fed[0][3]) + 1, len(fed)), zero)
+        at = list(itertools.accumulate((m for _, _, m, _ in fed), initial=0))
+        zero = n + at[-1]
+        src = np.full((1 + max(len(sources) for _, _, _, sources in fed), at[-1]), zero)
         jac = np.ones(src.shape)
-        for k, (_, _, _, sources) in enumerate(fed):
+        gather = np.arange(n)
+        for start, count, rt in self.columns:
+            gather[start:start + rt * count] -= count
+        for a, (sl, trunc, m, sources) in zip(at, fed):
             for r, (s, jc) in enumerate(sources, 1):
-                src[r, k], jac[r, k] = s, jc
-        gather = np.arange(-1, n - 1)
-        gather[[sl.start for sl, _, _, _ in fed]] = np.arange(n, zero)
-        gather[[sl.start for sl in self.killed]] = zero
+                src[r, a:a + m], jac[r, a:a + m] = np.arange(s, s + m), jc
+            gather[sl] = n + a + trunc
+        for sl in self.killed:
+            gather[sl] = zero
         return src, jac, gather
 
 
@@ -556,34 +534,6 @@ class TowerFunction:
                 a, axis=1, out=vec[out:out + rt * m].reshape(rt, m), mode="clip")
         return TowerFunction(self.tower, depth, vec)
 
-    def coarsened(self, depth: int) -> "TowerFunction":
-        """Drop itinerary symbols; fails if information would be lost.
-        One level at a time: per column, the (min, max) of each prefix
-        group of every level is one reduceat pair (trunc is sorted and
-        hits every prefix, so each prefix is one group) and the max is
-        the coarser value."""
-        check_depth(depth)
-        if depth > self.depth:
-            raise InvalidArgumentError("coarsened() cannot raise the depth")
-        out = self
-        while out.depth > depth:
-            lay, values = out.layout, []
-            for j, (start, n, rt) in enumerate(lay.columns):
-                starts = np.searchsorted(lay.trunc[j], np.arange(lay.counts[out.depth - 1, j]))
-                block = out.vec[start:start + rt * n].reshape(rt, n)
-                agg_min = np.minimum.reduceat(block, starts, axis=1)
-                agg_max = np.maximum.reduceat(block, starts, axis=1)
-                scale = np.maximum(np.abs(agg_min), np.abs(agg_max))
-                lossy = np.any(agg_max - agg_min > _COARSEN_RTOL * np.maximum(scale, 1.0), axis=1)
-                if lossy.any():
-                    raise DepthExhaustedError(
-                        f"cell {(int(np.argmax(lossy)), j)} is not constant on "
-                        f"depth-{out.depth - 1} cylinders; representation depth exhausted"
-                    )
-                values.append(agg_max.ravel())
-            out = TowerFunction(self.tower, out.depth - 1, np.concatenate(values))
-        return out
-
     def coarsest(self) -> "TowerFunction":
         """The same function at the smallest depth that holds it exactly.
 
@@ -597,10 +547,12 @@ class TowerFunction:
         stops at the first step and comes back as itself).  Each value
         is the first cylinder of its group, index 0 at depth 0, so a
         refined depth-0 function reads no trunc table.  A group mixing
-        0.0 and -0.0 takes the sign that coarsened's level-by-level
-        maximum.reduceat gives it, which follows numpy's reduction order
-        (under AVX-512 a group of 9, 17, ... zeros does not reduce in
-        order), so a function holding -0.0 is lowered by coarsened.
+        0.0 and -0.0 takes the sign that a level-by-level maximum.reduceat
+        gives it, which follows numpy's reduction order (under AVX-512 a
+        group of 9, 17, ... zeros does not reduce in order), so a
+        function holding -0.0 is lowered one level at a time: per
+        column, one maximum.reduceat over each prefix group (trunc is
+        sorted and hits every prefix, so each prefix is one group).
         """
         vec, tower = self.vec, self.tower
         if np.isnan(vec.max()):  # max is NaN when any value is
@@ -621,7 +573,16 @@ class TowerFunction:
         if depth == self.depth:
             return self
         if (vec[np.signbit(vec)] == 0).any():
-            return self.coarsened(depth)
+            out = self
+            while out.depth > depth:
+                lay = out.layout
+                out = TowerFunction(tower, out.depth - 1, np.concatenate([
+                    np.maximum.reduceat(
+                        out.vec[start:start + rt * n].reshape(rt, n),
+                        np.searchsorted(lay.trunc[j], np.arange(lay.counts[out.depth - 1, j])),
+                        axis=1).ravel()
+                    for j, (start, n, rt) in enumerate(lay.columns)]))
+            return out
         values = []
         for j, (start, n, rt) in enumerate(self.layout.columns):
             first = np.arange(self.layout.counts[depth, j])
@@ -719,38 +680,21 @@ def transfer_apply(tower: Tower, rho: TowerFunction) -> TowerFunction:
     returns are summed on its prefixes and gathered once.  Per base
     cylinder that is 0.0 + x_1/J_1 + x_2/J_2 + ..., sources ascending:
     the same float operations in the same order as one gather per (base
-    cell, source) block.  At depth 0 a step is a fixed handful of array
-    calls (_Layout.step): one take and one divide give every return
-    term, np.add.accumulate down the rounds adds them (an accumulate
-    adds in order, where a reduce need not), and one gather over
-    [x, acc, 0.0] writes every cell.
-    Deeper, the tables of _Layout.returns run the same sums in one add
-    per round, each column's climbs are one shifted-slice copy and each
-    killed slice is zeroed.
+    cell, source) block.  At every depth a step is a fixed handful of
+    array calls (_Layout.step): one take and one divide give every
+    return term, np.add.accumulate down the rounds adds them (an
+    accumulate adds in order, where a reduce need not), and one gather
+    over [x, acc, 0.0] writes every cylinder.
     """
     if rho.tower is not tower:
         raise InvalidArgumentError("function lives on a different tower")
-    lay, x = rho.layout, rho.vec
-    if rho.depth == 0:
-        src, jac, gather = lay.step
-        ext = np.concatenate((x, np.zeros(src.shape[1] + 1)))
-        terms = ext.take(src)
-        terms /= jac
-        ext[x.size:-1] = np.add.accumulate(terms)[-1]
-        return TowerFunction(tower, 0, ext.take(gather))
-    src, jac, rounds, size, base, prefix = lay.returns
-    out = np.empty_like(x)
-    for start, n, rt in lay.columns:
-        out[start + n:start + rt * n] = x[start:start + (rt - 1) * n]
-    terms = x.take(src)
+    src, jac, gather = rho.layout.step
+    x = rho.vec
+    ext = np.concatenate((x, np.zeros(src.shape[1] + 1)))
+    terms = ext.take(src)
     terms /= jac
-    acc = np.zeros(size)
-    for lo, n in rounds:
-        acc[:n] += terms[lo:lo + n]
-    out[base] = acc.take(prefix)
-    for sl in lay.killed:
-        out[sl] = 0.0
-    return TowerFunction(tower, rho.depth, out)
+    ext[x.size:-1] = np.add.accumulate(terms)[-1]
+    return TowerFunction(tower, rho.depth, ext.take(gather))
 
 
 # -- spectral data -------------------------------------------------------------

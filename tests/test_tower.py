@@ -9,7 +9,6 @@ from leakybilliards import tower
 from leakybilliards.errors import (
     BadTailError,
     ConfigError,
-    DepthExhaustedError,
     HoleTooBigError,
     InvalidArgumentError,
     NoConvergenceError,
@@ -323,7 +322,7 @@ def test_depth_tables_built_once_per_depth(monkeypatch):
     assert built == [0, 1, 2, 3, 4, 5]
     assert t.depth_tables(5).counts.tolist() == [[1] * 4, [2] * 4, [4] * 4,
                                                  [8] * 4, [16] * 4, [32] * 4]
-    assert rho.coarsened(1).depth == 1 and built == [0, 1, 2, 3, 4, 5]
+    assert rho.coarsest().depth == 1 and built == [0, 1, 2, 3, 4, 5]
 
 
 def level_refined(f, depth):
@@ -443,7 +442,6 @@ def test_depths_are_integers(gold):
     one = tower.tower_constant(gold, 1.0, 1)
     bad = [
         (lambda: one.refined(2.5), "2.5"),
-        (lambda: one.coarsened(0.5), "0.5"),
         (lambda: tower.leading_eigenpair(gold, depth=1.5), "1.5"),
         (lambda: tower.tower_constant(gold, 1.0, 2.5), "2.5"),
         (lambda: tower.tower_random(gold, True, rng), "True"),
@@ -456,7 +454,6 @@ def test_depths_are_integers(gold):
     two = np.int64(2)
     assert one.refined(two).depth == 2
     assert tower.leading_eigenpair(gold, depth=two)[1].depth == 2
-    assert tower.tower_random(gold, 1, rng).refined(two).coarsened(np.int64(1)).depth == 1
     assert tower.tower_constant(gold, 1.0, two).coarsest().depth == 0
 
 
@@ -488,6 +485,12 @@ def test_transfer_commutes_with_refinement(gold):
     b = tower.transfer_apply(gold, rho.refined(3))
     for cell in gold.cells:
         assert np.allclose(a.values[cell], b.values[cell], rtol=0, atol=0)
+    # five columns of return times 1-5, full branch, holes from level 1
+    # up to below each top, 15625 cylinders a cell at depth 6
+    t = tower.build_tower(induced_doubling_spec(5), enforce_hole_condition=False)
+    rho = tower.tower_random(t, 0, np.random.default_rng(12))
+    assert_same(tower.transfer_apply(t, rho).refined(6),
+                tower.transfer_apply(t, rho.refined(6)))
 
 
 def per_block_transfer(tower_, rho):
@@ -531,11 +534,12 @@ def sourceless_base_spec():
 def test_transfer_apply_matches_per_block_gather():
     # not cell-constant, so a change in the order of the float sums shows
     rng = np.random.default_rng(2026)
-    specs = [tower.golden_tower_spec(), sourceless_base_spec()]
-    specs += [tower.random_tower_spec(rng) for _ in range(20)]
-    for spec in specs:
-        t = tower.build_tower(spec)
-        for depth in range(5):
+    towers = [tower.build_tower(spec) for spec in (
+        tower.golden_tower_spec(), sourceless_base_spec(),
+        *(tower.random_tower_spec(rng) for _ in range(20)))]
+    towers.append(tower.build_tower(nine_column_spec(), enforce_hole_condition=False))
+    for t in towers:
+        for depth in range(6):
             rho = tower.tower_random(t, depth, rng)
             got = tower.transfer_apply(t, rho)
             assert np.array_equal(got.vec, per_block_transfer(t, rho))
@@ -544,58 +548,34 @@ def test_transfer_apply_matches_per_block_gather():
     assert not tower.transfer_apply(t, rho).values[(0, 2)].any()
 
 
-def rounds_transfer(tower_, rho):
-    """transfer_apply as it was written before the depth-0 step: one
-    shifted copy per column, one add per round of the returns and one
-    zeroing per killed slice, at every depth."""
-    lay, x = rho.layout, rho.vec
-    src, jac, rounds, size, base, prefix = lay.returns
-    out = np.empty_like(x)
-    for start, n, rt in lay.columns:
-        out[start + n:start + rt * n] = x[start:start + (rt - 1) * n]
-    terms = x.take(src)
-    terms /= jac
-    acc = np.zeros(size)
-    for lo, n in rounds:
-        acc[:n] += terms[lo:lo + n]
-    out[base] = acc.take(prefix)
-    for sl in lay.killed:
-        out[sl] = 0.0
-    return out
-
-
 def test_transfer_apply_matches_the_rounds_step(gold):
     # signed values with zeros of both signs, so a change in the order
     # of the sums, in the sign of a zero or in a killed cell shows
     rng = np.random.default_rng(2027)
     towers = [gold, tower.build_tower(sourceless_base_spec())]
     towers += [tower.build_tower(tower.random_tower_spec(rng)) for _ in range(5)]
+    towers.append(tower.build_tower(nine_column_spec(), enforce_hole_condition=False))
     for t in towers:
-        for depth in range(4):
+        for depth in range(6):
             size = t.depth_tables(depth).size
             vec = rng.standard_normal(size)
             vec[rng.random(size) < 0.2] = -0.0
             vec[rng.random(size) < 0.1] = 0.0
             for rho in (tower.TowerFunction(t, depth, vec),
                         tower.tower_constant(t, -0.0, depth)):
-                want = rounds_transfer(t, rho)
+                want = per_block_transfer(t, rho)
                 assert tower.transfer_apply(t, rho).vec.tobytes() == want.tobytes()
 
 
 def test_refine_coarsen_roundtrip(gold):
     rho = tower.tower_random(gold, 1, np.random.default_rng(13))
-    back = rho.refined(4).coarsened(1)
+    back = rho.refined(4).coarsest()
+    assert back.depth == 1
     for cell in gold.cells:
         assert np.array_equal(back.values[cell], rho.values[cell])
     assert rho.refined(3).integrate() == pytest.approx(rho.integrate(), abs=1e-15)
     assert abs(rho.refined(3).lip_norm() - rho.lip_norm()) < 1e-12
     assert rho.refined(3).sup_norm() == rho.sup_norm()
-
-
-def test_coarsen_raises_when_lossy(gold):
-    rho = tower.tower_random(gold, 2, np.random.default_rng(17))
-    with pytest.raises(DepthExhaustedError):
-        rho.coarsened(0)
 
 
 def test_function_arithmetic_and_lifting(gold):
